@@ -16,7 +16,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -33,7 +32,7 @@ from .constants import (
     PUBLISHED_NU3_BOUND,
     PUBLISHED_V1,
 )
-from .core import DEFAULT_ETA, merge_reports
+from .core import DEFAULT_ETA, geometric_grid, merge_reports
 from .dickman import (
     build_rho_table,
     max_exponent,
@@ -72,7 +71,7 @@ from .mfunc import (
 )
 from .primes import (
     DEFAULT_SIEVE_CAP,
-    REGISTRY,
+    check_def,
     nu2,
     sieve_primes,
     split_range,
@@ -160,11 +159,18 @@ def _render_text(obj, indent=0) -> list:
 # argument plumbing
 
 
-def _float_list(text: str):
+def _positive(text: str) -> float:
     try:
-        return [float(tok) for tok in text.split(",") if tok]
+        value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+    return value
+
+
+def _float_list(text: str):
+    return [_positive(tok) for tok in text.split(",") if tok]
 
 
 def _int_list(text: str):
@@ -191,20 +197,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common],
                        help="sweep one registered inequality over a range")
     p.add_argument("--check", required=True)
-    p.add_argument("--from", dest="x_from", type=float, required=True)
-    p.add_argument("--to", dest="x_to", type=float, required=True)
+    p.add_argument("--from", dest="x_from", type=_positive, required=True)
+    p.add_argument("--to", dest="x_to", type=_positive, required=True)
     p.add_argument("--partitions", type=int, default=1)
 
     p = sub.add_parser("dickman", parents=[common],
                        help="build the log-rho table and run exponent checks")
-    p.add_argument("--xmax", type=float, required=True)
-    p.add_argument("--step", type=float, default=2.0 ** -10)
+    p.add_argument("--xmax", type=_positive, required=True)
+    p.add_argument("--step", type=_positive, default=2.0 ** -10)
     p.add_argument("--exponent-check", action="append", default=[],
                    metavar="LO,HI,E,SOURCE")
 
     p = sub.add_parser("constants", parents=[common],
                        help="assemble the constant ledger and case bounds")
-    p.add_argument("--c0", type=float, default=PUBLISHED_C0)
+    p.add_argument("--c0", type=_positive, default=PUBLISHED_C0)
     p.add_argument("--optimize", action="store_true")
 
     p = sub.add_parser("table", parents=[common],
@@ -237,15 +243,7 @@ def _sieve_cap(args) -> int:
 
 
 def _config_echo(args) -> dict:
-    skip = {"command"}
-    out = {}
-    for k, v in vars(args).items():
-        if k in skip:
-            continue
-        if isinstance(v, list) and v and isinstance(v[0], (int, float)):
-            out[k] = list(v)
-        else:
-            out[k] = v
+    out = {k: v for k, v in vars(args).items() if k != "command"}
     out["sieve_cap"] = _sieve_cap(args)
     return out
 
@@ -280,49 +278,39 @@ def _parse_kind(text: str, seed: int) -> MultiplicativeSpec:
 # subcommand handlers: each returns (results, discrepancies, csv_lines, passed)
 
 
+def _discrepancy(report) -> list:
+    """The check-not-passed entry of a sweep report, if it did not pass."""
+    if report.verdict == "pass":
+        return []
+    return [{
+        "kind": "check-not-passed",
+        "check_id": report.check_id,
+        "verdict": report.verdict,
+        "worst_margin": report.worst_margin,
+        "arg_min": report.arg_min,
+    }]
+
+
 def _cmd_verify(args):
-    check_id = args.check
-    if check_id not in REGISTRY:
+    cd = check_def(args.check)
+    most = max(1, geometric_grid(args.x_from, args.x_to).size)
+    if not 1 <= args.partitions <= most:
         raise UsageError(
-            f"unknown check id {check_id!r}; known: {', '.join(sorted(REGISTRY))}"
+            f"--partitions must lie in [1, {most}]: a sub-sweep needs at least "
+            f"one point of the 2^(1/128) geometric grid on the range"
         )
-    if args.partitions < 1:
-        raise UsageError("--partitions must be >= 1")
-    kind = REGISTRY[check_id].kind
     table = None
-    if kind in ("pi-step", "sum-step"):
+    if cd.states.needs_table:
         table = sieve_primes(int(math.ceil(args.x_to)), cap=_sieve_cap(args))
-        if kind == "sum-step":
-            if check_id == "log2p-plain":
-                table.log2_prefix()
-            else:
-                table.recip_prefix()
-    if args.partitions == 1:
-        report = verify_inequality(
-            check_id, args.x_from, args.x_to, table, eta=args.safety_margin
-        )
-    else:
-        parts = split_range(args.x_from, args.x_to, args.partitions)
-        with ThreadPoolExecutor(max_workers=min(8, len(parts))) as pool:
-            reports = list(
-                pool.map(
-                    lambda ab: verify_inequality(
-                        check_id, ab[0], ab[1], table, eta=args.safety_margin
-                    ),
-                    parts,
-                )
-            )
-        report = merge_reports(reports)
-    discrepancies = []
-    if report.verdict != "pass":
-        discrepancies.append({
-            "kind": "check-not-passed",
-            "check_id": check_id,
-            "verdict": report.verdict,
-            "worst_margin": report.worst_margin,
-            "arg_min": report.arg_min,
-        })
-    return [report.as_dict()], discrepancies, None, report.verdict == "pass"
+        if cd.states.prefix is not None:
+            # the prime sums are table work: build them once, before any
+            # sub-sweep, so they stay out of the sweep's own time
+            cd.states.prefix(table)
+    report = merge_reports(
+        verify_inequality(cd.check_id, lo, hi, table, eta=args.safety_margin)
+        for lo, hi in split_range(args.x_from, args.x_to, args.partitions)
+    )
+    return [report.as_dict()], _discrepancy(report), None, report.verdict == "pass"
 
 
 def _parse_exponent_check(text: str):
@@ -331,7 +319,10 @@ def _parse_exponent_check(text: str):
         raise UsageError(
             f"--exponent-check wants LO,HI,E,SOURCE, got {text!r}"
         )
-    return float(toks[0]), float(toks[1]), float(toks[2]), toks[3]
+    try:
+        return _positive(toks[0]), _positive(toks[1]), _positive(toks[2]), toks[3]
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"--exponent-check {text!r}: {exc}")
 
 
 def _cmd_dickman(args):
@@ -359,28 +350,19 @@ def _cmd_dickman(args):
         },
         "provenance": "computed",
     }]
-    passed = True
     discrepancies = []
     for lo, hi, e, source in checks:
         rep = verify_rho_exponent(lo, hi, e, source, table=table,
                                   eta=args.safety_margin)
         results.append(rep.as_dict())
-        if rep.verdict != "pass":
-            passed = False
-            discrepancies.append({
-                "kind": "check-not-passed",
-                "check_id": rep.check_id,
-                "verdict": rep.verdict,
-                "worst_margin": rep.worst_margin,
-                "arg_min": rep.arg_min,
-            })
+        discrepancies += _discrepancy(rep)
     csv_lines = ["x,log_rho,err"]
     for i in range(len(table)):
         csv_lines.append(
             "%.17g,%.17g,%.17g"
             % (table.xs[i], table.log_values[i], table.err[i])
         )
-    return results, discrepancies, csv_lines, passed
+    return results, discrepancies, csv_lines, not discrepancies
 
 
 def _cmd_constants(args):
@@ -585,7 +567,6 @@ def _cmd_charsum(args):
         raise UsageError("--q needs at least one modulus")
     results = []
     csv_lines = ["q,full_period_sum,max_abs_partial,pv_ratio"]
-    passed = True
     discrepancies = []
     for q in args.q:
         full = char_sum(q, q)
@@ -605,7 +586,6 @@ def _cmd_charsum(args):
             entry["pv_ratio"] = ratio
             entry["pv_below_one"] = ratio < 1.0
             if ratio >= 1.0:
-                passed = False
                 discrepancies.append({
                     "kind": "check-not-passed",
                     "check_id": "pv-ratio-below-one",
@@ -617,7 +597,7 @@ def _cmd_charsum(args):
             "%d,%d,%d,%s" % (q, full, partial_max,
                              "%.17g" % ratio if ratio is not None else "")
         )
-    return results, discrepancies, csv_lines, passed
+    return results, discrepancies, csv_lines, not discrepancies
 
 
 _HANDLERS = {

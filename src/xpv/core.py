@@ -116,6 +116,37 @@ class VerificationReport:
         }
 
 
+def sweep_report(check_id, x_lo, x_hi, xs, margins, scales, notes,
+                 eta: float = DEFAULT_ETA) -> VerificationReport:
+    """Reduce one sweep to its report.
+
+    The worst point is the smallest margin, ties broken toward the
+    smaller x.  Negative margins add a note with their count and the
+    smallest and largest x where they occur; the states need not be
+    sorted by x.
+    """
+    worst_i = int(np.lexsort((xs, margins))[0])
+    verdict = margins_verdict(margins, scales, eta)
+    notes = list(notes)
+    neg_xs = xs[margins < 0.0]
+    if neg_xs.size:
+        notes.append(
+            f"negative margins at {neg_xs.size} of {margins.size} evaluation "
+            f"points; first at x = {neg_xs.min():.9g}, last at x = {neg_xs.max():.9g}"
+        )
+    return VerificationReport(
+        check_id=check_id,
+        x_lo=float(x_lo),
+        x_hi=float(x_hi),
+        worst_margin=float(margins[worst_i]),
+        arg_min=float(xs[worst_i]),
+        passed=(verdict == "pass"),
+        evaluation_count=int(margins.size),
+        verdict=verdict,
+        notes=notes,
+    )
+
+
 def merge_reports(reports) -> VerificationReport:
     """Merge sub-range reports of the same check into one.
 

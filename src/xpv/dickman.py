@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_ETA, Enclosure, VerificationReport, margins_verdict
+from .core import DEFAULT_ETA, Enclosure, VerificationReport, sweep_report
 from .errors import DomainError, PrecisionError, PreconditionError, UsageError
 
 MAX_STEP = 2.0 ** -8
@@ -227,22 +227,8 @@ def verify_rho_exponent(
         notes.append("margins use the closed-form lower bound")
     with np.errstate(divide="ignore", invalid="ignore"):
         bound = -exponent * xs * np.log(xs)
-    margins = lower - bound
-    scales = np.abs(bound)
-    order = np.lexsort((xs, margins))
-    worst_i = int(order[0])
-    verdict = margins_verdict(margins, scales, eta)
-    return VerificationReport(
-        check_id=f"rho-exponent-{source}",
-        x_lo=float(x_lo),
-        x_hi=float(x_hi),
-        worst_margin=float(margins[worst_i]),
-        arg_min=float(xs[worst_i]),
-        passed=(verdict == "pass"),
-        evaluation_count=int(margins.size),
-        verdict=verdict,
-        notes=notes,
-    )
+    return sweep_report(f"rho-exponent-{source}", x_lo, x_hi, xs,
+                        lower - bound, np.abs(bound), notes, eta)
 
 
 def max_exponent(table: RhoLogTable, x_lo: float, x_hi: float) -> float:

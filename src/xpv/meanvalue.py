@@ -545,7 +545,7 @@ def delta(c: float, big_constant: float = PUBLISHED_FINAL) -> LogScaled:
     """The headline delta(c), evaluated in log space.
 
     The formula's o(1) term is dropped; reports stamp that.  The result
-    always satisfies delta <= 2/7, which is asserted, and it underflows
+    always satisfies delta <= 2/7, which is checked, and it underflows
     binary64 for every admissible c, which is why only the log is
     first-class.
     """
@@ -559,7 +559,8 @@ def delta(c: float, big_constant: float = PUBLISHED_FINAL) -> LogScaled:
     ln_b = math.log(big_constant / c)
     power = math.exp(ln_b / (2.0 * k))
     log_d = math.log(0.2) - (ln_b / k) * (1.42 * power + 0.5)
-    assert log_d <= math.log(2.0 / 7.0), "delta exceeded 2/7"
+    if log_d > math.log(2.0 / 7.0):
+        raise PrecisionError(f"delta exceeded 2/7 at c = {c}")
     return LogScaled(log_d)
 
 

@@ -15,7 +15,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dickman import divisor_mean_lower_bound
-from .errors import DomainError, PreconditionError, ResourceError, UsageError
+from .errors import (
+    DomainError,
+    PrecisionError,
+    PreconditionError,
+    ResourceError,
+    UsageError,
+)
 from .primes import PrimeTable, _is_prime_u64, mertens_sum
 
 STATS_X_CAP = 10 ** 8
@@ -171,9 +177,8 @@ class StatsRow:
     conv_mean: float
 
     def __post_init__(self):
-        assert abs(self.M) <= 1.0
-        assert self.u >= 0.0
-        assert 0.0 <= self.Lambda <= 2.0
+        if not (abs(self.M) <= 1.0 and self.u >= 0.0 and 0.0 <= self.Lambda <= 2.0):
+            raise PrecisionError(f"row statistics out of range: {self}")
 
     def as_dict(self) -> dict:
         return {

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .core import (
     adaptive_simpson,
     bisect_root,
     geometric_grid,
-    margins_verdict,
+    sweep_report,
 )
 from .errors import (
     DomainError,
@@ -60,6 +61,16 @@ def _sieve_flags(limit: int) -> np.ndarray:
     return flags
 
 
+def _kahan_prefix(terms: np.ndarray) -> np.ndarray:
+    """Compensated running sums of ``terms``, with a leading 0."""
+    out = np.empty(terms.size + 1)
+    out[0] = 0.0
+    acc = KahanSum()
+    for i, term in enumerate(terms.tolist(), 1):
+        out[i] = acc.add(term)
+    return out
+
+
 class PrimeTable:
     """All primes up to ``limit``, immutable once built, plus the prefix
     sums the sweep engine needs (built lazily, Kahan compensated)."""
@@ -86,26 +97,14 @@ class PrimeTable:
     def recip_prefix(self) -> np.ndarray:
         """R[k] = sum of 1/p over the first k primes, R[0] = 0."""
         if self._recip_prefix is None:
-            ps = self.float_primes()
-            out = np.empty(ps.size + 1)
-            out[0] = 0.0
-            acc = KahanSum()
-            for i in range(ps.size):
-                out[i + 1] = acc.add(1.0 / ps[i])
-            self._recip_prefix = out
+            self._recip_prefix = _kahan_prefix(1.0 / self.float_primes())
         return self._recip_prefix
 
     def log2_prefix(self) -> np.ndarray:
         """L[k] = sum of log(p)^2/p over the first k primes, L[0] = 0."""
         if self._log2_prefix is None:
             ps = self.float_primes()
-            terms = np.log(ps) ** 2 / ps
-            out = np.empty(ps.size + 1)
-            out[0] = 0.0
-            acc = KahanSum()
-            for i in range(ps.size):
-                out[i + 1] = acc.add(float(terms[i]))
-            self._log2_prefix = out
+            self._log2_prefix = _kahan_prefix(np.log(ps) ** 2 / ps)
         return self._log2_prefix
 
 
@@ -126,8 +125,7 @@ def sieve_primes(limit: int, cap: int | None = None) -> PrimeTable:
     while lo <= limit:
         hi = min(lo + _SEGMENT_SIZE, limit + 1)
         seg = np.ones(hi - lo, dtype=bool)
-        for p in base:
-            p = int(p)
+        for p in base.tolist():
             if p * p >= hi:
                 break
             start = max(p * p, ((lo + p - 1) // p) * p)
@@ -140,7 +138,7 @@ def sieve_primes(limit: int, cap: int | None = None) -> PrimeTable:
 def _is_prime_u64(n: int) -> bool:
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -174,8 +172,8 @@ def least_prime_3mod4_above(x: float) -> int:
     n += (3 - n) % 4
     while not _is_prime_u64(n):
         n += 4
-    if x >= 7:
-        assert n <= 2 * x, f"prime 3 mod 4 after {x} exceeded 2x: {n}"
+    if x >= 7 and n > 2 * x:
+        raise PrecisionError(f"prime 3 mod 4 after {x} exceeded 2x: {n}")
     return n
 
 
@@ -183,43 +181,20 @@ def least_prime_3mod4_above(x: float) -> int:
 # the logarithmic integral
 
 
-def _li_series_scalar(x: float):
-    """li(x) via the exponential-integral series at y = log x.
+def _li_series(xs: np.ndarray):
+    """li over an array of x > 1 by the exponential-integral series at
+    y = log x.  Returns (values, half_widths).
 
-    Returns (value, half_width): the series value and a conservative
-    bound combining the truncation remainder with per-term rounding.
+    The half-width combines the truncation remainder (next term times a
+    geometric factor) with per-term rounding, scaled by the terms'
+    absolute sum; seeding that sum with |gamma| + |log y| bounds it by the
+    triangle inequality for every x > 1.
     """
-    y = math.log(x)
-    terms = [EULER_GAMMA, math.log(y)]
-    t = 1.0
-    k = 1
-    mag = abs(terms[0]) + abs(terms[1])
-    while True:
-        t *= y / k
-        term = t / k
-        terms.append(term)
-        mag += term
-        if k > y and term < 1e-20 * mag:
-            break
-        if k > 4000:
-            raise ResourceError("li series failed to converge")
-        k += 1
-    # remainder after k: next term times a geometric factor
-    nxt = t * y / (k + 1) / (k + 1)
-    geo = 1.0 / (1.0 - y / (k + 2)) if y < k + 2 else float("inf")
-    trunc = nxt * geo
-    value = math.fsum(terms)
-    half = trunc + (y + 2.0) * 2.3e-16 * mag + 1e-300
-    return value, half
-
-
-def _li_series_vec(xs: np.ndarray):
-    """Vectorized li over an array of x > 1.  Returns (values, half_widths)."""
     ys = np.log(xs)
-    ymax = float(ys.max())
-    n_terms = max(80, int(5.2 * ymax) + 20)
-    acc = EULER_GAMMA + np.log(ys)
-    mag = np.abs(acc)
+    n_terms = max(80, int(5.2 * float(ys.max())) + 20)
+    acc = np.log(ys)
+    mag = np.abs(acc) + abs(EULER_GAMMA)
+    acc += EULER_GAMMA
     t = np.ones_like(ys)
     for k in range(1, n_terms + 1):
         t *= ys / k
@@ -295,9 +270,9 @@ def log_integral(x: float) -> Enclosure:
     the principal-value integral must agree within the combined widths,
     otherwise a PrecisionError is raised.
     """
-    if x <= 1.0:
-        raise DomainError(f"log_integral needs x > 1, got {x}")
-    value, half = _li_series_scalar(x)
+    if not 1.0 < x < math.inf:
+        raise DomainError(f"log_integral needs finite x > 1, got {x}")
+    (value,), (half,) = _li_series(np.array([x]))
     scale = max(1.0, abs(value))
     qtol = max(1e-13, 1e-12 * scale)
     qv, qe = _li_quad(x, qtol)
@@ -305,7 +280,7 @@ def log_integral(x: float) -> Enclosure:
         raise PrecisionError(
             f"log_integral methods disagree at x={x}: series {value}, quadrature {qv}"
         )
-    return Enclosure(value - half, value + half)
+    return Enclosure(float(value - half), float(value + half))
 
 
 # ---------------------------------------------------------------------------
@@ -388,40 +363,6 @@ def tail_power_sum_bound(alpha: float) -> float:
 # the inequality registry and sweep engine
 
 
-@dataclass(frozen=True)
-class CheckDef:
-    check_id: str
-    kind: str  # "pi-step", "sum-step", "smooth", "alpha-grid"
-    validity: str  # human-readable validity range for error messages
-    lo: float
-    hi: float
-    lo_open: bool = False
-    hi_open: bool = False
-
-
-REGISTRY = {
-    c.check_id: c
-    for c in [
-        CheckDef("pnt-lower", "pi-step", "x >= 59", 59.0, math.inf),
-        CheckDef("pnt-upper", "pi-step", "x >= 59", 59.0, math.inf),
-        CheckDef("li-lower", "smooth", "x >= 2", 2.0, math.inf),
-        CheckDef("li-upper", "smooth", "x >= 1865", 1865.0, math.inf),
-        CheckDef("pi-li-1", "pi-step", "x >= 2", 2.0, math.inf),
-        CheckDef("pi-li-2", "pi-step", "x >= 2", 2.0, math.inf),
-        CheckDef("pi-li-3", "pi-step", "x >= 2", 2.0, math.inf),
-        CheckDef("mertens-remainder", "sum-step", "x > 1", 1.0, math.inf, lo_open=True),
-        CheckDef("mertens-bracket", "sum-step", "x >= 2", 2.0, math.inf),
-        CheckDef("mertens-mprime-coarse", "sum-step", "x >= 2", 2.0, math.inf),
-        CheckDef("log2p-plain", "sum-step", "1 < x < 355991", 1.0, 355991.0,
-                 lo_open=True, hi_open=True),
-        CheckDef("tail-power", "alpha-grid", "0 < alpha <= 1", 0.0, 1.0, lo_open=True),
-    ]
-}
-
-# Stationary point of the upper-branch margin of mertens-remainder,
-# d/dx [1/log^2 x + loglog x] = 0 at log^2 x = 2.
-_REMAINDER_STATIONARY_X = math.exp(math.sqrt(2.0))
-
 _GAP_NOTE = (
     "critical points: pi(x) and the prime sums are constant on the open gap "
     "between consecutive primes while the smooth side is monotone there, so "
@@ -430,95 +371,220 @@ _GAP_NOTE = (
     "itself lies outside the closed range and is excluded"
 )
 
-_CHECK_NOTES = {
-    "pi-li-1": "on gaps RHS' - li' = -(0.5103 log x + 0.4897)/log^2 x < 0, so the "
-               "margin is monotone on each sign branch of li - pi and minima land "
-               "on gap endpoints",
-    "pi-li-2": "on gaps RHS' - li' = (1.3597(log x - 2) - log^2 x)/log^3 x < 0 "
-               "(negative discriminant), so minima land on gap endpoints",
-    "pi-li-3": "0.1522 u exp(-sqrt(u/6.455))(1 - 1/(2 sqrt(6.455 u))) peaks at "
-               "0.5113 < 1 (u = 25.82), so RHS' < li' everywhere and minima land "
-               "on gap endpoints",
-    "mertens-remainder": "the upper-branch margin 1/log^2 x + loglog x + M - S has "
-                         "one stationary point at x = exp(sqrt 2), evaluated "
-                         "explicitly when in range",
-    "li-lower": "margin derivative is 2/log^3 x > 0, so the margin increases in x "
-                "and the worst point is the left endpoint",
-    "li-upper": "margin derivative is (log x - 6)/(2 log^3 x) > 0 for x > e^6, so "
-                "on the validity range the worst point is the left endpoint",
-}
+
+@dataclass(frozen=True)
+class States:
+    """A family of evaluation states.
+
+    ``build(x_lo, x_hi, table, extra)`` returns (xs, state): the x of
+    each evaluation, the extra points appended last, and what the margin
+    function reads there (None for the smooth grids).  Step states read
+    a prime table and carry the gap note into every report; with a
+    ``prefix`` (table -> prefix-sum array) their state is the prime sum
+    at each pi instead of pi itself.
+    """
+
+    build: Callable
+    needs_table: bool = False
+    note: str | None = None
+    prefix: Callable | None = None
 
 
-def _step_states(x_lo: float, x_hi: float, table: PrimeTable):
+def _step_states(x_lo: float, x_hi: float, table: PrimeTable, extra):
     """Evaluation states for step-function sweeps.
 
     Returns (xs, pis): the x of each evaluation and the prime count of
     the state.  For each prime p in (x_lo, x_hi] both the left-limit
     state (pi(p) - 1, evaluated at x = p) and the inclusive state pi(p)
-    appear; x_lo and x_hi contribute their inclusive states.
+    appear; x_lo, x_hi and each extra x contribute their inclusive states.
     """
     pr = table.primes
     i_lo = int(np.searchsorted(pr, x_lo, side="right"))
     i_hi = int(np.searchsorted(pr, x_hi, side="right"))
     ps = pr[i_lo:i_hi].astype(np.float64)
-    n = ps.size
-    xs = np.empty(2 * n + 2)
-    pis = np.empty(2 * n + 2)
-    xs[0], pis[0] = x_lo, i_lo
-    if n:
-        ks = np.arange(i_lo + 1, i_hi + 1, dtype=np.float64)
-        xs[1 : 2 * n + 1 : 2] = ps
-        pis[1 : 2 * n + 1 : 2] = ks - 1.0
-        xs[2 : 2 * n + 2 : 2] = ps
-        pis[2 : 2 * n + 2 : 2] = ks
-    xs[-1], pis[-1] = x_hi, i_hi
-    return xs, pis
+    xs = np.concatenate([[x_lo], np.repeat(ps, 2), [x_hi], extra])
+    pis = np.repeat(np.arange(i_lo, i_hi + 1, dtype=np.float64), 2)
+    return xs, np.concatenate([pis, [table.prime_pi(x) for x in extra]])
 
 
-def _margins_pi_step(check_id: str, xs: np.ndarray, pis: np.ndarray):
+def _geometric_states(x_lo, x_hi, table, extra):
+    return np.append(geometric_grid(x_lo, x_hi), extra), None
+
+
+def _alpha_states(x_lo, x_hi, table, extra):
+    j_lo = math.ceil(x_lo * 1024.0 - 1e-12)
+    j_hi = math.floor(x_hi * 1024.0 + 1e-12)
+    grid = np.arange(max(j_lo, 1), j_hi + 1, dtype=np.float64) / 1024.0
+    return np.unique(np.concatenate([[x_lo], grid, [x_hi], extra])), None
+
+
+PI_STATES = States(_step_states, True, _GAP_NOTE)
+RECIP_SUMS = States(_step_states, True, _GAP_NOTE, lambda t: t.recip_prefix())
+LOG2_SUMS = States(_step_states, True, _GAP_NOTE, lambda t: t.log2_prefix())
+GEOMETRIC_GRID = States(_geometric_states)
+ALPHA_GRID = States(_alpha_states)
+
+
+@dataclass(frozen=True)
+class CheckDef:
+    """One registered inequality.
+
+    ``valid(x_lo, x_hi)`` tells whether a range lies in the stated
+    validity.  ``margins(xs, state)`` returns (margins, scales) over the
+    states the check sweeps.  ``stationary`` lists extra x where the
+    smooth side is stationary; those inside (x_lo, x_hi] are evaluated
+    too.  ``crossover`` marks a grid check whose margin is bisected for
+    its sign change when the sweep goes from negative to positive.
+    """
+
+    check_id: str
+    validity: str  # human-readable validity range for error messages
+    valid: Callable
+    states: States
+    margins: Callable
+    note: str | None = None
+    stationary: tuple = ()
+    crossover: bool = False
+
+
+def _compare(rhs, lhs=None, upper=True):
+    """Margins of lhs <= rhs (``upper``) or lhs >= rhs, scaled by rhs.
+
+    Both sides are functions of (xs, log xs, state); lhs defaults to the
+    state itself, pi(x) or a prime sum.
+    """
+
+    def margins(xs, state):
+        u = np.log(xs)
+        left = state if lhs is None else lhs(xs, u, state)
+        right = rhs(xs, u, state)
+        return (right - left if upper else left - right), right
+
+    return margins
+
+
+def _worse(first, second):
+    """At each state, the worse of two margins, with its scale."""
+
+    def margins(xs, state):
+        (m1, s1), (m2, s2) = first(xs, state), second(xs, state)
+        take_first = m1 <= m2
+        return np.where(take_first, m1, m2), np.where(take_first, s1, s2)
+
+    return margins
+
+
+def _rs(c):
+    """The bound x/log x (1 + c/(2 log x))."""
+    return lambda xs, u, _: xs / u * (1.0 + c / (2.0 * u))
+
+
+def _loglog(c):
+    """The bound loglog x + c."""
+    return lambda xs, u, _: np.log(u) + c
+
+
+def _li_lower_edge(xs, u, _):
+    li, li_err = _li_series(xs)
+    return li - li_err
+
+
+def _li_dev(xs, u, pis):
+    """|li(x) - pi(x)| plus the li error."""
+    li, li_err = _li_series(xs)
+    return np.abs(li - pis) + li_err
+
+
+def _li_upper(xs, _):
+    """li(x) - li(2) <= x/log x (1 + 3/(2 log x)), li errors counted."""
     u = np.log(xs)
-    if check_id == "pnt-lower":
-        rhs = xs / u * (1.0 + 1.0 / (2.0 * u))
-        return pis - rhs, rhs
-    if check_id == "pnt-upper":
-        rhs = xs / u * (1.0 + 3.0 / (2.0 * u))
-        return rhs - pis, rhs
-    li, li_err = _li_series_vec(xs)
-    dev = np.abs(li - pis) + li_err
-    if check_id == "pi-li-1":
-        rhs = 0.4897 * xs / u
-    elif check_id == "pi-li-2":
-        rhs = 1.3597 * xs / u ** 2
-    else:  # pi-li-3
-        rhs = 0.1522 * xs * np.exp(-np.sqrt(u / 6.455))
-    return rhs - dev, rhs
+    li, li_err = _li_series(xs)
+    li2, li2_half = _li_series(np.array([2.0]))
+    rhs = xs / u * (1.0 + 3.0 / (2.0 * u)) + li2
+    return rhs - (li + li_err + li2_half), rhs
 
 
-def _margins_sum_step(check_id: str, xs: np.ndarray, sums: np.ndarray):
-    u = np.log(xs)
-    loglog = np.log(u)
-    if check_id == "mertens-remainder":
-        rhs = 1.0 / u ** 2
-        return rhs - np.abs(sums - loglog - MERTENS_M), rhs
-    if check_id == "mertens-bracket":
-        m_lo = sums - (loglog + MERTENS_BRACKET_LO)
-        m_hi = (loglog + MERTENS_BRACKET_HI) - sums
-        lower_worse = m_lo <= m_hi
-        margin = np.where(lower_worse, m_lo, m_hi)
-        scale = np.where(
-            lower_worse,
-            np.abs(loglog + MERTENS_BRACKET_LO),
-            np.abs(loglog + MERTENS_BRACKET_HI),
+def _mertens_dev(xs, u, sums):
+    """|S(x) - loglog x - M|."""
+    return np.abs(sums - np.log(u) - MERTENS_M)
+
+
+REGISTRY = {
+    c.check_id: c
+    for c in [
+        CheckDef("pnt-lower", "x >= 59", lambda a, b: a >= 59.0, PI_STATES,
+                 _compare(_rs(1.0), upper=False)),
+        CheckDef("pnt-upper", "x >= 59", lambda a, b: a >= 59.0, PI_STATES,
+                 _compare(_rs(3.0))),
+        CheckDef(
+            "li-lower", "x >= 2", lambda a, b: a >= 2.0, GEOMETRIC_GRID,
+            _compare(_rs(2.0), _li_lower_edge, upper=False),
+            note="margin derivative is 2/log^3 x > 0, so the margin increases in x "
+                 "and the worst point is the left endpoint",
+            crossover=True,
+        ),
+        CheckDef(
+            "li-upper", "x >= 1865", lambda a, b: a >= 1865.0, GEOMETRIC_GRID,
+            _li_upper,
+            note="margin derivative is (log x - 6)/(2 log^3 x) > 0 for x > e^6, so "
+                 "on the validity range the worst point is the left endpoint",
+        ),
+        CheckDef(
+            "pi-li-1", "x >= 2", lambda a, b: a >= 2.0, PI_STATES,
+            _compare(lambda xs, u, _: 0.4897 * xs / u, _li_dev),
+            note="on gaps RHS' - li' = -(0.5103 log x + 0.4897)/log^2 x < 0, so the "
+                 "margin is monotone on each sign branch of li - pi and minima land "
+                 "on gap endpoints",
+        ),
+        CheckDef(
+            "pi-li-2", "x >= 2", lambda a, b: a >= 2.0, PI_STATES,
+            _compare(lambda xs, u, _: 1.3597 * xs / u ** 2, _li_dev),
+            note="on gaps RHS' - li' = (1.3597(log x - 2) - log^2 x)/log^3 x < 0 "
+                 "(negative discriminant), so minima land on gap endpoints",
+        ),
+        CheckDef(
+            "pi-li-3", "x >= 2", lambda a, b: a >= 2.0, PI_STATES,
+            _compare(lambda xs, u, _: 0.1522 * xs * np.exp(-np.sqrt(u / 6.455)),
+                     _li_dev),
+            note="0.1522 u exp(-sqrt(u/6.455))(1 - 1/(2 sqrt(6.455 u))) peaks at "
+                 "0.5113 < 1 (u = 25.82), so RHS' < li' everywhere and minima land "
+                 "on gap endpoints",
+        ),
+        CheckDef(
+            "mertens-remainder", "x > 1", lambda a, b: a > 1.0, RECIP_SUMS,
+            _compare(lambda xs, u, _: 1.0 / u ** 2, _mertens_dev),
+            note="the upper-branch margin 1/log^2 x + loglog x + M - S has one "
+                 "stationary point at x = exp(sqrt 2), evaluated explicitly when "
+                 "in range",
+            # d/dx [1/log^2 x + loglog x] = 0 at log^2 x = 2
+            stationary=(math.exp(math.sqrt(2.0)),),
+        ),
+        CheckDef("mertens-bracket", "x >= 2", lambda a, b: a >= 2.0, RECIP_SUMS,
+                 _worse(_compare(_loglog(MERTENS_BRACKET_LO), upper=False),
+                        _compare(_loglog(MERTENS_BRACKET_HI)))),
+        CheckDef("mertens-mprime-coarse", "x >= 2", lambda a, b: a >= 2.0, RECIP_SUMS,
+                 _compare(lambda xs, u, _: MPRIME_COARSE_BOUND, _mertens_dev)),
+        CheckDef("log2p-plain", "1 < x < 355991", lambda a, b: 1.0 < a and b < 355991.0,
+                 LOG2_SUMS, _compare(lambda xs, u, _: u ** 2 / 2.0)),
+        CheckDef(
+            "tail-power", "0 < alpha <= 1", lambda a, b: 0.0 < a and b <= 1.0,
+            ALPHA_GRID,
+            _compare(lambda a, u, _: PUBLISHED_V1,
+                     lambda a, u, _: (1.0 + a) * 1.2551 / math.e),
+            note="alpha sweep of the chain bound (1+alpha)*1.2551/e against the "
+                 "published 0.9235; grid step 1/1024 plus endpoints",
+        ),
+    ]
+}
+
+
+def check_def(check_id: str) -> CheckDef:
+    """The registry entry of ``check_id``; UsageError names the known ids."""
+    if check_id not in REGISTRY:
+        raise UsageError(
+            f"unknown check id {check_id!r}; known: {', '.join(sorted(REGISTRY))}"
         )
-        return margin, scale
-    if check_id == "mertens-mprime-coarse":
-        return (
-            MPRIME_COARSE_BOUND - np.abs(sums - loglog - MERTENS_M),
-            np.full_like(xs, MPRIME_COARSE_BOUND),
-        )
-    # log2p-plain
-    rhs = u ** 2 / 2.0
-    return rhs - sums, rhs
+    return REGISTRY[check_id]
 
 
 def verify_inequality(
@@ -534,101 +600,31 @@ def verify_inequality(
     the range leaves the check's stated validity interval (the message
     names the valid range).
     """
-    if check_id not in REGISTRY:
-        raise UsageError(
-            f"unknown check id {check_id!r}; known: {', '.join(sorted(REGISTRY))}"
-        )
-    cd = REGISTRY[check_id]
+    cd = check_def(check_id)
     if not (x_lo <= x_hi):
         raise UsageError(f"empty range [{x_lo}, {x_hi}]")
-    lo_ok = x_lo > cd.lo if cd.lo_open else x_lo >= cd.lo
-    hi_ok = x_hi < cd.hi if cd.hi_open else x_hi <= cd.hi
-    if not (lo_ok and hi_ok):
+    if not cd.valid(x_lo, x_hi):
         raise PreconditionError(
             f"check {check_id!r} is valid for {cd.validity}; "
             f"requested range [{x_lo}, {x_hi}] lies outside it"
         )
-
-    notes = [_GAP_NOTE] if cd.kind in ("pi-step", "sum-step") else []
-    if check_id in _CHECK_NOTES:
-        notes.append(_CHECK_NOTES[check_id])
-
-    if cd.kind == "pi-step":
+    if cd.states.needs_table:
         _require_table(table, x_hi, check_id)
-        xs, pis = _step_states(x_lo, x_hi, table)
-        margins, scales = _margins_pi_step(check_id, xs, pis)
-    elif cd.kind == "sum-step":
-        _require_table(table, x_hi, check_id)
-        xs, pis = _step_states(x_lo, x_hi, table)
-        prefix = (
-            table.log2_prefix() if check_id == "log2p-plain" else table.recip_prefix()
-        )
-        sums = prefix[pis.astype(np.int64)]
-        if check_id == "mertens-remainder" and x_lo < _REMAINDER_STATIONARY_X <= x_hi:
-            xstat = _REMAINDER_STATIONARY_X
-            k = table.prime_pi(xstat)
-            xs = np.append(xs, xstat)
-            sums = np.append(sums, prefix[k])
-        margins, scales = _margins_sum_step(check_id, xs, sums)
-    elif cd.kind == "smooth":
-        xs = geometric_grid(x_lo, x_hi)
-        li, li_err = _li_series_vec(xs)
-        u = np.log(xs)
-        if check_id == "li-lower":
-            rhs = xs / u * (1.0 + 1.0 / u)
-            margins = (li - li_err) - rhs
-            scales = np.abs(rhs)
-        else:  # li-upper
-            li2, li2_half = _li_series_scalar(2.0)
-            rhs = xs / u * (1.0 + 3.0 / (2.0 * u)) + li2
-            margins = rhs - (li + li_err + li2_half)
-            scales = np.abs(rhs)
-        if margins[0] < 0.0 < margins[-1]:
-            a, b = bisect_root(
-                lambda t: _li_series_scalar(t)[0]
-                - t / math.log(t) * (1.0 + 1.0 / math.log(t)),
-                float(xs[0]),
-                float(xs[-1]),
-                tol=1e-9,
-            )
-            notes.append(
-                f"margin changes sign at x = {0.5 * (a + b):.9f}; the stated "
-                f"validity ({cd.validity}) is inconsistent with the computed "
-                f"crossover and is reported, not adjusted"
-            )
-    else:  # alpha-grid
-        j_lo = math.ceil(x_lo * 1024.0 - 1e-12)
-        j_hi = math.floor(x_hi * 1024.0 + 1e-12)
-        grid = np.arange(max(j_lo, 1), j_hi + 1, dtype=np.float64) / 1024.0
-        xs = np.unique(np.concatenate([[x_lo], grid, [x_hi]]))
-        bound = (1.0 + xs) * 1.2551 / math.e
-        margins = PUBLISHED_V1 - bound
-        scales = np.full_like(xs, PUBLISHED_V1)
+    extra = [x for x in cd.stationary if x_lo < x <= x_hi]
+    xs, state = cd.states.build(x_lo, x_hi, table, extra)
+    if cd.states.prefix is not None:
+        state = cd.states.prefix(table)[state.astype(np.int64)]
+    margins, scales = cd.margins(xs, state)
+    notes = [n for n in (cd.states.note, cd.note) if n]
+    if cd.crossover and margins[0] < 0.0 < margins[-1]:
+        a, b = bisect_root(lambda t: cd.margins(np.array([t]), None)[0][0],
+                           float(xs[0]), float(xs[-1]), tol=1e-9)
         notes.append(
-            "alpha sweep of the chain bound (1+alpha)*1.2551/e against the "
-            "published 0.9235; grid step 1/1024 plus endpoints"
+            f"margin changes sign at x = {0.5 * (a + b):.9f}; the stated "
+            f"validity ({cd.validity}) is inconsistent with the computed "
+            f"crossover and is reported, not adjusted"
         )
-
-    order = np.lexsort((xs, margins))
-    worst_i = int(order[0])
-    verdict = margins_verdict(margins, scales, eta)
-    neg = np.flatnonzero(margins < 0.0)
-    if neg.size:
-        notes.append(
-            f"negative margins at {neg.size} of {margins.size} evaluation "
-            f"points; first at x = {xs[neg[0]]:.9g}, last at x = {xs[neg[-1]]:.9g}"
-        )
-    return VerificationReport(
-        check_id=check_id,
-        x_lo=float(x_lo),
-        x_hi=float(x_hi),
-        worst_margin=float(margins[worst_i]),
-        arg_min=float(xs[worst_i]),
-        passed=(verdict == "pass"),
-        evaluation_count=int(margins.size),
-        verdict=verdict,
-        notes=notes,
-    )
+    return sweep_report(check_id, x_lo, x_hi, xs, margins, scales, notes, eta)
 
 
 def split_range(x_lo: float, x_hi: float, parts: int):
@@ -641,17 +637,12 @@ def split_range(x_lo: float, x_hi: float, parts: int):
     if parts == 1 or x_lo == x_hi:
         return [(x_lo, x_hi)]
     ratio = (x_hi / x_lo) ** (1.0 / parts) if x_lo > 0 else None
-    cuts = [x_lo]
-    for i in range(1, parts):
-        c = x_lo * ratio ** i if ratio else x_lo + (x_hi - x_lo) * i / parts
-        cuts.append(c)
-    cuts.append(x_hi)
+    cuts = [x_lo * ratio ** i if ratio else x_lo + (x_hi - x_lo) * i / parts
+            for i in range(1, parts)]
     out = []
     lo = x_lo
-    for i in range(1, parts + 1):
-        hi = cuts[i]
-        if lo > hi:
-            continue
-        out.append((lo, hi))
-        lo = float(np.nextafter(hi, math.inf))
+    for hi in cuts + [x_hi]:
+        if lo <= hi:
+            out.append((lo, hi))
+            lo = float(np.nextafter(hi, math.inf))
     return out

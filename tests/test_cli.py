@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 
@@ -66,6 +67,42 @@ def test_exit_two_on_usage(capsys):
     assert run(["verify", "--check", "nope", "--from", "2", "--to", "3"]) == 2
     assert run(["verify", "--check", "pnt-lower", "--from", "2", "--to", "9"]) == 2
     assert run(["constants", "--format", "csv"]) == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--check", "pnt-lower", "--from", "59", "--to", "inf"],
+    ["verify", "--check", "li-lower", "--from", "2", "--to", "inf"],
+    ["mfunc", "--kind", "liouville", "--x", "nan"],
+    ["dickman", "--xmax", "130", "--step", "0"],
+])
+def test_non_finite_or_non_positive_input_is_exit_two(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert "finite and positive" in capsys.readouterr().err
+
+
+def test_bad_exponent_check_numbers_are_exit_two(capsys):
+    for spec in ("1,inf,1.15,table", "1,8,x,table", "0,8,1.15,table"):
+        assert run(["dickman", "--xmax", "8", "--exponent-check", spec]) == 2
+    capsys.readouterr()
+
+
+def test_partitions_capped_before_splitting(capsys):
+    start = time.perf_counter()
+    code = run(["verify", "--check", "pi-li-1", "--from", "2", "--to", "1e5",
+                "--partitions", "100000000"])
+    assert code == 2
+    assert time.perf_counter() - start < 1.0
+    assert "--partitions" in capsys.readouterr().err
+    assert run(["verify", "--check", "tail-power", "--from", "0.5", "--to", "1",
+                "--partitions", "0"]) == 2
+    # the cap is the geometric grid on the range: 2^(j/128) for
+    # j = -128..0 on [0.5, 1], 129 points
+    for parts, code in ((129, 0), (130, 2)):
+        assert run(["verify", "--check", "tail-power", "--from", "0.5", "--to", "1",
+                    "--partitions", str(parts)]) == code
     capsys.readouterr()
 
 

@@ -14,6 +14,7 @@ from xpv.core import (
     golden_max,
     margins_verdict,
     merge_reports,
+    sweep_report,
 )
 from xpv.errors import PrecisionError, UsageError
 
@@ -116,6 +117,24 @@ def test_report_dict_shape():
     assert d["range"] == [1.0, 2.0]
     assert d["pass"] is True
     assert d["verdict"] == "pass"
+
+
+def test_sweep_report_reduces_unsorted_states():
+    xs = np.array([2.0, 3.0, 5.0, 4.0, 1.5])
+    margins = np.array([0.5, -0.2, -0.1, -0.2, -0.3])
+    r = sweep_report("demo", 1.5, 5.0, xs, margins, np.ones(5), ["given"])
+    assert r.worst_margin == -0.3 and r.arg_min == 1.5
+    assert r.verdict == "fail" and not r.passed
+    assert r.evaluation_count == 5
+    assert r.notes == [
+        "given",
+        "negative margins at 4 of 5 evaluation points; "
+        "first at x = 1.5, last at x = 5",
+    ]
+    # ties on the margin go to the smaller x; no negative margin, no note
+    tie = sweep_report("demo", 1.0, 3.0, np.array([3.0, 1.0]),
+                       np.array([0.25, 0.25]), np.ones(2), [])
+    assert tie.arg_min == 1.0 and tie.verdict == "pass" and tie.notes == []
 
 
 def test_merge_reports_rules():

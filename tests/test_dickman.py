@@ -139,6 +139,19 @@ def test_exponent_sweep_failing_exponent(rho_table):
     assert r.verdict == "fail"
 
 
+def test_exponent_sweep_negative_onsets_by_value():
+    # the off-grid endpoints are appended after the grid points, so the
+    # onsets must be the smallest and largest x, not the first and last
+    # states in array order
+    table = build_rho_table(10.0)
+    r = verify_rho_exponent(5.0003, 9.9997, 0.3, "table", table=table)
+    assert r.evaluation_count == 5121
+    assert r.notes[-1] == (
+        "negative margins at 5121 of 5121 evaluation points; "
+        "first at x = 5.0003, last at x = 9.9997"
+    )
+
+
 def test_exponent_sweep_validation(rho_table):
     with pytest.raises(UsageError):
         verify_rho_exponent(1.0, 10.0, 1.15, "nonsense", table=rho_table)

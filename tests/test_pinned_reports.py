@@ -1,0 +1,57 @@
+"""Pinned reports: the sha256 of the JSON report for a fixed argv set.
+
+A moved digest means a report changed byte for byte.  Such a change
+must be deliberate: declare it in CHANGES.md with its reason, then
+update the digest here.
+"""
+
+import hashlib
+
+import pytest
+
+from xpv.cli import run
+
+PINNED = {
+    "verify --check pnt-lower --from 59 --to 100000":
+        "16fdf4adbccfae61e0a46bdf46081beb063f04b62847f4cefa9111ed03d7cb50",
+    "verify --check pnt-upper --from 59 --to 100000":
+        "8f5b9b378d76a7a8853c147cb9f0cc3b52cdd6a52044f6dfde461d7d04759011",
+    # worst point x = 2 < e: one-ulp move from the li rounding seed
+    # |gamma| + |log y| (was 6dfb8f25...)
+    "verify --check li-lower --from 2 --to 100000":
+        "7647b48985e82ca3a61d0600470c69d5d21f00c64642b9c29346b5cad6e71380",
+    "verify --check li-upper --from 1865 --to 1000000":
+        "f088633d7a1e4ad10cccb2d04cfafc100678849e3dbd184c84fe3a289323b057",
+    "verify --check pi-li-1 --from 2 --to 100000":
+        "2475c10f714e6b3837adf364313bae7819a0794dc0332a5852a152f4fb9e2902",
+    "verify --check pi-li-2 --from 2 --to 100000":
+        "47bff6f64ef5a02411bd732d9a8353cc79fdaa1e71e3811c21d3d3d640aee317",
+    "verify --check pi-li-3 --from 2 --to 100000":
+        "51ac4fb348f312c458412864f8c4cda9058f04263f59f4606980089a51d45f8d",
+    "verify --check mertens-remainder --from 2 --to 100000":
+        "7b5bacb82521ddb149d528cd98db5cd02b61b254172db5a1006bdea7bf07818d",
+    "verify --check mertens-bracket --from 2 --to 100000":
+        "f94523f9bcbe0fd24ed8702d67918022a2b6de7286b5673fcb1052f090370991",
+    "verify --check mertens-mprime-coarse --from 2 --to 100000":
+        "4082fb02abd47c35b62554da25a8798cd0b9e7c4a70bca73a05af043b41742ad",
+    "verify --check log2p-plain --from 2 --to 100000":
+        "4621029dd35028425e5d29122647d58a6c0652c76bfe3b698e93d26f2d66e18f",
+    "verify --check tail-power --from 0.001 --to 1":
+        "8c8b6d475ddc06f563d3088259838e3894d2f0cf81ea2648b1bb947943233d5f",
+    "verify --check mertens-remainder --from 2 --to 100000 --partitions 4":
+        "bef4fcd2de26be72a036db49ed92795384fabc45edc7d69363d8b0fb4d3cc8da",
+    # the buchstab exponent check gained the negative-margin note from
+    # the shared sweep reducer (was 6ab4e8eb...)
+    "dickman --xmax 10 --exponent-check 1,10,1.15,table "
+    "--exponent-check 6,10,1.0,buchstab":
+        "26881e6f88e21eee843adca82339867f9c0d36b955ea76e15427248d452c2788",
+    "charsum --q 7":
+        "3c426b674cecc16437b225dde0434f32c57e1a9823abf2457644634aa437ca7a",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED))
+def test_report_digest_is_pinned(argv, capsys):
+    run(argv.split())
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == PINNED[argv], f"report of `xpv {argv}` changed"
