@@ -159,14 +159,24 @@ def _render_text(obj, indent=0) -> list:
 # argument plumbing
 
 
-def _positive(text: str) -> float:
+def _number(text: str) -> float:
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+
+
+def _positive(text: str) -> float:
+    value = _number(text)
     if not 0.0 < value < math.inf:
         raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
     return value
+
+
+def _non_negative(text: str) -> float:
+    """Zero, or else a _positive number."""
+    value = _number(text)
+    return value if value == 0.0 else _positive(text)
 
 
 def _float_list(text: str):
@@ -187,7 +197,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--sieve-limit", type=int, default=None,
                         help="override the sieve cap (or set XPV_SIEVE_LIMIT)")
-    common.add_argument("--safety-margin", type=float, default=DEFAULT_ETA,
+    common.add_argument("--safety-margin", type=_non_negative, default=DEFAULT_ETA,
                         help="relative threshold separating pass from indeterminate")
 
     parser = argparse.ArgumentParser(prog="xpv")
@@ -238,7 +248,10 @@ def _sieve_cap(args) -> int:
         return int(args.sieve_limit)
     env = os.environ.get("XPV_SIEVE_LIMIT")
     if env:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise UsageError(f"XPV_SIEVE_LIMIT must be an integer, got {env!r}")
     return DEFAULT_SIEVE_CAP
 
 
@@ -249,6 +262,12 @@ def _config_echo(args) -> dict:
 
 
 def _parse_kind(text: str, seed: int) -> MultiplicativeSpec:
+    def number(kind, tok):
+        try:
+            return kind(tok)
+        except ValueError:
+            raise UsageError(f"bad {kind.__name__} {tok!r} in --kind {text!r}")
+
     head, _, rest = text.partition(":")
     if head in ("constant_one", "one"):
         return constant_one()
@@ -257,16 +276,16 @@ def _parse_kind(text: str, seed: int) -> MultiplicativeSpec:
     if head in ("qchar", "quadratic_character"):
         if not rest:
             raise UsageError("qchar needs a modulus, e.g. qchar:3")
-        return quadratic_character(int(rest))
+        return quadratic_character(number(int, rest))
     if head in ("random", "random_pm1"):
-        return random_pm1(int(rest) if rest else seed)
+        return random_pm1(number(int, rest) if rest else seed)
     if head == "custom":
         if not rest:
             raise UsageError("custom needs prime=value pairs, e.g. custom:2=0.5,3=-1")
         pairs = {}
         for tok in rest.split(","):
             p, _, v = tok.partition("=")
-            pairs[int(p)] = float(v)
+            pairs[number(int, p)] = number(float, v)
         return custom(pairs)
     raise UsageError(
         f"unknown kind {text!r}; use constant_one, liouville, qchar:Q, "
@@ -275,7 +294,9 @@ def _parse_kind(text: str, seed: int) -> MultiplicativeSpec:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (results, discrepancies, csv_lines, passed)
+# subcommand handlers: each returns (results, discrepancies, passed, csv),
+# csv being None or (header, rows of values); run() formats the rows, and
+# only under --format csv
 
 
 def _discrepancy(report) -> list:
@@ -310,7 +331,7 @@ def _cmd_verify(args):
         verify_inequality(cd.check_id, lo, hi, table, eta=args.safety_margin)
         for lo, hi in split_range(args.x_from, args.x_to, args.partitions)
     )
-    return [report.as_dict()], _discrepancy(report), None, report.verdict == "pass"
+    return [report.as_dict()], _discrepancy(report), report.verdict == "pass", None
 
 
 def _parse_exponent_check(text: str):
@@ -356,13 +377,8 @@ def _cmd_dickman(args):
                                   eta=args.safety_margin)
         results.append(rep.as_dict())
         discrepancies += _discrepancy(rep)
-    csv_lines = ["x,log_rho,err"]
-    for i in range(len(table)):
-        csv_lines.append(
-            "%.17g,%.17g,%.17g"
-            % (table.xs[i], table.log_values[i], table.err[i])
-        )
-    return results, discrepancies, csv_lines, not discrepancies
+    csv = ("x,log_rho,err", zip(table.xs, table.log_values, table.err))
+    return results, discrepancies, not discrepancies, csv
 
 
 def _cmd_constants(args):
@@ -483,7 +499,7 @@ def _cmd_constants(args):
                 "gap": achieved - PUBLISHED_C0,
             })
     passed = all(ch["passed"] for ch in checks.values())
-    return results, discrepancies, None, passed
+    return results, discrepancies, passed, None
 
 
 def _cmd_table(args):
@@ -518,12 +534,9 @@ def _cmd_table(args):
         "notes": report.notes,
         "provenance": "computed",
     }]
-    csv_lines = ["c1\\c," + ",".join("%.17g" % c for c in report.c_values)]
-    for c1, row in zip(report.c1_values, report.cells):
-        csv_lines.append(
-            "%.17g," % c1 + ",".join("%.17g" % v for v in row)
-        )
-    return results, report.discrepancies, csv_lines, report.passed
+    header = "c1\\c," + ",".join("%.17g" % c for c in report.c_values)
+    rows = ((c1, *row) for c1, row in zip(report.c1_values, report.cells))
+    return results, report.discrepancies, report.passed, (header, rows)
 
 
 def _cmd_mfunc(args):
@@ -535,7 +548,6 @@ def _cmd_mfunc(args):
     table = sieve_primes(limit, cap=_sieve_cap(args))
     ledger = assemble_ledger(PUBLISHED_C0, table)
     results = []
-    csv_lines = [STATS_CSV_HEADER]
     passed = True
     discrepancies = []
     for x in xs:
@@ -548,7 +560,6 @@ def _cmd_mfunc(args):
             "notes": rep.notes,
             "provenance": "computed",
         })
-        csv_lines.append(rep.row.as_csv())
         if not rep.passed:
             passed = False
             for name, ch in rep.checks.items():
@@ -559,14 +570,14 @@ def _cmd_mfunc(args):
                         "x": x,
                         "function": spec.description,
                     })
-    return results, discrepancies, csv_lines, passed
+    rows = (r["row"].values() for r in results)
+    return results, discrepancies, passed, (STATS_CSV_HEADER, rows)
 
 
 def _cmd_charsum(args):
     if not args.q:
         raise UsageError("--q needs at least one modulus")
     results = []
-    csv_lines = ["q,full_period_sum,max_abs_partial,pv_ratio"]
     discrepancies = []
     for q in args.q:
         full = char_sum(q, q)
@@ -580,7 +591,6 @@ def _cmd_charsum(args):
             "arg_max": best_t,
             "provenance": "computed",
         }
-        ratio = None
         if args.pv:
             ratio = pv_ratio(q)
             entry["pv_ratio"] = ratio
@@ -593,11 +603,9 @@ def _cmd_charsum(args):
                     "ratio": ratio,
                 })
         results.append(entry)
-        csv_lines.append(
-            "%d,%d,%d,%s" % (q, full, partial_max,
-                             "%.17g" % ratio if ratio is not None else "")
-        )
-    return results, discrepancies, csv_lines, not discrepancies
+    header = ("q", "full_period_sum", "max_abs_partial", "pv_ratio")
+    rows = ([entry.get(k) for k in header] for entry in results)
+    return results, discrepancies, not discrepancies, (",".join(header), rows)
 
 
 _HANDLERS = {
@@ -618,14 +626,15 @@ def run(argv=None) -> int:
             raise UsageError(
                 f"csv output is only available for: {', '.join(sorted(_TABULAR))}"
             )
-        results, discrepancies, csv_lines, passed = _HANDLERS[args.command](args)
+        config = _config_echo(args)
+        results, discrepancies, passed, csv = _HANDLERS[args.command](args)
     except XpvError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report = {
         "version": __version__,
         "command": args.command,
-        "config": _config_echo(args),
+        "config": config,
         "stamps": STAMPS,
         "results": results,
         "discrepancies": discrepancies,
@@ -634,7 +643,9 @@ def run(argv=None) -> int:
     if args.format == "json":
         payload = json_dumps(report) + "\n"
     elif args.format == "csv":
-        payload = "\n".join(csv_lines) + "\n"
+        header, rows = csv
+        lines = [",".join("" if v is None else "%.17g" % v for v in r) for r in rows]
+        payload = "\n".join([header] + lines) + "\n"
     else:
         payload = "\n".join(_render_text(report)) + "\n"
     if args.out:

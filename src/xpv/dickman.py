@@ -17,10 +17,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DEFAULT_ETA, Enclosure, VerificationReport, sweep_report
-from .errors import DomainError, PrecisionError, PreconditionError, UsageError
+from .errors import (
+    DomainError,
+    PrecisionError,
+    PreconditionError,
+    ResourceError,
+    UsageError,
+)
 
 MAX_STEP = 2.0 ** -8
 DEFAULT_STEP = 2.0 ** -10
+# cap on (x_max - 1)/step, checked before allocating: x_max <= 4097 at 2^-10
+MAX_TABLE_STEPS = 1 << 22
+# a position within this many steps of a grid index is that grid point
+_ON_GRID = 1e-9
 
 
 @dataclass(frozen=True)
@@ -93,7 +103,9 @@ def build_rho_table(x_max: float, step: float = DEFAULT_STEP) -> RhoLogTable:
             f"step {step} too large; the error model needs step <= 2^-8"
         )
     n_real = (x_max - 1.0) / step
-    if abs(n_real - round(n_real)) > 1e-9 or abs(1.0 / step - round(1.0 / step)) > 1e-9:
+    if not n_real <= MAX_TABLE_STEPS:
+        raise ResourceError(f"{n_real:.6g} table steps exceed the cap {MAX_TABLE_STEPS}")
+    if not (_on_grid(n_real) and _on_grid(1.0 / step)):
         raise PreconditionError(
             f"(x_max - 1)/step and 1/step must be integers, got x_max={x_max}, step={step}"
         )
@@ -124,7 +136,7 @@ def rho_log(x: float, table: RhoLogTable) -> Enclosure:
     pos = (x - 1.0) / h
     j = int(math.floor(pos))
     n = table.log_values.size - 1
-    if abs(pos - round(pos)) < 1e-9:
+    if _on_grid(pos):
         k = int(round(pos))
         v = float(table.log_values[k])
         e = float(table.err[k])
@@ -143,6 +155,19 @@ def rho_log(x: float, table: RhoLogTable) -> Enclosure:
     linear = (1.0 - t) * float(table.log_values[j]) + t * float(table.log_values[j + 1])
     e = float(table.err[j0 : j0 + 4].max()) + abs(cubic - linear)
     return Enclosure(cubic - e, cubic + e)
+
+
+def _on_grid(pos: float) -> bool:
+    return abs(pos - round(pos)) < _ON_GRID
+
+
+def _grid_lower(table: RhoLogTable, x_lo: float, x_hi: float):
+    """Grid points in [x_lo, x_hi] and their enclosure lower edges."""
+    h = table.step
+    i0 = int(math.ceil((x_lo - 1.0) / h - _ON_GRID))
+    i1 = int(math.floor((x_hi - 1.0) / h + _ON_GRID))
+    rows = slice(i0, i1 + 1)
+    return table.xs[rows], table.log_values[rows] - table.err[rows]
 
 
 def _buchstab_delta(logx, x):
@@ -201,17 +226,10 @@ def verify_rho_exponent(
             raise PreconditionError(
                 f"range [{x_lo}, {x_hi}] must sit inside [1, {table.x_max}]"
             )
-        h = table.step
-        i0 = int(math.ceil((x_lo - 1.0) / h - 1e-12))
-        i1 = int(math.floor((x_hi - 1.0) / h + 1e-12))
-        xs = table.xs[i0 : i1 + 1]
-        lower = table.log_values[i0 : i1 + 1] - table.err[i0 : i1 + 1]
-        extra_x = [e for e in (x_lo, x_hi) if not np.isclose((e - 1.0) / h % 1.0, 0.0, atol=1e-9) and not np.isclose((e - 1.0) / h % 1.0, 1.0, atol=1e-9)]
-        if extra_x:
-            ex = np.array(extra_x)
-            el = np.array([rho_log(float(e), table).lo for e in extra_x])
-            xs = np.concatenate([xs, ex])
-            lower = np.concatenate([lower, el])
+        xs, lower = _grid_lower(table, x_lo, x_hi)
+        extra = [e for e in (x_lo, x_hi) if not _on_grid((e - 1.0) / table.step)]
+        xs = np.concatenate([xs, extra])
+        lower = np.concatenate([lower, [rho_log(e, table).lo for e in extra]])
         notes.append("margins use table enclosure lower edges")
     else:
         if x_lo < 6:
@@ -238,13 +256,9 @@ def max_exponent(table: RhoLogTable, x_lo: float, x_hi: float) -> float:
         raise PreconditionError(
             f"range [{x_lo}, {x_hi}] must sit inside [1, {table.x_max}]"
         )
-    h = table.step
-    i0 = int(math.ceil((x_lo - 1.0) / h - 1e-12))
-    i1 = int(math.floor((x_hi - 1.0) / h + 1e-12))
-    xs = table.xs[i0 : i1 + 1]
+    xs, lower = _grid_lower(table, x_lo, x_hi)
     keep = xs > 1.0
-    xs = xs[keep]
-    lower = (table.log_values[i0 : i1 + 1] - table.err[i0 : i1 + 1])[keep]
+    xs, lower = xs[keep], lower[keep]
     return float(np.max(-lower / (xs * np.log(xs))))
 
 
@@ -257,7 +271,7 @@ def integral_identity_residual(table: RhoLogTable, x: float):
     h = table.step
     pos = (x - 1.0) / h
     j = int(round(pos))
-    if abs(pos - j) > 1e-9 or x < 2.0:
+    if not _on_grid(pos) or x < 2.0:
         raise PreconditionError(f"x = {x} must be a grid point with x >= 2")
     m = int(round(1.0 / h))
     window = table.log_values[j - m : j + 1] - table.log_values[j]

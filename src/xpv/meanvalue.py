@@ -200,36 +200,25 @@ def _tsl_at(eps: float, k2: int, tau: float) -> float:
     return float(np.sum(terms)) + last * tail_factor
 
 
-def _tail_sum_large_full(eps: float, k2: int):
-    """(sup, maximizer) of the large-range tail series over tau >= 1.
-
-    Golden-section over log tau in [0, 30] plus both endpoints, with the
-    result re-verified against a thousand-point grid; the grid wins if
-    it finds anything larger.
-    """
-    if eps <= 0:
-        raise DomainError(f"tail_sum_large needs eps > 0, got {eps}")
-    if k2 < 0:
-        raise DomainError(f"tail_sum_large needs k2 >= 0, got {k2}")
-
-    def g(s):
-        return _tsl_at(eps, k2, math.exp(s))
-
-    s_star, v_star = golden_max(g, 0.0, 30.0)
-    best_tau, best = math.exp(s_star), v_star
-    for s in (0.0, 30.0):
+def _sup_log_tau(g):
+    """(sup, tau) of ``g`` over log tau in [0, 30]: golden section, then a
+    thousand-point grid (endpoints included) that wins only if larger."""
+    s_star, best = golden_max(g, 0.0, 30.0)
+    best_tau = math.exp(s_star)
+    for s in np.linspace(0.0, 30.0, 1000).tolist():
         v = g(s)
         if v > best:
             best_tau, best = math.exp(s), v
-    for s in np.linspace(0.0, 30.0, 1000):
-        v = g(float(s))
-        if v > best:
-            best_tau, best = math.exp(float(s)), v
     return best, best_tau
 
 
 def tail_sum_large(eps: float, k2: int) -> float:
-    return _tail_sum_large_full(eps, k2)[0]
+    """Sup of the large-range tail series over tau >= 1."""
+    if eps <= 0:
+        raise DomainError(f"tail_sum_large needs eps > 0, got {eps}")
+    if k2 < 0:
+        raise DomainError(f"tail_sum_large needs k2 >= 0, got {k2}")
+    return _sup_log_tau(lambda s: _tsl_at(eps, k2, math.exp(s)))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +264,7 @@ def _case_iv(eps: float, f: PeriodicF) -> float:
 
 def _case_iii_sup(eps: float, k2: int, f: PeriodicF):
     """(sup, maximizer) over tau >= 1 of the long-range case constant."""
-    tsl, _ = _tail_sum_large_full(eps, k2)
+    tsl = tail_sum_large(eps, k2)
     w = (1.0 + eps) * DECAY_SCALE
     params = ErrorParams(c=1.0, k1=0, eps=eps, k2=k2)
 
@@ -287,13 +276,7 @@ def _case_iii_sup(eps: float, k2: int, f: PeriodicF):
             + _error_bound_large_at(params, f, tau, tsl)
         )
 
-    s_star, v_star = golden_max(g, 0.0, 30.0)
-    best_tau, best = math.exp(s_star), v_star
-    for s in list(np.linspace(0.0, 30.0, 1000)) + [0.0, 30.0]:
-        v = g(float(s))
-        if v > best:
-            best_tau, best = math.exp(float(s)), v
-    return best, best_tau
+    return _sup_log_tau(g)
 
 
 @dataclass(frozen=True)

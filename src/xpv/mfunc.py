@@ -190,12 +190,6 @@ class StatsRow:
             "conv_mean": self.conv_mean,
         }
 
-    def as_csv(self) -> str:
-        return ",".join(
-            "%.17g" % v
-            for v in (self.x, self.M, self.L, self.u, self.Lambda, self.conv_mean)
-        )
-
 
 def _prime_values_vector(spec: MultiplicativeSpec, primes: np.ndarray) -> np.ndarray:
     if spec.kind == "constant_one":

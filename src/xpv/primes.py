@@ -109,19 +109,16 @@ class PrimeTable:
 
 
 def sieve_primes(limit: int, cap: int | None = None) -> PrimeTable:
-    """Sieve all primes up to ``limit`` (segmented above 10**8)."""
+    """Sieve all primes up to ``limit``, in bounded segments above its root."""
     limit = int(limit)
     cap = DEFAULT_SIEVE_CAP if cap is None else int(cap)
     if limit < 2:
         raise DomainError(f"sieve limit must be at least 2, got {limit}")
     if limit > cap:
         raise ResourceError(f"sieve limit {limit} exceeds cap {cap}")
-    if limit <= 10 ** 8:
-        flags = _sieve_flags(limit)
-        return PrimeTable(limit, np.flatnonzero(flags).astype(np.int64))
     base = np.flatnonzero(_sieve_flags(math.isqrt(limit))).astype(np.int64)
     chunks = [base]
-    lo = int(base[-1]) + 1
+    lo = math.isqrt(limit) + 1
     while lo <= limit:
         hi = min(lo + _SEGMENT_SIZE, limit + 1)
         seg = np.ones(hi - lo, dtype=bool)

@@ -63,10 +63,14 @@ def test_exit_one_on_failed_check(capsys):
     assert rep["discrepancies"][0]["kind"] == "check-not-passed"
 
 
-def test_exit_two_on_usage(capsys):
+def test_exit_two_on_usage(capsys, monkeypatch):
     assert run(["verify", "--check", "nope", "--from", "2", "--to", "3"]) == 2
     assert run(["verify", "--check", "pnt-lower", "--from", "2", "--to", "9"]) == 2
     assert run(["constants", "--format", "csv"]) == 2
+    # refused before the table is allocated
+    assert run(["dickman", "--xmax", "1e9"]) == 2
+    monkeypatch.setenv("XPV_SIEVE_LIMIT", "abc")
+    assert run(["charsum", "--q", "7"]) == 2
     capsys.readouterr()
 
 
@@ -75,6 +79,8 @@ def test_exit_two_on_usage(capsys):
     ["verify", "--check", "li-lower", "--from", "2", "--to", "inf"],
     ["mfunc", "--kind", "liouville", "--x", "nan"],
     ["dickman", "--xmax", "130", "--step", "0"],
+    *(["verify", "--check", "pnt-lower", "--from", "59", "--to", "1000",
+       "--safety-margin", eta] for eta in ("nan", "inf", "-1")),
 ])
 def test_non_finite_or_non_positive_input_is_exit_two(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -208,6 +214,8 @@ def test_mfunc_csv(capsys):
 def test_mfunc_kind_parsing(capsys):
     assert run(["mfunc", "--kind", "qchar", "--x", "100"]) == 2
     assert run(["mfunc", "--kind", "martian", "--x", "100"]) == 2
+    for kind in ("qchar:abc", "custom:2=x", "custom:x=1", "random:abc"):
+        assert run(["mfunc", "--kind", kind, "--x", "100"]) == 2
     code, out = _run(capsys, "mfunc", "--kind", "random:9", "--x", "100")
     assert code in (0, 1)
     rep = json.loads(out)

@@ -152,6 +152,17 @@ def test_exponent_sweep_negative_onsets_by_value():
     )
 
 
+@pytest.mark.parametrize("offset", [0.0, 5e-10, 5e-6, 0.3])
+def test_exponent_table_evaluates_the_endpoint(offset):
+    # [6, 9) holds 3072 grid points; x_hi = 9 - offset*step adds one
+    # more, as grid point 9 itself when within 1e-9 steps of it, else
+    # through rho_log
+    table = build_rho_table(10.0)
+    x_hi = 9.0 - offset * table.step
+    r = verify_rho_exponent(6.0, x_hi, 1.0, "table", table=table)
+    assert r.evaluation_count == 3073
+
+
 def test_exponent_sweep_validation(rho_table):
     with pytest.raises(UsageError):
         verify_rho_exponent(1.0, 10.0, 1.15, "nonsense", table=rho_table)

@@ -47,6 +47,21 @@ PINNED = {
         "26881e6f88e21eee843adca82339867f9c0d36b955ea76e15427248d452c2788",
     "charsum --q 7":
         "3c426b674cecc16437b225dde0434f32c57e1a9823abf2457644634aa437ca7a",
+    # runs both log-tau searches (case iii and the optimizer's tail sums)
+    "constants --optimize":
+        "8937088165711e35b63f04eeda70caa860530da57d9c945e7902ae4c9038c07c",
+    "table --delta-paper":
+        "44e54d849b05bb8b3473f7a4e4fe96371572e8d3d381370a66c0b96c2a7a3b42",
+    "mfunc --kind liouville --x 1000,100000":
+        "d4630828588f39a14563e9916ccccb480512feba20fecf62bf153eb6e75d0153",
+    "dickman --xmax 10 --format csv":
+        "990f836b65770e9f7f8d53a359f90094818d689ed1f3cf5e379eaedc5fff91dd",
+    "table --c1 1,2 --c 0.99,0.5 --delta-paper --format csv":
+        "f6aed3e808bf6ca62728697a5525b7c102d9f1e6f73a75d2bcd84a905eea36c6",
+    "mfunc --kind qchar:7 --x 1000,100000 --format csv":
+        "09a4df72453442371b89406164afad8b70f6d28dbbdce10997ec2186a4ecfa7a",
+    "charsum --q 7,11,13 --pv-ratio --format csv":
+        "8e1a1625211c9482409b4823e882c86ebe16242fb15203bfaf85eedefd4091ac",
 }
 
 

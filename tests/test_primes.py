@@ -56,6 +56,26 @@ def test_sieve_against_trial_division(prime_table):
         assert (n in pset) == _is_prime_trial(n)
 
 
+def _odd_only_sieve(n):
+    """Reference primes <= n from a sieve over the odd numbers only."""
+    odd = np.ones((n + 1) // 2, dtype=bool)  # odd[i] stands for 2i + 1
+    odd[0] = False
+    for i in range(1, (math.isqrt(n) + 1) // 2):
+        if odd[i]:
+            p = 2 * i + 1
+            odd[p * p // 2 :: p] = False
+    return np.concatenate(([2], 2 * np.flatnonzero(odd) + 1))
+
+
+def test_sieve_edge_and_multi_segment_limits():
+    # limits 2 and 3 have no base primes below their square root
+    for n in (2, 3, 4, 5):
+        expected = [k for k in range(2, n + 1) if _is_prime_trial(k)]
+        assert sieve_primes(n).primes.tolist() == expected
+    n = 3 * (1 << 22) + 7  # three segments, the last one short
+    np.testing.assert_array_equal(sieve_primes(n).primes, _odd_only_sieve(n))
+
+
 def test_sieve_domain_and_cap():
     with pytest.raises(DomainError):
         sieve_primes(1)
