@@ -285,7 +285,10 @@ def _parse_kind(text: str, seed: int) -> MultiplicativeSpec:
         pairs = {}
         for tok in rest.split(","):
             p, _, v = tok.partition("=")
-            pairs[number(int, p)] = number(float, v)
+            p = number(int, p)
+            if p in pairs:
+                raise UsageError(f"prime {p} given twice in --kind {text!r}")
+            pairs[p] = number(float, v)
         return custom(pairs)
     raise UsageError(
         f"unknown kind {text!r}; use constant_one, liouville, qchar:Q, "

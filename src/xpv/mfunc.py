@@ -93,6 +93,8 @@ class MultiplicativeSpec:
             raise DomainError("random_pm1 needs a seed")
         if self.kind == "custom":
             for p, v in self.prime_values:
+                if not _is_prime_u64(p):
+                    raise DomainError(f"custom key {p} is not a prime")
                 if not (-1.0 <= v <= 1.0):
                     raise DomainError(f"custom value at prime {p} outside [-1, 1]: {v}")
         if not self.description:

@@ -43,6 +43,7 @@ from .errors import (
 
 DEFAULT_SIEVE_CAP = 10 ** 9
 _SEGMENT_SIZE = 1 << 22
+_LI_BLOCK = 1 << 14  # points per block of the li term loop
 
 # Deterministic Miller-Rabin witness set, valid for all n < 3.3e24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -186,6 +187,28 @@ def _li_series(xs: np.ndarray):
     geometric factor) with per-term rounding, scaled by the terms'
     absolute sum; seeding that sum with |gamma| + |log y| bounds it by the
     triangle inequality for every x > 1.
+
+    A run of equal adjacent x (a step sweep lists each prime twice) is
+    evaluated once and its result copied back to every position of the run.
+    The series runs in its own function so that its work arrays are freed
+    before that copy is made, which keeps the peak memory down.
+    """
+    first = np.empty(xs.shape, dtype=bool)
+    first[:1] = True
+    np.not_equal(xs[1:], xs[:-1], out=first[1:])
+    acc, half = _li_series_blocked(xs[first])
+    back = np.cumsum(first)
+    back -= 1
+    return acc[back], half[back]
+
+
+def _li_series_blocked(xs: np.ndarray):
+    """The series of ``_li_series`` with its term loop run over
+    cache-sized blocks through one scratch buffer.
+
+    Every point sees the same operations in the same order, and the term
+    count comes from the whole array, so a value depends neither on the
+    blocking nor on the other points except through the largest x.
     """
     ys = np.log(xs)
     n_terms = max(80, int(5.2 * float(ys.max())) + 20)
@@ -193,10 +216,16 @@ def _li_series(xs: np.ndarray):
     mag = np.abs(acc) + abs(EULER_GAMMA)
     acc += EULER_GAMMA
     t = np.ones_like(ys)
-    for k in range(1, n_terms + 1):
-        t *= ys / k
-        acc += t / k
-        mag += t / k
+    tk = np.empty(min(ys.size, _LI_BLOCK))
+    for lo in range(0, ys.size, _LI_BLOCK):
+        y, tb, a, m = (v[lo : lo + _LI_BLOCK] for v in (ys, t, acc, mag))
+        buf = tk[: y.size]
+        for k in range(1, n_terms + 1):
+            np.divide(y, k, out=buf)
+            tb *= buf
+            np.divide(tb, k, out=buf)
+            a += buf
+            m += buf
     nxt = t * ys / (n_terms + 1) / (n_terms + 1)
     trunc = nxt / (1.0 - ys / (n_terms + 2))
     half = trunc + (ys + 2.0) * 2.3e-16 * mag + 1e-300

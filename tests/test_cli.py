@@ -214,7 +214,8 @@ def test_mfunc_csv(capsys):
 def test_mfunc_kind_parsing(capsys):
     assert run(["mfunc", "--kind", "qchar", "--x", "100"]) == 2
     assert run(["mfunc", "--kind", "martian", "--x", "100"]) == 2
-    for kind in ("qchar:abc", "custom:2=x", "custom:x=1", "random:abc"):
+    for kind in ("qchar:abc", "custom:2=x", "custom:x=1", "random:abc",
+                 "custom:4=0.5", "custom:1=0.5", "custom:2=0.5,2=-1"):
         assert run(["mfunc", "--kind", kind, "--x", "100"]) == 2
     code, out = _run(capsys, "mfunc", "--kind", "random:9", "--x", "100")
     assert code in (0, 1)

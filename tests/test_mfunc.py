@@ -51,6 +51,8 @@ def test_spec_validation():
         quadratic_character(1)
     with pytest.raises(DomainError):
         custom({2: 1.5})
+    with pytest.raises(DomainError):
+        custom({4: 0.5})  # keys must be prime
     s = custom({2: 0.5, 3: -1.0})
     assert s.prime_value(2) == 0.5
     assert s.prime_value(3) == -1.0

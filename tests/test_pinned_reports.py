@@ -38,6 +38,16 @@ PINNED = {
         "4621029dd35028425e5d29122647d58a6c0652c76bfe3b698e93d26f2d66e18f",
     "verify --check tail-power --from 0.001 --to 1":
         "8c8b6d475ddc06f563d3088259838e3894d2f0cf81ea2648b1bb947943233d5f",
+    # 78498 primes: the li series runs over several of its blocks
+    "verify --check pi-li-1 --from 2 --to 1000000":
+        "f4a36273a29e8b9835123c946427c9dc53a05f8bb8603d653dc99f3dad875175",
+    "verify --check pi-li-2 --from 2 --to 1000000":
+        "432289db09ddbbbb8003756630260d2c833a9b8c49fc53b0c6e37d54fa58059e",
+    "verify --check pi-li-3 --from 2 --to 1000000":
+        "c26b67712f30deb02f004772fd95ae87caf895119a7c8f8d95cb07915bd389d9",
+    # each part keeps its own li term count
+    "verify --check pi-li-1 --from 2 --to 1000000 --partitions 3":
+        "f8e08c6045ddc25dc48e69debd0687a3edf6231d2dad1091af1883f7398f1d6c",
     "verify --check mertens-remainder --from 2 --to 100000 --partitions 4":
         "bef4fcd2de26be72a036db49ed92795384fabc45edc7d69363d8b0fb4d3cc8da",
     # the buchstab exponent check gained the negative-margin note from

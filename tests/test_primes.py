@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -11,7 +12,9 @@ from xpv.errors import (
     UsageError,
 )
 from xpv.primes import (
+    _LI_BLOCK,
     REGISTRY,
+    _li_series,
     least_prime_3mod4_above,
     log_integral,
     log_square_sum,
@@ -140,6 +143,84 @@ def test_li_zero_crossing_region():
     # li has one sign change; values straddle it
     assert log_integral(1.4).mid < 0.0
     assert log_integral(1.5).mid > 0.0
+
+
+def _li_alone(x, top):
+    """The series at x evaluated next to only ``top``, which fixes the
+    term count, with no neighbours, duplicates or blocks around it."""
+    acc, half = _li_series(np.array([x, top]))
+    return acc[0], half[0]
+
+
+def _assert_each_alone(xs, acc, half, indices):
+    top = xs.max()
+    for i in indices:
+        assert (acc[i], half[i]) == _li_alone(xs[i], top), f"index {i}"
+
+
+def test_li_series_bits_are_frozen():
+    # sha256 of the values and half-widths, recorded before the series
+    # was deduplicated and blocked; a change in the operations or their
+    # order moves it
+    acc, half = _li_series(np.logspace(1e-3, 9.0, 2000))
+    digest = hashlib.sha256(acc.tobytes() + half.tobytes()).hexdigest()
+    assert digest == (
+        "47f1f3979ef4dcf9d5e7315ceef1cacc76d49564a2a6e2fd10ce6972a78c976f")
+
+
+def test_li_series_once_per_distinct_x_is_bit_identical(prime_table):
+    # more than two blocks of distinct primes, each listed twice as in a
+    # step sweep
+    xs = prime_table.float_primes()[: 2 * _LI_BLOCK + 100]
+    acc, half = _li_series(xs)
+    acc2, half2 = _li_series(np.repeat(xs, 2))
+    assert np.array_equal(acc2, np.repeat(acc, 2))
+    assert np.array_equal(half2, np.repeat(half, 2))
+    edges = [0, _LI_BLOCK - 1, _LI_BLOCK, _LI_BLOCK + 1,
+             2 * _LI_BLOCK - 1, 2 * _LI_BLOCK, xs.size - 1]
+    _assert_each_alone(xs, acc, half, edges)
+
+    # non-adjacent duplicates are evaluated apart and still agree
+    mixed = np.concatenate([xs[:50], xs[:50][::-1], xs[-1:]])
+    acc, half = _li_series(mixed)
+    assert np.array_equal(acc[:50], acc[50:100][::-1])
+    assert np.array_equal(half[:50], half[50:100][::-1])
+    _assert_each_alone(mixed, acc, half, range(mixed.size))
+
+    # unsorted input over a block boundary
+    shuffled = np.random.default_rng(5).permutation(xs)
+    acc, half = _li_series(shuffled)
+    _assert_each_alone(shuffled, acc, half, edges)
+
+    # one element
+    (value,), (width,) = _li_series(np.array([7.5]))
+    assert (value, width) == _li_alone(7.5, 7.5)
+
+
+def test_li_series_error_model_against_mpmath(prime_table):
+    """|series - li(x)| <= half-width, measured in mpmath arithmetic.
+
+    This checks the series' own error model (truncation plus rounding).
+    The enclosure edges ``value -/+ half`` are then rounded once more in
+    float, which can lose containment by an ulp; outward rounding of
+    those edges is a separate open item (ROADMAP item 4).
+    """
+    mp = pytest.importorskip("mpmath")
+    xs = np.concatenate([[1.0 + 2.0 ** -30, 1.0 + 1e-6, 1.5, 2.0],
+                         np.logspace(1e-3, 9.0, 300)])
+    acc, half = _li_series(xs)
+    # primes on both sides of the li series' block boundaries, evaluated
+    # as a step sweep lists them
+    ps = prime_table.float_primes()[: 3 * _LI_BLOCK + 3]
+    near = [i + d for i in (_LI_BLOCK, 2 * _LI_BLOCK, 3 * _LI_BLOCK)
+            for d in (-2, -1, 0, 1, 2)]
+    pacc, phalf = _li_series(np.repeat(ps, 2))
+    points = list(zip(xs, acc, half)) + [
+        (ps[i], pacc[2 * i], phalf[2 * i]) for i in near]
+    with mp.workdps(40):
+        for x, value, width in points:
+            err = abs(mp.mpf(float(value)) - mp.li(mp.mpf(float(x))))
+            assert err <= mp.mpf(float(width)), f"x = {x!r}"
 
 
 # ---------------------------------------------------------------------------
