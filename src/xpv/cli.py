@@ -61,6 +61,7 @@ from .mfunc import (
     MultiplicativeSpec,
     _chi_period,
     char_sum,
+    check_stats_x,
     constant_one,
     custom,
     empirical_checks,
@@ -547,6 +548,8 @@ def _cmd_mfunc(args):
     xs = args.x
     if not xs:
         raise UsageError("--x needs at least one value")
+    for x in xs:
+        check_stats_x(x)
     limit = max(10 ** 6, int(max(xs)))
     table = sieve_primes(limit, cap=_sieve_cap(args))
     ledger = assemble_ledger(PUBLISHED_C0, table)

@@ -187,17 +187,22 @@ def tail_sum_small(c: float, k1: int) -> float:
     return top
 
 
-def _tsl_at(eps: float, k2: int, tau: float) -> float:
+def _tsl_at(eps: float, k2: int, tau: float, two_pi_ks: np.ndarray,
+            buf: np.ndarray) -> float:
     base = (1.0 + eps) * math.log(tau + 3.0) ** 2
-    ks = np.arange(k2 + 1, dtype=np.float64)
-    terms = np.exp(-np.sqrt(base + TWO_PI * ks / (DECAY_SCALE * tau)))
+    # terms exp(-sqrt(base + 2 pi k / (DECAY_SCALE tau))), k = 0..k2, in buf
+    np.divide(two_pi_ks, DECAY_SCALE * tau, out=buf)
+    np.add(base, buf, out=buf)
+    np.sqrt(buf, out=buf)
+    np.negative(buf, out=buf)
+    np.exp(buf, out=buf)
     last = math.exp(-math.sqrt(base + TWO_PI * k2 / (DECAY_SCALE * tau)))
     tail_factor = (
         math.sqrt(DECAY_SCALE * tau)
         * math.sqrt(TWO_PI * k2 + tau * (1.0 + eps) * DECAY_SCALE * math.log(tau + 3.0) ** 2)
         + DECAY_SCALE * tau
     ) / math.pi
-    return float(np.sum(terms)) + last * tail_factor
+    return float(np.sum(buf)) + last * tail_factor
 
 
 def _sup_log_tau(g):
@@ -218,7 +223,9 @@ def tail_sum_large(eps: float, k2: int) -> float:
         raise DomainError(f"tail_sum_large needs eps > 0, got {eps}")
     if k2 < 0:
         raise DomainError(f"tail_sum_large needs k2 >= 0, got {k2}")
-    return _sup_log_tau(lambda s: _tsl_at(eps, k2, math.exp(s)))[0]
+    two_pi_ks = TWO_PI * np.arange(k2 + 1, dtype=np.float64)
+    buf = np.empty_like(two_pi_ks)
+    return _sup_log_tau(lambda s: _tsl_at(eps, k2, math.exp(s), two_pi_ks, buf))[0]
 
 
 # ---------------------------------------------------------------------------

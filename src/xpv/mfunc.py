@@ -9,8 +9,10 @@ inequalities on them.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -29,6 +31,7 @@ CHAR_COMPOSITE_CAP = 10 ** 6
 CHAR_PRIME_CAP = 10 ** 7
 
 STATS_CSV_HEADER = "x,M,L,u,Lambda,conv_mean"
+_BLOCK = 1 << 14  # elements per block where stats works through an array in pieces
 
 KINDS = ("quadratic_character", "liouville", "random_pm1", "constant_one", "custom")
 
@@ -117,11 +120,24 @@ class MultiplicativeSpec:
         if self.kind == "quadratic_character":
             return float(jacobi(p, self.q))
         if self.kind == "random_pm1":
-            digest = hashlib.blake2b(
-                f"{self.seed}:{p}".encode(), digest_size=8
-            ).digest()
-            return 1.0 if digest[0] & 1 == 0 else -1.0
-        return dict(self.prime_values).get(p, 1.0)
+            return float(_random_signs(self.seed, [p])[0])
+        return self._custom_values.get(p, 1.0)
+
+    @cached_property
+    def _custom_values(self) -> dict:
+        return dict(self.prime_values)
+
+
+def _random_signs(seed: int, primes) -> np.ndarray:
+    """The random_pm1 value at each int p: +1 when the first byte of
+    blake2b(f"{seed}:{p}", 8 bytes) is even, else -1."""
+    copy = hashlib.blake2b(f"{seed}:".encode(), digest_size=8).copy
+    bits = []
+    for p in primes:
+        h = copy()
+        h.update(str(p).encode())
+        bits.append(h.digest()[0] & 1)
+    return 1.0 - 2.0 * np.array(bits, dtype=np.float64)
 
 
 def quadratic_character(q: int) -> MultiplicativeSpec:
@@ -183,14 +199,7 @@ class StatsRow:
             raise PrecisionError(f"row statistics out of range: {self}")
 
     def as_dict(self) -> dict:
-        return {
-            "x": self.x,
-            "M": self.M,
-            "L": self.L,
-            "u": self.u,
-            "Lambda": self.Lambda,
-            "conv_mean": self.conv_mean,
-        }
+        return asdict(self)
 
 
 def _prime_values_vector(spec: MultiplicativeSpec, primes: np.ndarray) -> np.ndarray:
@@ -201,55 +210,101 @@ def _prime_values_vector(spec: MultiplicativeSpec, primes: np.ndarray) -> np.nda
     if spec.kind == "quadratic_character":
         period = _chi_period(spec.q)
         return period[np.mod(primes, spec.q)].astype(np.float64)
-    return np.array([spec.prime_value(int(p)) for p in primes])
+    if spec.kind == "random_pm1":
+        return _random_signs(spec.seed, primes.tolist())
+    fp = np.ones(primes.size)
+    if spec.prime_values:
+        keys, vals = np.array(spec.prime_values).T
+        # keys are primes and ``primes`` holds every prime up to its
+        # last, so a key inside the range sits exactly at its index
+        idx = np.searchsorted(primes, keys)
+        inside = idx < primes.size
+        fp[idx[inside]] = vals[inside]
+    return fp
 
 
-def stats(spec: MultiplicativeSpec, x: float, table: PrimeTable) -> StatsRow:
-    """All the row statistics of f up to x in one sieve pass.
+def _values(spec: MultiplicativeSpec, n: int, primes: np.ndarray,
+            fp: np.ndarray) -> np.ndarray:
+    """f(0), ..., f(n) with f(0) = 0, from the primes up to n and their
+    values ``fp``: int8 when every prime value is -1, 0 or 1, else float64.
 
-    The value array is extended multiplicatively by one in-place scaling
-    per prime power, so each f(n) is the exact product of its prime
-    contributions; for f taking values in {-1, 0, 1} all downstream sums
-    are integer-exact.
+    Each prime p <= sqrt(n) scales the multiples of each p**e <= n and
+    divides them out of a cofactor, which is then 1 or the one prime
+    factor above sqrt(n); a last gather applies that prime.  So f(m) is
+    the product of its prime contributions in increasing prime order.
     """
+    if spec.kind == "quadratic_character":
+        return np.resize(_chi_period(spec.q), n + 1)
+    exact = np.isin(fp, (-1.0, 0.0, 1.0)).all()
+    v = np.ones(n + 1, dtype=np.int8 if exact else np.float64)
+    v[0] = 0
+    rem = np.arange(n + 1, dtype=np.int32)  # n <= STATS_X_CAP < 2**31
+    k = int(np.searchsorted(primes, math.isqrt(n), side="right"))
+    for p, val in zip(primes[:k].tolist(), fp[:k].astype(v.dtype).tolist()):
+        pe = p
+        while pe <= n:
+            rem[pe::pe] //= p
+            if val != 1:
+                v[pe::pe] *= val
+            pe *= p
+    fval = np.ones(n + 1, dtype=v.dtype)
+    fval[primes[k:]] = fp[k:]
+    for i in range(0, n + 1, _BLOCK):  # blocks bound the gather's temporary
+        v[i : i + _BLOCK] *= fval[rem[i : i + _BLOCK]]
+    return v
+
+
+def _by_block(values: np.ndarray):
+    """(f(m), m as float64) over consecutive blocks of m = 1..n."""
+    for i in range(0, values.size, _BLOCK):
+        f = values[i : i + _BLOCK]
+        yield f, np.arange(i + 1, i + 1 + f.size, dtype=np.float64)
+
+
+def _fsum(parts) -> float:
+    """math.fsum over a sequence of arrays, one block of Python floats at a time."""
+    return math.fsum(itertools.chain.from_iterable(p.tolist() for p in parts))
+
+
+def check_stats_x(x: float) -> None:
+    """Raise unless 2 <= x <= STATS_X_CAP; cheap, so callers check first."""
     if x < 2:
         raise DomainError(f"stats needs x >= 2, got {x}")
     if x > STATS_X_CAP:
         raise ResourceError(f"stats is O(x) and capped at {STATS_X_CAP:.0e}, got {x}")
+
+
+def stats(spec: MultiplicativeSpec, x: float, table: PrimeTable) -> StatsRow:
+    """All the row statistics of f up to x.
+
+    When every prime value is -1, 0 or 1, M and conv_mean are exact
+    integer sums (below 2**31 at STATS_X_CAP, so they equal math.fsum);
+    otherwise they, and L always, are math.fsum of float64 terms.
+    """
+    check_stats_x(x)
     n = int(math.floor(x))
     if table.limit < n:
         raise PreconditionError(f"stats needs table.limit >= {n}, got {table.limit}")
     n_pi = table.prime_pi(n)
     primes = table.primes[:n_pi]
     fp = _prime_values_vector(spec, primes)
+    values = _values(spec, n, primes, fp)[1:]
 
-    v = np.ones(n + 1)
-    v[0] = 0.0
-    for p, val in zip(primes, fp):
-        p = int(p)
-        if val == 1.0:
-            continue
-        if val == 0.0:
-            v[p::p] = 0.0
-            continue
-        pe = p
-        while pe <= n:
-            v[pe::pe] *= val
-            pe *= p
-    values = v[1:]
-
-    m_mean = math.fsum(values) / x
-    log_x = math.log(x)
-    l_mean = math.fsum(values / np.arange(1, n + 1, dtype=np.float64)) / log_x
-    u = math.fsum((1.0 - fv) / float(p) for p, fv in zip(primes, fp))
+    l_mean = _fsum(f / m for f, m in _by_block(values)) / math.log(x)
+    # f(m) floor(x / m); at integer x this floor is exactly n // m, as n < 2**53
+    conv = (f * np.floor(x / m) for f, m in _by_block(values))
+    if values.dtype == np.int8:
+        # each block sums integers exactly, its partial sums being below 2**53
+        m_total = int(values.sum(dtype=np.int64))
+        conv_total = sum(int(c.sum()) for c in conv)
+    else:
+        m_total = _fsum(f for f, _ in _by_block(values))
+        conv_total = _fsum(conv)
+    u = math.fsum(((1.0 - fp) / table.float_primes()[:n_pi]).tolist())
     recip = mertens_sum(x, table)
     lam = 0.0 if u == 0.0 else u / recip
-    if x == float(n):
-        counts = n // np.arange(1, n + 1, dtype=np.int64)
-    else:
-        counts = np.floor(x / np.arange(1, n + 1, dtype=np.float64)).astype(np.int64)
-    conv = math.fsum(values * counts) / x
-    return StatsRow(x=float(x), M=m_mean, L=l_mean, u=u, Lambda=lam, conv_mean=conv)
+    return StatsRow(x=float(x), M=m_total / x, L=l_mean, u=u, Lambda=lam,
+                    conv_mean=conv_total / x)
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +404,6 @@ def empirical_checks(
     """
     from .meanvalue import delta
 
-    if x < 2:
-        raise DomainError(f"empirical_checks needs x >= 2, got {x}")
     row = stats(spec, x, table)
     out = EmpiricalChecks(
         spec_description=spec.description,

@@ -316,9 +316,10 @@ def log_integral(x: float) -> Enclosure:
 def _require_table(table: PrimeTable | None, x: float, what: str) -> PrimeTable:
     if table is None:
         raise PreconditionError(f"{what} needs a prime table")
-    if table.limit < x:
+    # the table holds every prime <= x exactly when floor(x) <= limit
+    if x >= table.limit + 1:
         raise PreconditionError(
-            f"{what} needs table.limit >= {x}, got {table.limit}"
+            f"{what} needs table.limit >= floor({x}), got {table.limit}"
         )
     return table
 
@@ -329,7 +330,7 @@ def mertens_sum(x: float, table: PrimeTable) -> float:
         raise DomainError(f"mertens_sum needs x >= 2, got {x}")
     _require_table(table, x, "mertens_sum")
     ps = table.float_primes()[: table.prime_pi(x)]
-    return math.fsum(1.0 / p for p in ps)
+    return math.fsum((1.0 / ps).tolist())
 
 
 def log_square_sum(x: float, table: PrimeTable) -> float:

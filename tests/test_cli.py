@@ -211,6 +211,18 @@ def test_mfunc_csv(capsys):
     assert float(lines[1].split(",")[1]) == -0.02
 
 
+def test_mfunc_x_checked_before_sieving(capsys, monkeypatch):
+    def no_sieve(*args, **kwargs):
+        raise AssertionError("sieved before --x was checked")
+
+    monkeypatch.setattr("xpv.cli.sieve_primes", no_sieve)
+    for xs in ("300000000", "1.5", "1000,300000000"):
+        assert run(["mfunc", "--kind", "liouville", "--x", xs]) == 2
+    err = capsys.readouterr().err
+    assert err.count("capped at 1e+08") == 2
+    assert "x >= 2, got 1.5" in err
+
+
 def test_mfunc_kind_parsing(capsys):
     assert run(["mfunc", "--kind", "qchar", "--x", "100"]) == 2
     assert run(["mfunc", "--kind", "martian", "--x", "100"]) == 2

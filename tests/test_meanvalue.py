@@ -105,6 +105,19 @@ def test_tsl_reference_value():
     assert tail_sum_large(3.61, 300000) == pytest.approx(0.660049409, rel=1e-8)
 
 
+def test_tsl_bits_are_frozen():
+    # float.hex recorded before the series ran through one reused buffer
+    frozen = {
+        (3.61, 300000): "0x1.51f1ff042ac13p-1",
+        (0.5, 0): "0x1.2d5729a9fe935p+2",
+        (1.0, 7): "0x1.54aeb6fa09208p+1",
+        (2.0, 1000): "0x1.5703e3de2e5c2p+0",
+        (0.05, 20000): "0x1.f16f846db9370p+4",
+    }
+    for (eps, k2), want in frozen.items():
+        assert tail_sum_large(eps, k2).hex() == want, (eps, k2)
+
+
 def test_tss_dominates_truncated_series():
     # the certified bound must sit above a brute partial sum of the
     # actual series at any tau in (0, 1]

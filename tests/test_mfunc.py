@@ -6,6 +6,8 @@ import pytest
 from xpv.errors import DomainError, PreconditionError, ResourceError
 from xpv.mfunc import (
     STATS_CSV_HEADER,
+    _prime_values_vector,
+    _values,
     char_sum,
     constant_one,
     custom,
@@ -147,6 +149,8 @@ def test_stats_validation(prime_table):
         stats(liouville(), 2e8, prime_table)
     with pytest.raises(PreconditionError):
         stats(liouville(), 10 ** 4, small)
+    # a table to floor(x) is enough, at a non-integer x as well
+    assert stats(liouville(), 100.5, small).x == 100.5
 
 
 def test_conv_mean_against_bruteforce(prime_table):
@@ -158,6 +162,87 @@ def test_conv_mean_against_bruteforce(prime_table):
             want = total / x
             got = stats(spec, float(x), prime_table).conv_mean
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def _reference_stats(spec, x, table):
+    """The row of ``stats`` by the direct method: f(p) through
+    ``spec.prime_value`` for every prime, one in-place scaling of the
+    value array per prime power, and math.fsum for every sum."""
+    n = int(math.floor(x))
+    primes = table.primes[: table.prime_pi(n)]
+    fp = np.array([spec.prime_value(int(p)) for p in primes])
+    v = np.ones(n + 1)
+    v[0] = 0.0
+    for p, val in zip(primes, fp):
+        p = int(p)
+        if val == 1.0:
+            continue
+        if val == 0.0:
+            v[p::p] = 0.0
+            continue
+        pe = p
+        while pe <= n:
+            v[pe::pe] *= val
+            pe *= p
+    values = v[1:]
+    m_mean = math.fsum(values) / x
+    l_mean = math.fsum(values / np.arange(1, n + 1, dtype=np.float64)) / math.log(x)
+    u = math.fsum((1.0 - fv) / float(p) for p, fv in zip(primes, fp))
+    recip = math.fsum(1.0 / p for p in table.float_primes()[: table.prime_pi(x)])
+    lam = 0.0 if u == 0.0 else u / recip
+    if x == float(n):
+        counts = n // np.arange(1, n + 1, dtype=np.int64)
+    else:
+        counts = np.floor(x / np.arange(1, n + 1, dtype=np.float64)).astype(np.int64)
+    conv = math.fsum(values * counts) / x
+    return [float(x), m_mean, l_mean, u, lam, conv], v
+
+
+def _assert_matches_reference(spec, x, table):
+    row, v = _reference_stats(spec, x, table)
+    # a product taken in another order moves single values by an ulp,
+    # which the rounded sums seldom show, so the values are compared too
+    primes = table.primes[: table.prime_pi(x)]
+    got = _values(spec, int(x), primes, _prime_values_vector(spec, primes))
+    assert np.array_equal(got.astype(np.float64), v), x
+    got = [value.hex() for value in stats(spec, x, table).as_dict().values()]
+    assert got == [value.hex() for value in row], x
+
+
+# non-integer values, whose products round differently in another order,
+# and zeros at primes on both sides of sqrt(x)
+CUSTOM_FLOAT = {2: 0.3, 3: -0.7, 5: 0.0, 7: -0.9, 11: 0.6, 13: 1 / 3,
+                317: 0.0, 997: -0.7, 65537: 0.9}
+# values in {-1, 0, 1} only, so the sums run in integers
+CUSTOM_INT = {3: 0.0, 5: -1.0, 13: -1.0, 331: 0.0, 50021: -1.0}
+
+
+@pytest.mark.parametrize("spec", [
+    liouville(), constant_one(), random_pm1(777), quadratic_character(7),
+    quadratic_character(15), custom(CUSTOM_FLOAT), custom(CUSTOM_INT),
+], ids=["liouville", "one", "random", "qchar7", "qchar15", "custom-float",
+        "custom-int"])
+def test_stats_bits_match_reference(spec, prime_table):
+    for x in (2.0, 3.0, 4.0, 10.0, 906.0, 1000.0, 1e5, 1e5 + 0.5):
+        _assert_matches_reference(spec, x, prime_table)
+
+
+def test_stats_bits_match_reference_on_random_custom_tables(prime_table):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # keys up to 200, so that products of several non-integer values
+    # and a prime above sqrt(x) occur below x
+    keys = [int(p) for p in prime_table.primes[: prime_table.prime_pi(200)]]
+    value = st.one_of(st.sampled_from([-1.0, 0.0, 1.0]),
+                      st.floats(-1.0, 1.0, allow_nan=False))
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(st.dictionaries(st.sampled_from(keys), value, max_size=10),
+                      st.floats(2.0, 5000.0))
+    def check(table, x):
+        _assert_matches_reference(custom(table), x, prime_table)
+
+    check()
 
 
 def test_stats_csv_shape(prime_table):

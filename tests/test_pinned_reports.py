@@ -72,6 +72,14 @@ PINNED = {
         "09a4df72453442371b89406164afad8b70f6d28dbbdce10997ec2186a4ecfa7a",
     "charsum --q 7,11,13 --pv-ratio --format csv":
         "8e1a1625211c9482409b4823e882c86ebe16242fb15203bfaf85eedefd4091ac",
+    # hashed signs, non-integer custom values with a zero prime at a
+    # non-integer x, and a composite modulus
+    "mfunc --kind random:777 --x 1000,100000":
+        "5f3dc333ba92e3649c72d768601bd9b0dc7bdcc78fda6353c88df52f1f9140ca",
+    "mfunc --kind custom:2=0.5,3=-0.25,7=0 --x 1000,100000.5":
+        "66fb0685ad0813669bdd4d8e8c666e63ace891b0badeffe5066482e79327b4d3",
+    "mfunc --kind qchar:15 --x 1000,100000":
+        "09a95b14f4f0d68c57dcdd9c0d0299552079f6f1c864beacb24c143b53d71638",
 }
 
 

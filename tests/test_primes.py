@@ -244,6 +244,10 @@ def test_mertens_sum_preconditions(prime_table):
         mertens_sum(10.0, None)
     with pytest.raises(PreconditionError):
         mertens_sum(10 ** 7, prime_table)
+    with pytest.raises(PreconditionError):
+        mertens_sum(10 ** 6 + 1, prime_table)
+    # a table to floor(x) holds every prime <= x
+    assert mertens_sum(10 ** 6 + 0.5, prime_table) == mertens_sum(1e6, prime_table)
 
 
 def test_log_square_sum_small(prime_table):
