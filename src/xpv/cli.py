@@ -72,6 +72,7 @@ from .mfunc import (
 )
 from .primes import (
     DEFAULT_SIEVE_CAP,
+    PrimeTable,
     check_def,
     nu2,
     sieve_primes,
@@ -85,6 +86,8 @@ STAMPS = [
 ]
 
 _TABULAR = {"dickman", "table", "mfunc", "charsum"}
+# the ledger's prime limit, whatever a command sieves to for other needs
+LEDGER_PRIMES = 10 ** 6
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +389,7 @@ def _cmd_dickman(args):
 
 
 def _cmd_constants(args):
-    table = sieve_primes(10 ** 6, cap=_sieve_cap(args))
+    table = sieve_primes(LEDGER_PRIMES, cap=_sieve_cap(args))
     k_enc = solve_K()
     ledger = assemble_ledger(args.c0, table)
     f = PeriodicF.build()
@@ -550,9 +553,10 @@ def _cmd_mfunc(args):
         raise UsageError("--x needs at least one value")
     for x in xs:
         check_stats_x(x)
-    limit = max(10 ** 6, int(max(xs)))
-    table = sieve_primes(limit, cap=_sieve_cap(args))
-    ledger = assemble_ledger(PUBLISHED_C0, table)
+    table = sieve_primes(max(LEDGER_PRIMES, int(max(xs))), cap=_sieve_cap(args))
+    ledger_table = PrimeTable(
+        LEDGER_PRIMES, table.primes[: table.prime_pi(LEDGER_PRIMES)])
+    ledger = assemble_ledger(PUBLISHED_C0, ledger_table)
     results = []
     passed = True
     discrepancies = []

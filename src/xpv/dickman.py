@@ -1,17 +1,17 @@
-"""Log-domain Dickman rho solver and the smooth-number exponent checks.
+"""Log-domain Dickman rho and the smooth-number exponent checks.
 
 rho(x) is 1 on [0,1], 1 - log x on [1,2], and beyond satisfies the
 delay equation x*rho'(x) + rho(x-1) = 0, equivalently the integral
-identity x*rho(x) = integral of rho over [x-1, x].  The solver marches
-the integral identity with an implicit trapezoid step, keeping the
-moving window as ratios against its newest entry and the absolute level
-as a separate log, so values near e^-700 never underflow.
+identity x*rho(x) = integral of rho over [x-1, x].  On [k, k+1],
+rho(k + 1/2 + s) = e^{L_k} sum_{n<=N} a_n s^n with a_0 = 1 and the level
+L_k kept as a log, so values near e^-700 never underflow (van de Lune
+and Wattel, Math. Comp. 23, 1969; Marsaglia, Zaman and Marsaglia, Math.
+Comp. 53, 1989).
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,130 +31,167 @@ DEFAULT_STEP = 2.0 ** -10
 MAX_TABLE_STEPS = 1 << 22
 # a position within this many steps of a grid index is that grid point
 _ON_GRID = 1e-9
+# series degree: the truncation tail stays below 1e-17 relative to x = 4097
+_TERMS = 40
+# unit roundoff with 1% to spare, so that n*_U bounds the relative error
+# n u/(1 - n u) of n chained roundings for every n used here (n <= 130)
+_U = 1.01 * 2.0 ** -53
 
 
 @dataclass(frozen=True)
 class RhoLogTable:
-    """log rho on the uniform grid x_j = 1 + j*step, with per-point
-    absolute error bounds from step-doubling."""
+    """log rho on the uniform grid x_j = 1 + j*step with per-point
+    absolute error bounds, and the series behind it: row k-1 of ``coef``
+    holds a_0..a_N on [k, k+1], ``level`` L_k and ``level_err`` a bound
+    on |log(e^{L_k} sum a_n s^n) - log rho| there."""
 
     x_max: float
     step: float
     xs: np.ndarray
     log_values: np.ndarray
     err: np.ndarray
+    coef: np.ndarray
+    level: np.ndarray
+    level_err: np.ndarray
 
     def __len__(self) -> int:
         return int(self.xs.size)
 
 
-def _march(x_max: float, h: float) -> np.ndarray:
-    """March log rho from 1 to x_max at spacing h.  Returns log values.
+def _series(n_intervals: int):
+    """Coefficients, levels and level errors of unit intervals 1..n.
 
-    The window deque holds the last m+1 rho values as ratios against a
-    running scale; A is the trapezoid integral of the window interior
-    (Kahan-compensated incremental update, refreshed every m steps).
+    In the scale of the previous interval's coefficients b (rho = 1 on
+    [0, 1] for k = 1), with c = k + 1/2, the delay equation gives
+    A_m = (1/m) sum_{j<m} b_j (-1/c)^(m-j), terms of one sign as b
+    alternates, and the integral identity at the midpoint gives
+    k A_0 = int_0^{1/2} sum b_n s^n + int_{-1/2}^0 sum_{n>=1} A_n s^n, two
+    positive parts.  The identity is a Volterra equation with a positive
+    kernel, so a relative error passes to the next interval unamplified.
+    Each interval adds, against a lower bound of its value at s = 1/2, the
+    rounding of the A_m (3m roundings each) and of A_0, the tail past
+    degree N (|A_m| shrinks by 1/c per term past N + 1, as b stops at N),
+    the normalisation, and the rounding of log A_0 and of L_k; a factor 2
+    covers second-order terms and the rounding of the bound itself.
     """
-    m = int(round(1.0 / h))
-    n = int(round((x_max - 1.0) / h))
-    xs = 1.0 + h * np.arange(n + 1)
-    logv = np.empty(n + 1)
-    logv[0] = 0.0
-    logv[1 : m + 1] = np.log(1.0 - np.log(xs[1 : m + 1]))
-    w = deque(np.exp(logv[: m + 1]), maxlen=m + 1)
-    level = 0.0
-    ww = list(w)
-    A = h * (0.5 * ww[1] + math.fsum(ww[2:m]) + 0.5 * ww[m])
-    comp = 0.0
-    for j in range(m + 1, n + 1):
-        x = 1.0 + h * j
-        # implicit trapezoid: (x - h/2) rho_j = A + (h/2) rho_{j-1}
-        rho = (A + 0.5 * h * w[-1]) / (x - 0.5 * h)
-        logv[j] = math.log(rho) + level
-        y = 0.5 * h * ((w[-1] + rho) - (w[1] + w[2])) - comp
-        t = A + y
-        comp = (t - A) - y
-        A = t
-        w.append(rho)
-        if j % m == 0:
-            ww = list(w)
-            A = h * (0.5 * ww[1] + math.fsum(ww[2:m]) + 0.5 * ww[m])
-            comp = 0.0
-        if w[0] < 1e-250:
-            s = 1.0 / w[0]
-            level += math.log(w[0])
-            w = deque([v * s for v in w], maxlen=m + 1)
-            A *= s
-            comp *= s
-    return logv
+    N = _TERMS
+    n = np.arange(N + 2)
+    w = 0.5 ** (n + 1) / (n + 1)  # int_0^{1/2} s^n ds
+    half = 0.5 ** n[:-1]
+    g_coef, g_sum = 3 * n[1:] * _U, (N + 3) * _U
+    coef = np.empty((n_intervals, N + 1))
+    level, level_err = np.empty(n_intervals), np.empty(n_intervals)
+    b = np.zeros(N + 1)
+    b[0] = 1.0
+    L = lam = 0.0
+    for k in range(1, n_intervals + 1):
+        c = k + 0.5
+        pw = np.cumprod(np.concatenate(([1.0], np.full(N + 1, -c))))  # (-c)^j
+        A = np.empty(N + 2)
+        A[1:] = np.cumsum(b * pw[:-1]) / (pw[1:] * n[1:])
+        absA = np.abs(A[1:])
+        errA = g_coef * absA
+        i_b, i_a = float(w[:-1] @ b), float(w[1:-1] @ absA[:-1])
+        A[0] = a0 = (i_b + i_a) / k
+        top = (absA[-1] + errA[-1]) / (1.0 - 0.5 / c)  # bounds sum_{m>N} |A_m| 2^(N+1-m)
+        d = ((g_sum * (float(w[:-1] @ np.abs(b)) + i_a) + float(w[1:-1] @ errA[:-1])
+              + top * w[-1] + _U * (i_b + i_a)) / k + _U * a0
+             + float(half[1:] @ (errA[:-1] + _U * absA[:-1])) + top * 0.5 ** (N + 1))
+        p_low = float(half @ A[:-1]) - g_sum * (a0 + float(half[1:] @ absA[:-1])) - d
+        if not p_low > 0.0:
+            raise PrecisionError(f"rho series lost its lower bound on [{k}, {k + 1}]")
+        lg = math.log(a0)
+        L += lg
+        lam = -math.log1p(-math.expm1(lam)) + 2.0 * (
+            d / p_low + _U * (2.0 * abs(lg) + abs(L)))
+        b = coef[k - 1] = A[:-1] / a0
+        level[k - 1], level_err[k - 1] = L, lam
+    return coef, level, level_err
+
+
+def _log_rho(coef, level, level_err, s, mirror):
+    """log rho and its error bound at offsets s on the rows' intervals,
+    where column ``mirror[i]`` of s holds -|s[i]|.
+
+    The coefficients alternate, so the Horner value q at -|s| is
+    sum |a_n| |s|^n, and Horner's rounding is at most g = 2N u times q,
+    at most 2g q/p relative when g q <= p/4 (checked).  With the factor 2
+    of ``_series`` the bound adds 4g q/p, and 2u(2|log p| + |v|) for the
+    rounding of log p and v = log p + L, where |log p| <= |v| + |L|.
+    """
+    p = np.empty((coef.shape[0], s.size))
+    p[...] = coef[:, -1:]
+    for j in range(coef.shape[1] - 2, -1, -1):
+        p *= s
+        p += coef[:, j : j + 1]
+    g = 2 * _TERMS * _U
+    ratio = p[:, mirror]
+    ratio /= p
+    if not ratio.max() * g <= 0.25:
+        raise PrecisionError("rho series value lost to rounding")
+    v = np.log(p, out=p)
+    v += level[:, None]
+    err = np.abs(v)
+    err *= 6.0 * _U
+    ratio *= 4.0 * g
+    err += ratio
+    err += (level_err + 4.0 * _U * np.abs(level))[:, None]
+    return v, err
+
+
+def _lower(v, e):
+    """v - e rounded down; exact values (e = 0) stay as they are."""
+    return np.where(e > 0.0, np.nextafter(v - e, -np.inf), v)
 
 
 def build_rho_table(x_max: float, step: float = DEFAULT_STEP) -> RhoLogTable:
-    """Build the log rho table on [1, x_max].
-
-    Error bounds come from a second march at step/2 and the standard
-    Richardson factor 4/3 for a second-order scheme, plus a floor for
-    rounding accumulation.
+    """Build the log rho table on [1, x_max]: one series per unit
+    interval (``_series``), evaluated by one Horner pass over an
+    (intervals x 1/step) array.  err is a bound, not an estimate
+    (``_log_rho``), and log rho(1) = 0 is exact.  The step is a power of
+    two, so grid points and their offsets from the midpoints are exact.
     """
     if x_max < 2:
         raise DomainError(f"build_rho_table needs x_max >= 2, got {x_max}")
     if step > MAX_STEP:
-        raise PrecisionError(
-            f"step {step} too large; the error model needs step <= 2^-8"
-        )
+        raise PrecisionError(f"step {step} too large; the table needs step <= 2^-8")
     n_real = (x_max - 1.0) / step
     if not n_real <= MAX_TABLE_STEPS:
         raise ResourceError(f"{n_real:.6g} table steps exceed the cap {MAX_TABLE_STEPS}")
-    if not (_on_grid(n_real) and _on_grid(1.0 / step)):
+    if not (_on_grid(n_real) and math.frexp(step)[0] == 0.5):
         raise PreconditionError(
-            f"(x_max - 1)/step and 1/step must be integers, got x_max={x_max}, step={step}"
+            f"step must be a power of two and (x_max - 1)/step an integer, "
+            f"got x_max={x_max}, step={step}"
         )
-    coarse = _march(x_max, step)
-    fine = _march(x_max, step / 2.0)
-    err = (4.0 / 3.0) * np.abs(coarse - fine[::2]) + 1e-13
-    err[0] = 0.0
-    n = coarse.size - 1
-    xs = 1.0 + step * np.arange(n + 1)
-    return RhoLogTable(x_max=float(x_max), step=float(step), xs=xs,
-                       log_values=coarse, err=err)
+    n, m = int(round(n_real)), int(round(1.0 / step))
+    coef, level, level_err = _series(n // m + 1)
+    cols = np.arange(m)
+    # column min(i, m - i) holds -|s_i|
+    v, err = _log_rho(coef, level, level_err, (cols - m // 2) * step,
+                      np.minimum(cols, m - cols))
+    log_values, err = v.ravel()[: n + 1], err.ravel()[: n + 1]
+    log_values[0] = err[0] = 0.0
+    return RhoLogTable(x_max=float(x_max), step=float(step),
+                       xs=1.0 + step * np.arange(n + 1), log_values=log_values,
+                       err=err, coef=coef, level=level, level_err=level_err)
 
 
 def rho_log(x: float, table: RhoLogTable) -> Enclosure:
-    """Enclosure of log rho(x) by cubic interpolation of the table.
-
-    The interpolation error term is the cubic-vs-linear difference, a
-    standard a posteriori surrogate, added to the worst tabulated error
-    over the stencil.
-    """
+    """Enclosure of log rho(x): the table entry on a grid point, else the
+    interval's series at x with the same error bound."""
     if not (1.0 <= x <= table.x_max):
-        raise DomainError(
-            f"rho_log needs 1 <= x <= {table.x_max}, got {x}"
-        )
-    if x == 1.0:
-        return Enclosure(0.0, 0.0)
-    h = table.step
-    pos = (x - 1.0) / h
-    j = int(math.floor(pos))
-    n = table.log_values.size - 1
-    if _on_grid(pos):
-        k = int(round(pos))
-        v = float(table.log_values[k])
-        e = float(table.err[k])
-        return Enclosure(v - e, v + e)
-    j0 = min(max(j - 1, 0), n - 3)
-    xs = table.xs[j0 : j0 + 4]
-    vs = table.log_values[j0 : j0 + 4]
-    cubic = 0.0
-    for a in range(4):
-        w = 1.0
-        for b in range(4):
-            if a != b:
-                w *= (x - xs[b]) / (xs[a] - xs[b])
-        cubic += w * float(vs[a])
-    t = (x - table.xs[j]) / h
-    linear = (1.0 - t) * float(table.log_values[j]) + t * float(table.log_values[j + 1])
-    e = float(table.err[j0 : j0 + 4].max()) + abs(cubic - linear)
-    return Enclosure(cubic - e, cubic + e)
+        raise DomainError(f"rho_log needs 1 <= x <= {table.x_max}, got {x}")
+    pos = (x - 1.0) / table.step  # exact for a power-of-two step
+    if pos == int(pos):
+        v, e = table.log_values[int(pos)], table.err[int(pos)]
+    else:
+        k = min(int(x), table.level.size)
+        s, r = x - (k + 0.5), slice(k - 1, k)
+        v, e = _log_rho(table.coef[r], table.level[r], table.level_err[r],
+                        np.array([s, -abs(s)]), [1, 1])
+        v, e = v[0, 0], e[0, 0]
+    # the upper edge is the lower edge of -log rho, negated
+    return Enclosure(float(_lower(v, e)), float(-_lower(-v, e)))
 
 
 def _on_grid(pos: float) -> bool:
@@ -167,11 +204,15 @@ def _grid_lower(table: RhoLogTable, x_lo: float, x_hi: float):
     i0 = int(math.ceil((x_lo - 1.0) / h - _ON_GRID))
     i1 = int(math.floor((x_hi - 1.0) / h + _ON_GRID))
     rows = slice(i0, i1 + 1)
-    return table.xs[rows], table.log_values[rows] - table.err[rows]
+    return table.xs[rows], _lower(table.log_values[rows], table.err[rows])
 
 
-def _buchstab_delta(logx, x):
-    return 1.0 / (logx + 1.0 + logx / x)
+def _buchstab_vec(xs: np.ndarray) -> np.ndarray:
+    logx = np.log(xs)
+    delta = 1.0 / (logx + 1.0 + logx / xs)
+    return -xs * (1.0 + 1.0 / logx) * (
+        np.log(xs + delta) - np.log(delta) - 1.0
+    ) - 2.0 * logx
 
 
 def buchstab_lower_log(x: float) -> float:
@@ -182,21 +223,10 @@ def buchstab_lower_log(x: float) -> float:
     """
     if x < 6:
         raise DomainError(f"buchstab_lower_log needs x >= 6, got {x}")
-    logx = math.log(x)
-    delta = _buchstab_delta(logx, x)
+    delta = 1.0 / (math.log(x) + 1.0 + math.log(x) / x)
     if delta >= 1.0 / 3.0:
         raise DomainError(f"window delta = {delta} >= 1/3 at x = {x}")
-    return -x * (1.0 + 1.0 / logx) * (
-        math.log(x + delta) + math.log(1.0 / delta) - 1.0
-    ) - 2.0 * logx
-
-
-def _buchstab_vec(xs: np.ndarray) -> np.ndarray:
-    logx = np.log(xs)
-    delta = 1.0 / (logx + 1.0 + logx / xs)
-    return -xs * (1.0 + 1.0 / logx) * (
-        np.log(xs + delta) - np.log(delta) - 1.0
-    ) - 2.0 * logx
+    return float(_buchstab_vec(np.array([x]))[0])
 
 
 def verify_rho_exponent(
@@ -263,22 +293,32 @@ def max_exponent(table: RhoLogTable, x_lo: float, x_hi: float) -> float:
 
 
 def integral_identity_residual(table: RhoLogTable, x: float):
-    """Residual of x*rho(x) = integral of rho over [x-1, x], evaluated
-    from the table in ratio space (everything divided by rho(x)).
+    """Residual of x*rho(x) = integral of rho over [x-1, x], from the
+    table in ratio space (divided by rho(x)) by composite Simpson.
 
-    x must be a grid point with x >= 2.  Returns (residual, allowance)
-    where the identity holds when residual <= allowance."""
+    x must be a grid point with x >= 2.  Returns (residual, allowance);
+    the identity holds when residual <= allowance: 10 x times the window's
+    largest tabulated error plus twice |Boole - Simpson| on the same
+    nodes, an estimate (not a bound) of Simpson's remainder from two rule
+    orders.  Not Boole itself: where a derivative of rho jumps, at the
+    integer node inside the window, Boole panels lose their order, while
+    Simpson is exact for a second-derivative jump at a panel midpoint.
+    """
     h = table.step
     pos = (x - 1.0) / h
     j = int(round(pos))
     if not _on_grid(pos) or x < 2.0:
         raise PreconditionError(f"x = {x} must be a grid point with x >= 2")
     m = int(round(1.0 / h))
-    window = table.log_values[j - m : j + 1] - table.log_values[j]
-    w = np.exp(window)
-    integral = h * (0.5 * w[0] + float(np.sum(w[1:-1])) + 0.5 * w[-1])
-    residual = abs(x - integral)
-    allowance = 10.0 * float(table.err[j]) * x
+    w = np.exp(table.log_values[j - m : j + 1] - table.log_values[j])
+    ends = w[0] + w[-1]
+    odd = float(np.sum(w[1:-1:2]))
+    simpson = h / 3.0 * (ends + 4.0 * odd + 2.0 * float(np.sum(w[2:-1:2])))
+    boole = 2.0 * h / 45.0 * (7.0 * ends + 32.0 * odd + 12.0 * float(np.sum(w[2:-1:4]))
+                              + 14.0 * float(np.sum(w[4:-1:4])))
+    residual = abs(x - simpson)
+    allowance = (10.0 * float(table.err[j - m : j + 1].max()) * x
+                 + 2.0 * abs(boole - simpson))
     return residual, allowance
 
 

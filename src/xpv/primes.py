@@ -186,7 +186,8 @@ def _li_series(xs: np.ndarray):
     The half-width combines the truncation remainder (next term times a
     geometric factor) with per-term rounding, scaled by the terms'
     absolute sum; seeding that sum with |gamma| + |log y| bounds it by the
-    triangle inequality for every x > 1.
+    triangle inequality for every x > 1.  It also carries the rounding of
+    y itself through dli/dy = x/y.
 
     A run of equal adjacent x (a step sweep lists each prime twice) is
     evaluated once and its result copied back to every position of the run.
@@ -228,7 +229,8 @@ def _li_series_blocked(xs: np.ndarray):
             m += buf
     nxt = t * ys / (n_terms + 1) / (n_terms + 1)
     trunc = nxt / (1.0 - ys / (n_terms + 2))
-    half = trunc + (ys + 2.0) * 2.3e-16 * mag + 1e-300
+    # xs: y = log x is rounded by up to 2.3e-16 y, times dli/dy = x/y
+    half = trunc + 2.3e-16 * ((ys + 2.0) * mag + xs) + 1e-300
     return acc, half
 
 
@@ -294,7 +296,7 @@ def log_integral(x: float) -> Enclosure:
     The enclosure comes from the exponential-integral series with a
     rigorous truncation remainder; an independent adaptive quadrature of
     the principal-value integral must agree within the combined widths,
-    otherwise a PrecisionError is raised.
+    otherwise a PrecisionError is raised.  Both edges are rounded outward.
     """
     if not 1.0 < x < math.inf:
         raise DomainError(f"log_integral needs finite x > 1, got {x}")
@@ -306,7 +308,7 @@ def log_integral(x: float) -> Enclosure:
         raise PrecisionError(
             f"log_integral methods disagree at x={x}: series {value}, quadrature {qv}"
         )
-    return Enclosure(float(value - half), float(value + half))
+    return Enclosure(*np.nextafter([value - half, value + half], [-np.inf, np.inf]).tolist())
 
 
 # ---------------------------------------------------------------------------

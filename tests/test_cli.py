@@ -211,6 +211,17 @@ def test_mfunc_csv(capsys):
     assert float(lines[1].split(",")[1]) == -0.02
 
 
+def test_mfunc_row_does_not_depend_on_other_x(capsys):
+    # the ledger behind the mean-decay bound sums over the primes up to
+    # 1e6 however far the largest x makes the command sieve
+    rows = []
+    for xs in ("1000", "1000,2000000"):
+        code, out = _run(capsys, "mfunc", "--kind", "liouville", "--x", xs)
+        assert code == 0
+        rows.append(json_dumps(json.loads(out)["results"][0]))
+    assert rows[0] == rows[1]
+
+
 def test_mfunc_x_checked_before_sieving(capsys, monkeypatch):
     def no_sieve(*args, **kwargs):
         raise AssertionError("sieved before --x was checked")

@@ -1,8 +1,11 @@
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from xpv.cli import json_dumps
 from xpv.dickman import (
     buchstab_lower_log,
     build_rho_table,
@@ -27,6 +30,8 @@ def test_build_validation():
         build_rho_table(10.0, step=2.0 ** -7)
     with pytest.raises(PreconditionError):
         build_rho_table(10.0, step=0.0007)  # does not divide the range
+    with pytest.raises(PreconditionError):
+        build_rho_table(10.0, step=0.001)  # divides it, not a power of two
 
 
 def test_density_at_one_is_exact(rho_table):
@@ -49,7 +54,9 @@ def test_density_reference_values(rho_table):
     assert abs(enc3.mid - ref3) / abs(ref3) < 1e-6
     enc10 = rho_log(10.0, rho_table)
     assert abs(enc10.mid - math.log(2.77e-11)) < 1e-3
-    assert enc10.contains(math.log(2.7701913819e-11))
+    # the literature value of rho(10); the 50-digit series oracle
+    # matches it to 22 digits
+    assert enc10.contains(math.log(2.770171837725958988758e-11))
 
 
 def test_density_enclosure_err_grows(rho_table):
@@ -87,6 +94,15 @@ def test_integral_identity_random_points(rho_table):
         x = float(rho_table.xs[int(j)])
         residual, allowance = integral_identity_residual(rho_table, x)
         assert residual <= allowance
+
+
+def test_integral_identity_catches_a_small_table_error(rho_table):
+    # a smooth 1e-8 error in log rho, with err left as it was
+    bad = dataclasses.replace(
+        rho_table, log_values=rho_table.log_values + 1e-8 * np.sin(rho_table.xs))
+    for x in (2.5, 10.0, 50.0):
+        residual, allowance = integral_identity_residual(bad, x)
+        assert residual > allowance
 
 
 def test_integral_identity_needs_grid_point(rho_table):
@@ -131,6 +147,29 @@ def test_exponent_sweep_buchstab_source():
     assert r.check_id == "rho-exponent-buchstab"
     assert r.arg_min == 130.0
     assert r.worst_margin == pytest.approx(4.255270727410448, rel=1e-9)
+
+
+# sha256 of each report, recorded while the table was still marched: the
+# closed-form bound reads no table, so the series left these bytes alone
+BUCHSTAB_DIGESTS = {
+    (130.0, 1000.0, 1.42):
+        "9a0e8d8dc65ae210d4b2813a7732c35a6bc192405c531b3156db7e901e6447fb",
+    (6.0, 100.0, 1.1):
+        "8e1ff9ab761043e6e7e1e9b53ae6209af45eb4807ed1fd99ee6a1cbfb45fb319",
+    (6.0, 10.0, 1.0):
+        "e3d295f163c639e8e32e1c79d82bb2b45d10b159961bdc4e4d496566d13707f8",
+    (7.3, 512.5, 1.2):
+        "15bed96fed47c18cb3fbc2e741a050b69eae1df4325db14aca879ace0720c86b",
+    (6.0, 4097.0, 1.15):
+        "528d94a285405e8e058dd8994531041eab6a3051764e429f3eeff562df46ca32",
+}
+
+
+@pytest.mark.parametrize("args", sorted(BUCHSTAB_DIGESTS))
+def test_buchstab_reports_are_unchanged(args):
+    r = verify_rho_exponent(*args, "buchstab")
+    digest = hashlib.sha256(json_dumps(r.as_dict()).encode()).hexdigest()
+    assert digest == BUCHSTAB_DIGESTS[args]
 
 
 def test_exponent_sweep_failing_exponent(rho_table):

@@ -20,14 +20,19 @@ PINNED = {
     # |gamma| + |log y| (was 6dfb8f25...)
     "verify --check li-lower --from 2 --to 100000":
         "7647b48985e82ca3a61d0600470c69d5d21f00c64642b9c29346b5cad6e71380",
+    # li-upper and pi-li-*: the li half-width gained the rounding of
+    # y = log x, which moves worst_margin in its last digits (li-upper
+    # was f088633d..., pi-li-1/2/3 to 1e5 2475c10f.../47bff6f6.../
+    # 51ac4fb3..., to 1e6 f4a36273.../432289db.../c26b6771..., and
+    # pi-li-1 with 3 partitions f8e08c60...)
     "verify --check li-upper --from 1865 --to 1000000":
-        "f088633d7a1e4ad10cccb2d04cfafc100678849e3dbd184c84fe3a289323b057",
+        "12be1e0ac489b1f7daaa0f62f25c564b61678d69bc83b4c35b7f9aed52df1a46",
     "verify --check pi-li-1 --from 2 --to 100000":
-        "2475c10f714e6b3837adf364313bae7819a0794dc0332a5852a152f4fb9e2902",
+        "e9553a48fd2029cccca3ba8e27c3be72d066250c4dff3f0e4bab4267a5f99b36",
     "verify --check pi-li-2 --from 2 --to 100000":
-        "47bff6f64ef5a02411bd732d9a8353cc79fdaa1e71e3811c21d3d3d640aee317",
+        "fbfb81b270eecdd932ad716f0fa9335a004d9e7990315808b7b6059bc6819266",
     "verify --check pi-li-3 --from 2 --to 100000":
-        "51ac4fb348f312c458412864f8c4cda9058f04263f59f4606980089a51d45f8d",
+        "d715930eb9cb9ee9f9db993de1acc04f2f0689ebced3c6a2e7fd1f58d52544b2",
     "verify --check mertens-remainder --from 2 --to 100000":
         "7b5bacb82521ddb149d528cd98db5cd02b61b254172db5a1006bdea7bf07818d",
     "verify --check mertens-bracket --from 2 --to 100000":
@@ -40,21 +45,23 @@ PINNED = {
         "8c8b6d475ddc06f563d3088259838e3894d2f0cf81ea2648b1bb947943233d5f",
     # 78498 primes: the li series runs over several of its blocks
     "verify --check pi-li-1 --from 2 --to 1000000":
-        "f4a36273a29e8b9835123c946427c9dc53a05f8bb8603d653dc99f3dad875175",
+        "a84640c4b016be20e0bfd85fb95ee6daf3cef54d3bf7d838baadc9799274a6f6",
     "verify --check pi-li-2 --from 2 --to 1000000":
-        "432289db09ddbbbb8003756630260d2c833a9b8c49fc53b0c6e37d54fa58059e",
+        "fdcac1de56c18a3c30fb1016d3f8d6a87246cb2f5d364c6501c3116502abb84f",
     "verify --check pi-li-3 --from 2 --to 1000000":
-        "c26b67712f30deb02f004772fd95ae87caf895119a7c8f8d95cb07915bd389d9",
+        "eb2866692ad8d01782a40aff4cbebe6d82eee61886530aea7eaeb3116b67490a",
     # each part keeps its own li term count
     "verify --check pi-li-1 --from 2 --to 1000000 --partitions 3":
-        "f8e08c6045ddc25dc48e69debd0687a3edf6231d2dad1091af1883f7398f1d6c",
+        "127ab11d5129e1e486921629093ac97eca751cbeb86b13292052df8449f66826",
     "verify --check mertens-remainder --from 2 --to 100000 --partitions 4":
         "bef4fcd2de26be72a036db49ed92795384fabc45edc7d69363d8b0fb4d3cc8da",
     # the buchstab exponent check gained the negative-margin note from
-    # the shared sweep reducer (was 6ab4e8eb...)
+    # the shared sweep reducer (was 6ab4e8eb...); then the table's
+    # landmarks, max_err and largest_exponent moved when the series
+    # replaced the march (was 26881e6f...)
     "dickman --xmax 10 --exponent-check 1,10,1.15,table "
     "--exponent-check 6,10,1.0,buchstab":
-        "26881e6f88e21eee843adca82339867f9c0d36b955ea76e15427248d452c2788",
+        "b3f826ba86e2e96895c09b77d9c375066defde7de4229b9bd356a2a2f6385307",
     "charsum --q 7":
         "3c426b674cecc16437b225dde0434f32c57e1a9823abf2457644634aa437ca7a",
     # runs both log-tau searches (case iii and the optimizer's tail sums)
@@ -64,8 +71,10 @@ PINNED = {
         "44e54d849b05bb8b3473f7a4e4fe96371572e8d3d381370a66c0b96c2a7a3b42",
     "mfunc --kind liouville --x 1000,100000":
         "d4630828588f39a14563e9916ccccb480512feba20fecf62bf153eb6e75d0153",
+    # every log_rho and err of the grid moved with the series (was
+    # 990f836b...)
     "dickman --xmax 10 --format csv":
-        "990f836b65770e9f7f8d53a359f90094818d689ed1f3cf5e379eaedc5fff91dd",
+        "6b129c789a37cd8a69adf59a55002fcf7e5abbe6041cd608dad9cb6ddfbff169",
     "table --c1 1,2 --c 0.99,0.5 --delta-paper --format csv":
         "f6aed3e808bf6ca62728697a5525b7c102d9f1e6f73a75d2bcd84a905eea36c6",
     "mfunc --kind qchar:7 --x 1000,100000 --format csv":

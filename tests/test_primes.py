@@ -161,11 +161,12 @@ def _assert_each_alone(xs, acc, half, indices):
 def test_li_series_bits_are_frozen():
     # sha256 of the values and half-widths, recorded before the series
     # was deduplicated and blocked; a change in the operations or their
-    # order moves it
+    # order moves it.  The half-widths moved once, when they gained the
+    # rounding of y = log x (was 47f1f397...); the values did not move.
     acc, half = _li_series(np.logspace(1e-3, 9.0, 2000))
     digest = hashlib.sha256(acc.tobytes() + half.tobytes()).hexdigest()
     assert digest == (
-        "47f1f3979ef4dcf9d5e7315ceef1cacc76d49564a2a6e2fd10ce6972a78c976f")
+        "ad9c1fcab0dc3c229b47e04ebdb104263065ac38f0645d75b2e7acaadb4efc11")
 
 
 def test_li_series_once_per_distinct_x_is_bit_identical(prime_table):
@@ -200,14 +201,15 @@ def test_li_series_once_per_distinct_x_is_bit_identical(prime_table):
 def test_li_series_error_model_against_mpmath(prime_table):
     """|series - li(x)| <= half-width, measured in mpmath arithmetic.
 
-    This checks the series' own error model (truncation plus rounding).
-    The enclosure edges ``value -/+ half`` are then rounded once more in
-    float, which can lose containment by an ulp; outward rounding of
-    those edges is a separate open item (ROADMAP item 4).
+    This checks the series' own error model (truncation, rounding, and
+    the rounding of y = log x).  A dense scan near x = 3.003, where the
+    rounding of y decides, joins the sampled points, and
+    ``log_integral``'s float edges, rounded outward, must contain li.
     """
     mp = pytest.importorskip("mpmath")
     xs = np.concatenate([[1.0 + 2.0 ** -30, 1.0 + 1e-6, 1.5, 2.0],
-                         np.logspace(1e-3, 9.0, 300)])
+                         np.logspace(1e-3, 9.0, 300),
+                         np.linspace(3.0030, 3.0043, 4001)])
     acc, half = _li_series(xs)
     # primes on both sides of the li series' block boundaries, evaluated
     # as a step sweep lists them
@@ -221,6 +223,9 @@ def test_li_series_error_model_against_mpmath(prime_table):
         for x, value, width in points:
             err = abs(mp.mpf(float(value)) - mp.li(mp.mpf(float(x))))
             assert err <= mp.mpf(float(width)), f"x = {x!r}"
+        for x in (3.0032275, 3.00365, 1.5, 1e9):
+            enc = log_integral(x)
+            assert mp.mpf(enc.lo) <= mp.li(mp.mpf(x)) <= mp.mpf(enc.hi), f"x = {x!r}"
 
 
 # ---------------------------------------------------------------------------
