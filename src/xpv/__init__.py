@@ -15,7 +15,7 @@ The package has five layers:
 
 __version__ = "0.1.0"
 
-from .core import Enclosure, KahanSum, VerificationReport, classify, merge_reports
+from .core import Enclosure, VerificationReport, classify, merge_reports
 from .errors import (
     DomainError,
     PrecisionError,
@@ -28,7 +28,6 @@ from .errors import (
 __all__ = [
     "__version__",
     "Enclosure",
-    "KahanSum",
     "VerificationReport",
     "classify",
     "merge_reports",

@@ -1,8 +1,8 @@
 """Shared numeric plumbing.
 
-Enclosures, margin verdicts, verification reports, compensated summation,
-adaptive quadrature, and the small root-finding and line-search helpers
-used across the toolkit.
+Enclosures, margin verdicts, verification reports, adaptive quadrature,
+anchored grids, and the small root-finding and line-search helpers used
+across the toolkit.  Compensated prefix sums: ``primes._compensated_prefix``.
 """
 
 from __future__ import annotations
@@ -125,7 +125,8 @@ def sweep_report(check_id, x_lo, x_hi, xs, margins, scales, notes,
     smallest and largest x where they occur; the states need not be
     sorted by x.
     """
-    worst_i = int(np.lexsort((xs, margins))[0])
+    ties = np.flatnonzero(margins == margins.min())
+    worst_i = int(ties[np.argmin(xs[ties])])
     verdict = margins_verdict(margins, scales, eta)
     notes = list(notes)
     neg_xs = xs[margins < 0.0]
@@ -185,27 +186,6 @@ def merge_reports(reports) -> VerificationReport:
         verdict=verdict,
         notes=notes,
     )
-
-
-class KahanSum:
-    """Compensated accumulator for long streaming sums.
-
-    Used where a sum is consumed incrementally (prefix sums over primes);
-    one-shot sums go through math.fsum instead, which is exactly rounded.
-    """
-
-    __slots__ = ("total", "_c")
-
-    def __init__(self, total: float = 0.0):
-        self.total = total
-        self._c = 0.0
-
-    def add(self, term: float) -> float:
-        y = term - self._c
-        t = self.total + y
-        self._c = (t - self.total) - y
-        self.total = t
-        return self.total
 
 
 def adaptive_simpson(f, a: float, b: float, tol: float = 1e-12,
@@ -302,5 +282,18 @@ def geometric_grid(lo: float, hi: float, per_octave: int = 128) -> np.ndarray:
     j_lo = math.ceil(per_octave * math.log2(lo) - 1e-12)
     j_hi = math.floor(per_octave * math.log2(hi) + 1e-12)
     pts = np.exp2(np.arange(j_lo, j_hi + 1, dtype=float) / per_octave)
+    pts = pts[(pts >= lo) & (pts <= hi)]
+    return np.unique(np.concatenate([[lo], pts, [hi]]))
+
+
+def anchored_grid(lo: float, hi: float, step: float) -> np.ndarray:
+    """Absolute grid j*step clipped to [lo, hi].
+
+    Anchored to multiples of ``step`` rather than to the endpoints, so the
+    union of grids over a partition of [lo, hi] equals the grid of the
+    whole range.  Both endpoints are appended exactly.
+    """
+    pts = np.arange(math.ceil(lo / step), math.floor(hi / step) + 1,
+                    dtype=float) * step
     pts = pts[(pts >= lo) & (pts <= hi)]
     return np.unique(np.concatenate([[lo], pts, [hi]]))

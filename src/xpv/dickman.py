@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_ETA, Enclosure, VerificationReport, sweep_report
+from .core import DEFAULT_ETA, Enclosure, VerificationReport, anchored_grid, sweep_report
 from .errors import (
     DomainError,
     PrecisionError,
@@ -266,11 +266,7 @@ def verify_rho_exponent(
             raise PreconditionError(
                 f"source='buchstab' is valid for x >= 6, requested x_lo = {x_lo}"
             )
-        j0 = int(math.ceil(x_lo * 1024.0 - 1e-9))
-        j1 = int(math.floor(x_hi * 1024.0 + 1e-9))
-        xs = np.unique(np.concatenate([
-            [x_lo], np.arange(j0, j1 + 1, dtype=np.float64) / 1024.0, [x_hi]
-        ]))
+        xs = anchored_grid(x_lo, x_hi, DEFAULT_STEP)
         lower = _buchstab_vec(xs)
         notes.append("margins use the closed-form lower bound")
     with np.errstate(divide="ignore", invalid="ignore"):

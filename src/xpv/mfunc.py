@@ -12,7 +12,7 @@ import hashlib
 import itertools
 import math
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -311,14 +311,10 @@ def stats(spec: MultiplicativeSpec, x: float, table: PrimeTable) -> StatsRow:
 # character sums
 
 
-_CHI_CACHE = {}
-
-
+@lru_cache(maxsize=16)
 def _chi_period(q: int) -> np.ndarray:
-    """chi(n) = jacobi(n, q) for n = 0..q-1, as an int8 array."""
-    cached = _CHI_CACHE.get(q)
-    if cached is not None:
-        return cached
+    """chi(n) = jacobi(n, q) for n = 0..q-1, as a read-only int8 array
+    shared by every caller."""
     if _is_prime_u64(q):
         if q > CHAR_PRIME_CAP:
             raise ResourceError(f"character period capped at q <= {CHAR_PRIME_CAP:.0e}")
@@ -332,9 +328,7 @@ def _chi_period(q: int) -> np.ndarray:
                 f"composite character period capped at q <= {CHAR_COMPOSITE_CAP:.0e}"
             )
         chi = np.array([jacobi(a, q) for a in range(q)], dtype=np.int8)
-    if len(_CHI_CACHE) > 16:
-        _CHI_CACHE.clear()
-    _CHI_CACHE[q] = chi
+    chi.flags.writeable = False
     return chi
 
 

@@ -26,9 +26,9 @@ from .constants import (
 from .core import (
     DEFAULT_ETA,
     Enclosure,
-    KahanSum,
     VerificationReport,
     adaptive_simpson,
+    anchored_grid,
     bisect_root,
     geometric_grid,
     sweep_report,
@@ -62,19 +62,28 @@ def _sieve_flags(limit: int) -> np.ndarray:
     return flags
 
 
-def _kahan_prefix(terms: np.ndarray) -> np.ndarray:
-    """Compensated running sums of ``terms``, with a leading 0."""
+def _compensated_prefix(terms: np.ndarray) -> np.ndarray:
+    """Running sums s of ``terms``, with a leading 0, each plus the running
+    sum of the exact TwoSum errors (s[i-1] - (s[i] - b)) + (t[i] - b),
+    b = s[i] - s[i-1], as in Sum2 of Ogita, Rump and Oishi (SIAM J. Sci.
+    Comput. 26, 2005).  About three arrays of ``terms``' size are live."""
     out = np.empty(terms.size + 1)
     out[0] = 0.0
-    acc = KahanSum()
-    for i, term in enumerate(terms.tolist(), 1):
-        out[i] = acc.add(term)
+    prev, cur = out[:-1], out[1:]
+    np.cumsum(terms, out=cur)
+    b = cur - prev
+    err = cur - b
+    np.subtract(prev, err, out=err)
+    np.subtract(terms, b, out=b)
+    err += b
+    np.cumsum(err, out=err)
+    cur += err
     return out
 
 
 class PrimeTable:
     """All primes up to ``limit``, immutable once built, plus the prefix
-    sums the sweep engine needs (built lazily, Kahan compensated)."""
+    sums the sweep engine needs (built lazily by ``_compensated_prefix``)."""
 
     def __init__(self, limit: int, primes: np.ndarray):
         self.limit = int(limit)
@@ -98,14 +107,14 @@ class PrimeTable:
     def recip_prefix(self) -> np.ndarray:
         """R[k] = sum of 1/p over the first k primes, R[0] = 0."""
         if self._recip_prefix is None:
-            self._recip_prefix = _kahan_prefix(1.0 / self.float_primes())
+            self._recip_prefix = _compensated_prefix(1.0 / self.float_primes())
         return self._recip_prefix
 
     def log2_prefix(self) -> np.ndarray:
         """L[k] = sum of log(p)^2/p over the first k primes, L[0] = 0."""
         if self._log2_prefix is None:
             ps = self.float_primes()
-            self._log2_prefix = _kahan_prefix(np.log(ps) ** 2 / ps)
+            self._log2_prefix = _compensated_prefix(np.log(ps) ** 2 / ps)
         return self._log2_prefix
 
 
@@ -248,13 +257,13 @@ def _graded_simpson(f, a: float, b: float, tol: float):
         cuts.append(v)
     cuts.append(b)
     per = tol / len(cuts)
-    total = KahanSum()
+    vals = []
     err = 0.0
     for lo, hi in zip(cuts, cuts[1:]):
         val, e = adaptive_simpson(f, lo, hi, per)
-        total.add(val)
+        vals.append(val)
         err += e
-    return total.total, err
+    return math.fsum(vals), err
 
 
 def _li_quad(x: float, tol: float):
@@ -341,7 +350,7 @@ def log_square_sum(x: float, table: PrimeTable) -> float:
         raise DomainError(f"log_square_sum needs x > 1, got {x}")
     _require_table(table, x, "log_square_sum")
     ps = table.float_primes()[: table.prime_pi(x)]
-    return math.fsum(math.log(p) ** 2 / p for p in ps)
+    return math.fsum((np.log(ps) ** 2 / ps).tolist())
 
 
 def prime_zeta(k: int, table: PrimeTable) -> Enclosure:
@@ -441,10 +450,7 @@ def _geometric_states(x_lo, x_hi, table, extra):
 
 
 def _alpha_states(x_lo, x_hi, table, extra):
-    j_lo = math.ceil(x_lo * 1024.0 - 1e-12)
-    j_hi = math.floor(x_hi * 1024.0 + 1e-12)
-    grid = np.arange(max(j_lo, 1), j_hi + 1, dtype=np.float64) / 1024.0
-    return np.unique(np.concatenate([[x_lo], grid, [x_hi], extra])), None
+    return np.append(anchored_grid(x_lo, x_hi, 2.0 ** -10), extra), None
 
 
 PI_STATES = States(_step_states, True, _GAP_NOTE)

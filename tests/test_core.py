@@ -5,9 +5,9 @@ import pytest
 
 from xpv.core import (
     Enclosure,
-    KahanSum,
     VerificationReport,
     adaptive_simpson,
+    anchored_grid,
     bisect_root,
     classify,
     geometric_grid,
@@ -63,15 +63,6 @@ def test_margins_verdict_exact_zero_passes():
     assert margins_verdict([0.0, -1.0], [0.0, 1.0]) == "fail"
 
 
-def test_kahan_adds_small_to_large():
-    ks = KahanSum()
-    ks.add(1e16)
-    for _ in range(1000):
-        ks.add(1.0)
-    ks.add(-1e16)
-    assert ks.total == 1000.0
-
-
 def test_adaptive_simpson_polynomial_exact():
     val, err = adaptive_simpson(lambda t: t ** 3, 0.0, 2.0, 1e-12)
     assert val == pytest.approx(4.0, abs=1e-12)
@@ -108,6 +99,23 @@ def test_geometric_grid_endpoints_and_absolute_anchoring():
     assert shared.size > 100
 
 
+def test_anchored_grid_clips_to_the_range():
+    g = anchored_grid(0.3, 1.0, 0.25)
+    assert g.tolist() == [0.3, 0.5, 0.75, 1.0]
+    # a range starting just above a grid point leaves that point out
+    lo = float(np.nextafter(0.5, 1.0))
+    assert anchored_grid(lo, 1.0, 0.25).tolist() == [lo, 0.75, 1.0]
+    hi = float(np.nextafter(1.0, 0.0))
+    assert anchored_grid(0.5, hi, 0.25).tolist() == [0.5, 0.75, hi]
+    # on-grid endpoints appear once, and a point range is one point
+    assert anchored_grid(0.5, 1.0, 0.25).tolist() == [0.5, 0.75, 1.0]
+    assert anchored_grid(0.6, 0.6, 0.25).tolist() == [0.6]
+    # anchored to multiples of the step: a shifted range shares nodes
+    shared = np.intersect1d(anchored_grid(6.0, 10.0, 2.0 ** -10),
+                            anchored_grid(7.3, 12.0, 2.0 ** -10))
+    assert shared.size == 2765
+
+
 def test_report_dict_shape():
     r = VerificationReport(
         check_id="demo", x_lo=1.0, x_hi=2.0, worst_margin=0.5,
@@ -135,6 +143,17 @@ def test_sweep_report_reduces_unsorted_states():
     tie = sweep_report("demo", 1.0, 3.0, np.array([3.0, 1.0]),
                        np.array([0.25, 0.25]), np.ones(2), [])
     assert tie.arg_min == 1.0 and tie.verdict == "pass" and tie.notes == []
+    # a tie among unsorted xs goes to the smallest x of the tie
+    r = sweep_report("demo", 1.0, 9.0, np.array([7.0, 3.0, 9.0, 2.0, 5.0, 1.0]),
+                     np.array([-0.5, 0.1, -0.5, 0.2, -0.5, 0.4]), np.ones(6), [])
+    assert r.worst_margin == -0.5 and r.arg_min == 5.0
+    # 0.0 and -0.0 tie: the smaller x wins and keeps its sign
+    for margins, sign in (([-0.0, 0.0], 1.0), ([0.0, -0.0], -1.0)):
+        zero = sweep_report("demo", 2.0, 3.0, np.array([3.0, 2.0]),
+                            np.array(margins), np.ones(2), [])
+        assert zero.arg_min == 2.0 and zero.worst_margin == 0.0
+        assert math.copysign(1.0, zero.worst_margin) == sign
+        assert zero.verdict == "pass" and zero.notes == []
 
 
 def test_merge_reports_rules():

@@ -147,6 +147,10 @@ def test_exponent_sweep_buchstab_source():
     assert r.check_id == "rho-exponent-buchstab"
     assert r.arg_min == 130.0
     assert r.worst_margin == pytest.approx(4.255270727410448, rel=1e-9)
+    # [6, 10] holds 4097 grid points; a range starting just above 6
+    # leaves 6 out and evaluates its own left end instead
+    for lo in (6.0, 6.0000000000001):
+        assert verify_rho_exponent(lo, 10.0, 1.0, "buchstab").evaluation_count == 4097
 
 
 # sha256 of each report, recorded while the table was still marched: the

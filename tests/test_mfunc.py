@@ -6,6 +6,7 @@ import pytest
 from xpv.errors import DomainError, PreconditionError, ResourceError
 from xpv.mfunc import (
     STATS_CSV_HEADER,
+    _chi_period,
     _prime_values_vector,
     _values,
     char_sum,
@@ -263,6 +264,9 @@ def test_char_sum_examples():
     assert [char_sum(7, t) for t in range(1, 8)] == [1, 2, 1, 2, 1, 0, 0]
     # tiling beyond one period
     assert char_sum(7, 7 * 9 + 3) == char_sum(7, 3)
+    # every caller shares one cached period, so it is read-only
+    chi = _chi_period(7)
+    assert _chi_period(7) is chi and not chi.flags.writeable
     with pytest.raises(DomainError):
         char_sum(4, 2)
     with pytest.raises(DomainError):

@@ -53,6 +53,16 @@ PINNED = {
     # each part keeps its own li term count
     "verify --check pi-li-1 --from 2 --to 1000000 --partitions 3":
         "127ab11d5129e1e486921629093ac97eca751cbeb86b13292052df8449f66826",
+    # 78498 primes: the prime-sum prefixes run far past small-x effects
+    "verify --check mertens-remainder --from 2 --to 1000000":
+        "ad2688d0f2cf6d41a9bec31e9e5c4ab5a9d0568f128b4c8fc7f894ea7f8de222",
+    "verify --check mertens-bracket --from 2 --to 1000000":
+        "bbc522a1020c66d17f268658cc385c3f3f1cf7dee3462a84a88b76f3aab23856",
+    "verify --check mertens-mprime-coarse --from 2 --to 1000000":
+        "2173ff3be820463dee3213c7d8324c396da62b928c08eed6e3a06bf5bd68d286",
+    # the last x inside the stated validity of log2p-plain
+    "verify --check log2p-plain --from 2 --to 355990":
+        "af72a27a4472c976a04dc0d4814f3d0411eb5520aab5704ef2edc120b267c582",
     "verify --check mertens-remainder --from 2 --to 100000 --partitions 4":
         "bef4fcd2de26be72a036db49ed92795384fabc45edc7d69363d8b0fb4d3cc8da",
     # the buchstab exponent check gained the negative-margin note from

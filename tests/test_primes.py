@@ -14,6 +14,8 @@ from xpv.errors import (
 from xpv.primes import (
     _LI_BLOCK,
     REGISTRY,
+    _alpha_states,
+    _compensated_prefix,
     _li_series,
     least_prime_3mod4_above,
     log_integral,
@@ -260,6 +262,45 @@ def test_log_square_sum_small(prime_table):
     assert log_square_sum(3.0, prime_table) == pytest.approx(want, rel=1e-15)
 
 
+# sha256 of each prefix array on the 1e6 table, recorded from the
+# sequential Kahan loop that built them before the vectorised prefix
+PREFIX_DIGESTS = {
+    "recip_prefix":
+        "37f121c9c87bbcc180484f0ef21c5b2a8c6e28b157b276eb5f6e342ec90e3f2a",
+    "log2_prefix":
+        "c39c96881ea50724f7e4c8f6cb6e6a50548f67729d76fb48c7f56c50513c6b40",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PREFIX_DIGESTS))
+def test_prefix_bits_are_frozen(prime_table, name):
+    prefix = getattr(prime_table, name)()
+    assert prefix.size == len(prime_table) + 1
+    assert hashlib.sha256(prefix.tobytes()).hexdigest() == PREFIX_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(PREFIX_DIGESTS))
+def test_prefix_within_one_ulp_of_fsum(prime_table, name):
+    ps = prime_table.float_primes()
+    terms = 1.0 / ps if name == "recip_prefix" else np.log(ps) ** 2 / ps
+    prefix = getattr(prime_table, name)()
+    rng = np.random.default_rng(8)
+    ks = {0, 1, 2, 3, 100, terms.size}
+    ks |= set(rng.integers(0, terms.size + 1, 150).tolist())
+    for k in sorted(ks):
+        want = math.fsum(terms[:k].tolist())
+        assert abs(prefix[k] - want) <= np.spacing(want), k
+
+
+def test_prefix_adds_small_to_large():
+    terms = np.array([1e16] + [1.0] * 1000 + [-1e16])
+    prefix = _compensated_prefix(terms)
+    assert prefix[0] == 0.0 and prefix[-1] == 1000.0
+    for k in range(terms.size + 1):
+        want = math.fsum(terms[:k].tolist())
+        assert abs(prefix[k] - want) <= np.spacing(want), k
+
+
 def test_prime_zeta_decreasing_and_bounded(prime_table):
     prev = None
     for k in range(2, 20):
@@ -403,6 +444,12 @@ def test_tail_power_sweep(prime_table):
     assert r.verdict == "pass"
     assert r.arg_min == 1.0
     assert r.worst_margin == pytest.approx(4.902677144539596e-05, rel=1e-9)
+    # a range starting just above a grid point does not evaluate it
+    lo = float(np.nextafter(0.5, 1.0))
+    xs, _ = _alpha_states(lo, 1.0, None, [])
+    assert xs.size == 513 and xs.min() == lo
+    assert _alpha_states(0.5, 1.0, None, [])[0].size == 513
+    assert verify_inequality("tail-power", lo, 1.0).evaluation_count == 513
 
 
 def test_verify_input_errors(prime_table):
