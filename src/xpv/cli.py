@@ -45,15 +45,14 @@ from .meanvalue import (
     DEFAULT_EPS_GRID,
     DEFAULT_K1_GRID,
     DEFAULT_K2_GRID,
+    LEDGER_PRIMES,
     ErrorParams,
     PeriodicF,
     assemble_ledger,
     case_bounds,
     delta_table_candidate,
     integral_exp_over_square,
-    nu3,
     optimize_C0,
-    solve_K,
     table1_report,
 )
 from .mfunc import (
@@ -72,9 +71,7 @@ from .mfunc import (
 )
 from .primes import (
     DEFAULT_SIEVE_CAP,
-    PrimeTable,
     check_def,
-    nu2,
     sieve_primes,
     split_range,
     verify_inequality,
@@ -86,8 +83,6 @@ STAMPS = [
 ]
 
 _TABULAR = {"dickman", "table", "mfunc", "charsum"}
-# the ledger's prime limit, whatever a command sieves to for other needs
-LEDGER_PRIMES = 10 ** 6
 
 
 # ---------------------------------------------------------------------------
@@ -389,14 +384,11 @@ def _cmd_dickman(args):
 
 
 def _cmd_constants(args):
-    table = sieve_primes(LEDGER_PRIMES, cap=_sieve_cap(args))
-    k_enc = solve_K()
-    ledger = assemble_ledger(args.c0, table)
+    ledger = assemble_ledger(args.c0, sieve_primes(LEDGER_PRIMES, cap=_sieve_cap(args)))
+    k_enc, nu2_enc, nu3_enc = ledger.K_enclosure, ledger.nu2_enclosure, ledger.nu3_enclosure
     f = PeriodicF.build()
     ref = ErrorParams(c=2.67, k1=0, eps=3.61, k2=300000)
     cb = case_bounds(ref, f)
-    nu2_enc = nu2(table)
-    nu3_enc = nu3(10 ** 6)
     integral_enc = integral_exp_over_square()
     gamma_minus_m = ledger.gamma - ledger.M
 
@@ -554,9 +546,7 @@ def _cmd_mfunc(args):
     for x in xs:
         check_stats_x(x)
     table = sieve_primes(max(LEDGER_PRIMES, int(max(xs))), cap=_sieve_cap(args))
-    ledger_table = PrimeTable(
-        LEDGER_PRIMES, table.primes[: table.prime_pi(LEDGER_PRIMES)])
-    ledger = assemble_ledger(PUBLISHED_C0, ledger_table)
+    ledger = assemble_ledger(PUBLISHED_C0, table)
     results = []
     passed = True
     discrepancies = []

@@ -44,7 +44,6 @@ PUBLISHED_DELTA = {
 
 # The published epsilon sample table: rows indexed by c1, columns by c.
 EPSILON_TABLE_C1 = (1.0, 1.0 / (2.0 * math.pi ** 2), 1e-5, 1e-10, 1e-15, 1e-20)
-EPSILON_TABLE_C1_LABELS = ("1", "1/(2 pi^2)", "1e-05", "1e-10", "1e-15", "1e-20")
 EPSILON_TABLE_C = (0.99, 0.5, 0.25, 0.05, 0.025)
 EPSILON_TABLE_CELLS = (
     (9.15e15, 4.35e16, 2.12e17, 8.32e18, 4.05e19),

@@ -29,8 +29,6 @@ MAX_STEP = 2.0 ** -8
 DEFAULT_STEP = 2.0 ** -10
 # cap on (x_max - 1)/step, checked before allocating: x_max <= 4097 at 2^-10
 MAX_TABLE_STEPS = 1 << 22
-# a position within this many steps of a grid index is that grid point
-_ON_GRID = 1e-9
 # series degree: the truncation tail stays below 1e-17 relative to x = 4097
 _TERMS = 40
 # unit roundoff with 1% to spare, so that n*_U bounds the relative error
@@ -158,12 +156,12 @@ def build_rho_table(x_max: float, step: float = DEFAULT_STEP) -> RhoLogTable:
     n_real = (x_max - 1.0) / step
     if not n_real <= MAX_TABLE_STEPS:
         raise ResourceError(f"{n_real:.6g} table steps exceed the cap {MAX_TABLE_STEPS}")
-    if not (_on_grid(n_real) and math.frexp(step)[0] == 0.5):
+    if not (n_real.is_integer() and math.frexp(step)[0] == 0.5):
         raise PreconditionError(
             f"step must be a power of two and (x_max - 1)/step an integer, "
             f"got x_max={x_max}, step={step}"
         )
-    n, m = int(round(n_real)), int(round(1.0 / step))
+    n, m = int(n_real), int(1.0 / step)
     coef, level, level_err = _series(n // m + 1)
     cols = np.arange(m)
     # column min(i, m - i) holds -|s_i|
@@ -194,15 +192,12 @@ def rho_log(x: float, table: RhoLogTable) -> Enclosure:
     return Enclosure(float(_lower(v, e)), float(-_lower(-v, e)))
 
 
-def _on_grid(pos: float) -> bool:
-    return abs(pos - round(pos)) < _ON_GRID
-
-
 def _grid_lower(table: RhoLogTable, x_lo: float, x_hi: float):
-    """Grid points in [x_lo, x_hi] and their enclosure lower edges."""
+    """Grid points in [x_lo, x_hi] and their enclosure lower edges; the
+    positions (x - 1)/step are exact for a power-of-two step."""
     h = table.step
-    i0 = int(math.ceil((x_lo - 1.0) / h - _ON_GRID))
-    i1 = int(math.floor((x_hi - 1.0) / h + _ON_GRID))
+    i0 = math.ceil((x_lo - 1.0) / h)
+    i1 = math.floor((x_hi - 1.0) / h)
     rows = slice(i0, i1 + 1)
     return table.xs[rows], _lower(table.log_values[rows], table.err[rows])
 
@@ -241,8 +236,8 @@ def verify_rho_exponent(
 
     source="table" reads enclosure lower edges off the table grid;
     source="buchstab" uses the closed-form lower bound on a 2^-10
-    anchored grid.  Either way the check goes through a lower bound, so
-    a pass is conservative.
+    anchored grid of at most MAX_TABLE_STEPS steps.  Either way the
+    check goes through a lower bound, so a pass is conservative.
     """
     if source not in ("table", "buchstab"):
         raise UsageError(f"source must be 'table' or 'buchstab', got {source!r}")
@@ -257,7 +252,7 @@ def verify_rho_exponent(
                 f"range [{x_lo}, {x_hi}] must sit inside [1, {table.x_max}]"
             )
         xs, lower = _grid_lower(table, x_lo, x_hi)
-        extra = [e for e in (x_lo, x_hi) if not _on_grid((e - 1.0) / table.step)]
+        extra = [e for e in (x_lo, x_hi) if not ((e - 1.0) / table.step).is_integer()]
         xs = np.concatenate([xs, extra])
         lower = np.concatenate([lower, [rho_log(e, table).lo for e in extra]])
         notes.append("margins use table enclosure lower edges")
@@ -266,6 +261,10 @@ def verify_rho_exponent(
             raise PreconditionError(
                 f"source='buchstab' is valid for x >= 6, requested x_lo = {x_lo}"
             )
+        n_real = (x_hi - x_lo) / DEFAULT_STEP
+        if not n_real <= MAX_TABLE_STEPS:
+            raise ResourceError(
+                f"{n_real:.6g} grid steps exceed the cap {MAX_TABLE_STEPS}")
         xs = anchored_grid(x_lo, x_hi, DEFAULT_STEP)
         lower = _buchstab_vec(xs)
         notes.append("margins use the closed-form lower bound")
@@ -302,9 +301,9 @@ def integral_identity_residual(table: RhoLogTable, x: float):
     """
     h = table.step
     pos = (x - 1.0) / h
-    j = int(round(pos))
-    if not _on_grid(pos) or x < 2.0:
+    if not pos.is_integer() or x < 2.0:
         raise PreconditionError(f"x = {x} must be a grid point with x >= 2")
+    j = int(pos)
     m = int(round(1.0 / h))
     w = np.exp(table.log_values[j - m : j + 1] - table.log_values[j])
     ends = w[0] + w[-1]

@@ -19,7 +19,6 @@ import numpy as np
 from .constants import (
     EPSILON_TABLE_C,
     EPSILON_TABLE_C1,
-    EPSILON_TABLE_C1_LABELS,
     EPSILON_TABLE_CELLS,
     EULER_GAMMA,
     MERTENS_M,
@@ -31,7 +30,7 @@ from .constants import (
 )
 from .core import Enclosure, adaptive_simpson, bisect_root, golden_max
 from .errors import DomainError, PrecisionError, UsageError
-from .primes import tail_power_sum_bound
+from .primes import PrimeTable, nu2, tail_power_sum_bound
 
 # Decay scale of the oscillation kernel: every exponent in the two tail
 # series divides by 6.455 (times tau where applicable).
@@ -46,6 +45,8 @@ SUP_COEFF = 2.3391
 TAIL_COEFF = 0.1522
 
 TWO_PI = 2.0 * math.pi
+
+LEDGER_PRIMES = 10 ** 6  # the prime limit of nu2 in assemble_ledger
 
 
 # ---------------------------------------------------------------------------
@@ -73,22 +74,22 @@ def _abs_cos_mean(k: float):
 def solve_K() -> Enclosure:
     """The root K of: mean of |cos t - K| over a period equals 1 - K.
 
-    Bisection on the quadrature form; the returned midpoint must satisfy
-    the closed reduction (2/pi)(sin theta - K theta) = 1 - 2K with
-    theta = arccos K to 1e-10, or a PrecisionError is raised.
+    Bisection on the closed reduction (2/pi)(sin theta - K theta) = 1 - 2K,
+    theta = arccos K; the quadrature mean at the midpoint must match 1 - K
+    to 1e-10 plus its error bound, or a PrecisionError is raised.
     """
 
-    def g(k):
-        return _abs_cos_mean(k)[0] - (1.0 - k)
+    def h(k):
+        theta = math.acos(k)
+        return (2.0 / math.pi) * (math.sin(theta) - k * theta) - (1.0 - 2.0 * k)
 
-    lo, hi = bisect_root(g, 0.2, 0.45, tol=1e-11)
-    # quadrature error can shift the root by err/g' with g' > 1.2 here
+    lo, hi = bisect_root(h, 0.2, 0.45, tol=1e-11)
+    # h's rounding moves the root by far less than the pad: h' > 1.2 here
     enc = Enclosure(lo - 1e-11, hi + 1e-11)
     k = enc.mid
-    theta = math.acos(k)
-    residual = (2.0 / math.pi) * (math.sin(theta) - k * theta) - (1.0 - 2.0 * k)
-    if abs(residual) > 1e-10:
-        raise PrecisionError(f"solve_K cross-check residual {residual} too large")
+    mean, err = _abs_cos_mean(k)
+    if abs(mean - (1.0 - k)) > 1e-10 + err:
+        raise PrecisionError(f"solve_K cross-check: quadrature mean {mean} vs {1.0 - k}")
     return enc
 
 
@@ -435,14 +436,14 @@ def nu3(k_trunc: int) -> Enclosure:
 
 @dataclass(frozen=True)
 class ConstantLedger:
-    """The assembled constant chain, every field tagged with where its
-    value came from."""
+    """The assembled constant chain, every value tagged with where it came
+    from; K, nu2 and nu3 are read off their enclosures, which ``as_dict`` omits."""
 
-    K: float
+    K_enclosure: Enclosure
     C0: float
     nu1: float
-    nu2: float
-    nu3: float
+    nu2_enclosure: Enclosure
+    nu3_enclosure: Enclosure
     M: float
     gamma: float
     C: float
@@ -450,35 +451,34 @@ class ConstantLedger:
     final: float
     provenance: dict = field(default_factory=dict)
 
+    K = property(lambda self: self.K_enclosure.mid)
+    nu2 = property(lambda self: self.nu2_enclosure.hi)
+    nu3 = property(lambda self: self.nu3_enclosure.hi)
+
     def as_dict(self) -> dict:
-        out = {}
-        for name in ("K", "C0", "nu1", "nu2", "nu3", "M", "gamma", "C", "a", "final"):
-            out[name] = {
-                "value": getattr(self, name),
-                "provenance": self.provenance.get(name, PROVENANCE_COMPUTED),
-            }
-        return out
+        names = ("K", "C0", "nu1", "nu2", "nu3", "M", "gamma", "C", "a", "final")
+        return {name: {"value": getattr(self, name),
+                       "provenance": self.provenance.get(name, PROVENANCE_COMPUTED)}
+                for name in names}
 
 
-def assemble_ledger(C0: float, table) -> ConstantLedger:
+def assemble_ledger(C0: float, table: PrimeTable) -> ConstantLedger:
     """Chain the constants from C0 to the final mean-value coefficient.
 
-    nu1 is the maximum of the tail-power bound over the alpha grid
-    (attained at alpha = 1), nu2 and nu3 come in as enclosure upper
-    ends, and C, a, final follow the ledger identities exactly as
-    stated on the ConstantLedger type.
+    nu1 is the tail-power bound at alpha = 1, where it is largest; nu2
+    sums over the primes of ``table`` up to LEDGER_PRIMES only, so any
+    table sieved at least that far gives the same ledger; nu2 and nu3 come
+    in as enclosure upper ends, and C, a, final follow the ledger
+    identities exactly as stated on the ConstantLedger type.
     """
     if C0 <= 0:
         raise DomainError(f"assemble_ledger needs C0 > 0, got {C0}")
-    from .primes import nu2 as nu2_enclosure
-
-    k = solve_K().mid
-    alphas = np.arange(1, 1025, dtype=np.float64) / 1024.0
-    nu1 = max(tail_power_sum_bound(float(a)) for a in alphas)
-    nu2v = nu2_enclosure(table).hi
-    nu3v = nu3(10 ** 6).hi
-    big_c = C0 + nu1 + nu2v + k * (MERTENS_M + 1.0)
-    a_const = 3.14 * nu3v * math.exp(big_c) * math.exp(1.82 * k) / (1.0 - 2.0 * k)
+    if table.limit > LEDGER_PRIMES:
+        table = PrimeTable(LEDGER_PRIMES, table.primes[: table.prime_pi(LEDGER_PRIMES)])
+    k_enc, nu2_enc, nu3_enc = solve_K(), nu2(table), nu3(10 ** 6)
+    k, nu1 = k_enc.mid, tail_power_sum_bound(1.0)
+    big_c = C0 + nu1 + nu2_enc.hi + k * (MERTENS_M + 1.0)
+    a_const = 3.14 * nu3_enc.hi * math.exp(big_c) * math.exp(1.82 * k) / (1.0 - 2.0 * k)
     final = a_const * math.exp(2.0 * k * MERTENS_M + 1.21 * k)
     prov = {
         "K": PROVENANCE_COMPUTED,
@@ -493,11 +493,11 @@ def assemble_ledger(C0: float, table) -> ConstantLedger:
         "final": PROVENANCE_DERIVED,
     }
     return ConstantLedger(
-        K=k,
+        K_enclosure=k_enc,
         C0=C0,
         nu1=nu1,
-        nu2=nu2v,
-        nu3=nu3v,
+        nu2_enclosure=nu2_enc,
+        nu3_enclosure=nu3_enc,
         M=MERTENS_M,
         gamma=EULER_GAMMA,
         C=big_c,

@@ -22,8 +22,8 @@ from .errors import (
     PrecisionError,
     PreconditionError,
     ResourceError,
-    UsageError,
 )
+from .meanvalue import delta
 from .primes import PrimeTable, _is_prime_u64, mertens_sum
 
 STATS_X_CAP = 10 ** 8
@@ -202,7 +202,16 @@ class StatsRow:
         return asdict(self)
 
 
-def _prime_values_vector(spec: MultiplicativeSpec, primes: np.ndarray) -> np.ndarray:
+@lru_cache(maxsize=1)
+def _hashed_signs(seed: int, table: PrimeTable) -> list:
+    """One-item list holding the random_pm1 signs hashed so far for the first
+    primes of ``table``; a larger x extends it, as a sign depends on (seed, p) only."""
+    return [np.empty(0)]
+
+
+def _prime_values_vector(spec: MultiplicativeSpec, table: PrimeTable, n_pi: int):
+    """f(p) for the first ``n_pi`` primes of ``table``."""
+    primes = table.primes[:n_pi]
     if spec.kind == "constant_one":
         return np.ones(primes.size)
     if spec.kind == "liouville":
@@ -211,7 +220,12 @@ def _prime_values_vector(spec: MultiplicativeSpec, primes: np.ndarray) -> np.nda
         period = _chi_period(spec.q)
         return period[np.mod(primes, spec.q)].astype(np.float64)
     if spec.kind == "random_pm1":
-        return _random_signs(spec.seed, primes.tolist())
+        held = _hashed_signs(spec.seed, table)
+        if held[0].size < n_pi:
+            more = _random_signs(spec.seed, table.primes[held[0].size : n_pi].tolist())
+            held[0] = np.concatenate([held[0], more])
+            held[0].flags.writeable = False  # shared by every later x
+        return held[0][:n_pi]
     fp = np.ones(primes.size)
     if spec.prime_values:
         keys, vals = np.array(spec.prime_values).T
@@ -287,7 +301,7 @@ def stats(spec: MultiplicativeSpec, x: float, table: PrimeTable) -> StatsRow:
         raise PreconditionError(f"stats needs table.limit >= {n}, got {table.limit}")
     n_pi = table.prime_pi(n)
     primes = table.primes[:n_pi]
-    fp = _prime_values_vector(spec, primes)
+    fp = _prime_values_vector(spec, table, n_pi)
     values = _values(spec, n, primes, fp)[1:]
 
     l_mean = _fsum(f / m for f, m in _by_block(values)) / math.log(x)
@@ -396,8 +410,6 @@ def empirical_checks(
     (iii) the convolution mean against its lower bound.  Asymptotic
     lower-order terms are dropped throughout and stamped below.
     """
-    from .meanvalue import delta
-
     row = stats(spec, x, table)
     out = EmpiricalChecks(
         spec_description=spec.description,

@@ -23,7 +23,8 @@ def prime_table():
 @pytest.fixture(scope="session")
 def rho_table():
     # one table up to 200 serves both the [1,130] checks and the
-    # diagnostic range; the marcher prefix is identical either way
+    # diagnostic range; each unit interval's series depends only on the
+    # intervals before it, so the entries to 130 are a table to 130's
     return build_rho_table(200.0)
 
 

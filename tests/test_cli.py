@@ -1,9 +1,12 @@
+import dataclasses
 import json
 import math
 import time
+import tracemalloc
 
 import pytest
 
+from xpv import cli, meanvalue, mfunc, primes
 from xpv.cli import json_dumps, run
 
 
@@ -222,6 +225,52 @@ def test_mfunc_row_does_not_depend_on_other_x(capsys):
     assert rows[0] == rows[1]
 
 
+def test_mfunc_ledger_reads_only_the_primes_to_its_limit(capsys, monkeypatch, ledger):
+    # mfunc sieves to its largest x; the ledger it builds from that table
+    # is the ledger of a table sieved to exactly 1e6
+    seen = []
+    real = mfunc.empirical_checks
+
+    def spy(spec, x, c, led, table):
+        seen.append(led)
+        return real(spec, x, c, led, table)
+
+    monkeypatch.setattr(cli, "empirical_checks", spy)
+    assert _run(capsys, "mfunc", "--kind", "liouville", "--x", "1500000")[0] == 0
+    for f in dataclasses.fields(ledger):
+        assert getattr(seen[0], f.name) == getattr(ledger, f.name), f.name
+
+
+def test_constants_evaluates_each_ledger_input_once(capsys, monkeypatch):
+    counts = {"nu2": 0, "nu3": 0}
+    for name, fn in (("nu2", primes.nu2), ("nu3", meanvalue.nu3)):
+        def counted(*args, _fn=fn, _name=name):
+            counts[_name] += 1
+            return _fn(*args)
+
+        for module in (primes, meanvalue, cli):  # every binding of the name
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counted)
+    _run(capsys, "constants")
+    assert counts == {"nu2": 1, "nu3": 1}
+
+
+def test_random_signs_hashed_once_per_job(capsys, monkeypatch):
+    hashed = []
+    real = mfunc._random_signs
+
+    def counted(seed, ps):
+        hashed.append(len(ps))
+        return real(seed, ps)
+
+    monkeypatch.setattr(mfunc, "_random_signs", counted)
+    assert _run(capsys, "mfunc", "--kind", "random:5", "--x", "1000000,1500000")[0] == 0
+    assert sum(hashed) == 114155  # pi(1.5e6): the primes to 1e6 are not hashed again
+    hashed.clear()
+    assert _run(capsys, "mfunc", "--kind", "random:5", "--x", "1000")[0] == 0
+    assert sum(hashed) == 168  # pi(1000), though the command sieves to 1e6
+
+
 def test_mfunc_x_checked_before_sieving(capsys, monkeypatch):
     def no_sieve(*args, **kwargs):
         raise AssertionError("sieved before --x was checked")
@@ -298,3 +347,30 @@ def test_text_format(capsys):
     assert code == 0
     assert "full_period_sum: 0" in out
     assert "version: 0.1.0" in out
+
+
+@pytest.mark.parametrize("argv", [
+    "mfunc --kind liouville --x 2e8",
+    "charsum --q 10000019",
+    "charsum --q 1000001",
+    "dickman --xmax 5000",
+    "verify --check pi-li-1 --from 2 --to 2e9",
+    "dickman --xmax 10 --exponent-check 6,1e300,1.0,buchstab",
+    "dickman --xmax 10 --exponent-check 6,5000,1.0,buchstab",
+])
+def test_size_guards_fire_before_allocating(argv, capsys):
+    # each cap is checked before its array exists, so a refused run is
+    # fast and small; a failure here means a guard came too late, never
+    # that a cap should be raised
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code = run(argv.split())
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "error:" in capsys.readouterr().err
+    assert code == 2
+    assert elapsed < 1.0
+    assert peak < 4 * 2 ** 20

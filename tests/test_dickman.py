@@ -1,11 +1,12 @@
 import dataclasses
 import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
-from xpv.cli import json_dumps
+from xpv.cli import json_dumps, run
 from xpv.dickman import (
     buchstab_lower_log,
     build_rho_table,
@@ -32,6 +33,8 @@ def test_build_validation():
         build_rho_table(10.0, step=0.0007)  # does not divide the range
     with pytest.raises(PreconditionError):
         build_rho_table(10.0, step=0.001)  # divides it, not a power of two
+    with pytest.raises(PreconditionError):
+        build_rho_table(10.0 + 1e-12)  # 1e-9 steps off the grid is off it
 
 
 def test_density_at_one_is_exact(rho_table):
@@ -108,6 +111,8 @@ def test_integral_identity_catches_a_small_table_error(rho_table):
 def test_integral_identity_needs_grid_point(rho_table):
     with pytest.raises(PreconditionError):
         integral_identity_residual(rho_table, 2.0001)
+    with pytest.raises(PreconditionError):
+        integral_identity_residual(rho_table, 10.0 + 1e-12)
 
 
 def test_table_cross_step_agreement(rho_table):
@@ -195,11 +200,23 @@ def test_exponent_sweep_negative_onsets_by_value():
     )
 
 
+@pytest.mark.parametrize("check", [
+    "6.0000000000001,10,1.15,table",  # the worst point is x_lo
+    "6,9.9999999999999,0.3,table",  # the worst point is x_hi
+])
+def test_exponent_check_evaluates_only_its_range(check, capsys):
+    # an endpoint a hair off the grid is evaluated where it lies, not at
+    # the grid point next to it, outside the range
+    run(["dickman", "--xmax", "10", "--exponent-check", check])
+    rep = json.loads(capsys.readouterr().out)["results"][1]
+    assert rep["arg_min"] in rep["range"]
+    assert rep["evaluation_count"] == 4097
+
+
 @pytest.mark.parametrize("offset", [0.0, 5e-10, 5e-6, 0.3])
 def test_exponent_table_evaluates_the_endpoint(offset):
     # [6, 9) holds 3072 grid points; x_hi = 9 - offset*step adds one
-    # more, as grid point 9 itself when within 1e-9 steps of it, else
-    # through rho_log
+    # more, as grid point 9 itself at offset 0, else through rho_log
     table = build_rho_table(10.0)
     x_hi = 9.0 - offset * table.step
     r = verify_rho_exponent(6.0, x_hi, 1.0, "table", table=table)

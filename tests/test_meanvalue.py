@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from xpv import meanvalue
 from xpv.constants import (
     EPSILON_TABLE_C,
     EPSILON_TABLE_C1,
@@ -49,6 +50,29 @@ def test_solve_K_defining_equation():
     k = solve_K().mid
     theta = math.acos(k)
     assert abs((2.0 / math.pi) * (math.sin(theta) - k * theta) - (1.0 - 2.0 * k)) < 1e-10
+
+
+def test_solve_K_bits_are_frozen():
+    enc = solve_K()
+    assert (enc.lo.hex(), enc.hi.hex()) == ("0x1.508ff5b2c0d1dp-2", "0x1.508ff5b338c7dp-2")
+
+
+def test_solve_K_runs_the_quadrature_once(monkeypatch):
+    # the closed reduction is bisected; the quadrature checks the root once
+    calls = []
+    real = meanvalue._abs_cos_mean
+
+    def counted(k):
+        calls.append(k)
+        return real(k)
+
+    monkeypatch.setattr(meanvalue, "_abs_cos_mean", counted)
+    solve_K.cache_clear()
+    try:
+        enc = solve_K()
+    finally:
+        solve_K.cache_clear()
+    assert calls == [enc.mid]
 
 
 def test_periodic_f_closed_forms(periodic_f):

@@ -203,8 +203,9 @@ def _assert_matches_reference(spec, x, table):
     row, v = _reference_stats(spec, x, table)
     # a product taken in another order moves single values by an ulp,
     # which the rounded sums seldom show, so the values are compared too
-    primes = table.primes[: table.prime_pi(x)]
-    got = _values(spec, int(x), primes, _prime_values_vector(spec, primes))
+    n_pi = table.prime_pi(x)
+    got = _values(spec, int(x), table.primes[:n_pi],
+                  _prime_values_vector(spec, table, n_pi))
     assert np.array_equal(got.astype(np.float64), v), x
     got = [value.hex() for value in stats(spec, x, table).as_dict().values()]
     assert got == [value.hex() for value in row], x
