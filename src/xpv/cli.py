@@ -16,6 +16,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -23,11 +24,14 @@ from . import __version__
 from .constants import (
     EPSILON_TABLE_C,
     EPSILON_TABLE_C1,
+    PUBLISHED_BEST_C,
     PUBLISHED_C0,
     PUBLISHED_CASE_III,
     PUBLISHED_CASE_IV,
     PUBLISHED_DELTA,
+    PUBLISHED_EPS,
     PUBLISHED_K,
+    PUBLISHED_K2,
     PUBLISHED_NU2_BOUND,
     PUBLISHED_NU3_BOUND,
     PUBLISHED_V1,
@@ -387,8 +391,7 @@ def _cmd_constants(args):
     ledger = assemble_ledger(args.c0, sieve_primes(LEDGER_PRIMES, cap=_sieve_cap(args)))
     k_enc, nu2_enc, nu3_enc = ledger.K_enclosure, ledger.nu2_enclosure, ledger.nu3_enclosure
     f = PeriodicF.build()
-    ref = ErrorParams(c=2.67, k1=0, eps=3.61, k2=300000)
-    cb = case_bounds(ref, f)
+    cb = case_bounds(ErrorParams(PUBLISHED_BEST_C, 0, PUBLISHED_EPS, PUBLISHED_K2), f)
     integral_enc = integral_exp_over_square()
     gamma_minus_m = ledger.gamma - ledger.M
 
@@ -437,13 +440,7 @@ def _cmd_constants(args):
         {"ledger": ledger.as_dict(), "provenance": "computed"},
         {
             "case_bounds": {
-                "params": {"c": ref.c, "k1": ref.k1, "eps": ref.eps, "k2": ref.k2},
-                "c_i": cb.c_i,
-                "c_ii": cb.c_ii,
-                "c_iii": cb.c_iii,
-                "c_iii_tau": cb.c_iii_tau,
-                "c_iv": cb.c_iv,
-                "c0": cb.c0,
+                **asdict(cb),
                 "gaps_to_published": {
                     "c_ii_vs_c0": cb.c_ii - PUBLISHED_C0,
                     "c_iii": cb.c_iii - PUBLISHED_CASE_III,
@@ -460,14 +457,7 @@ def _cmd_constants(args):
             entry = {"kind": "published-value-mismatch", "check": name}
             entry.update({k: v for k, v in ch.items() if k != "passed"})
             discrepancies.append(entry)
-    if cb.c_ii > PUBLISHED_C0:
-        discrepancies.append({
-            "kind": "constant-gap",
-            "detail": "short-range case constant exceeds the published C0",
-            "computed": cb.c_ii,
-            "published": PUBLISHED_C0,
-            "gap": cb.c_ii - PUBLISHED_C0,
-        })
+    gaps = [("short-range case constant exceeds the published C0", cb.c_ii)]
     if args.optimize:
         params, achieved = optimize_C0(
             DEFAULT_C_GRID, DEFAULT_K1_GRID, DEFAULT_EPS_GRID, DEFAULT_K2_GRID, f
@@ -475,10 +465,7 @@ def _cmd_constants(args):
         results.append({
             "optimizer": {
                 "achieved": achieved,
-                "argmin": {
-                    "c": params.c, "k1": params.k1,
-                    "eps": params.eps, "k2": params.k2,
-                },
+                "argmin": asdict(params),
                 "gap_to_published": achieved - PUBLISHED_C0,
                 "grids": {
                     "c": [DEFAULT_C_GRID[0], DEFAULT_C_GRID[-1], 0.01],
@@ -489,14 +476,10 @@ def _cmd_constants(args):
             },
             "provenance": "computed",
         })
-        if achieved > PUBLISHED_C0:
-            discrepancies.append({
-                "kind": "constant-gap",
-                "detail": "optimized constant stays above the published C0",
-                "computed": achieved,
-                "published": PUBLISHED_C0,
-                "gap": achieved - PUBLISHED_C0,
-            })
+        gaps.append(("optimized constant stays above the published C0", achieved))
+    discrepancies += [{"kind": "constant-gap", "detail": detail, "computed": v,
+                       "published": PUBLISHED_C0, "gap": v - PUBLISHED_C0}
+                      for detail, v in gaps if v > PUBLISHED_C0]
     passed = all(ch["passed"] for ch in checks.values())
     return results, discrepancies, passed, None
 

@@ -19,7 +19,6 @@ PUBLISHED_NU3_BOUND = 4.36
 PUBLISHED_C0 = 7.28
 PUBLISHED_CASE_III = 3.25
 PUBLISHED_CASE_IV = 4.87
-PUBLISHED_A = 5.5e5
 PUBLISHED_FINAL = 9.75e5
 PUBLISHED_BEST_C = 2.67
 PUBLISHED_EPS = 3.61

@@ -53,9 +53,10 @@ LEDGER_PRIMES = 10 ** 6  # the prime limit of nu2 in assemble_ledger
 # the constant K and the periodic weight
 
 
+@lru_cache(maxsize=4)
 def _abs_cos_mean(k: float):
-    """Mean of |cos t - k| over one period, split at the kinks so each
-    adaptive-quadrature piece is smooth.  Returns (mean, err_bound)."""
+    """(mean, err_bound) of |cos t - k| over one period, split at the kinks so
+    each quadrature piece is smooth.  Cached: solve_K and build check one K."""
     theta = math.acos(k)
 
     def above(t):
@@ -147,24 +148,38 @@ class ErrorParams:
     k2: int
 
     def __post_init__(self):
-        if self.c < 1:
+        if not self.c >= 1:  # NaN fails too
             raise DomainError(f"c must be >= 1, got {self.c}")
         if self.k1 < 0:
             raise DomainError(f"k1 must be >= 0, got {self.k1}")
-        if self.eps <= 0:
+        if not self.eps > 0:
             raise DomainError(f"eps must be > 0, got {self.eps}")
         if self.k2 < 0:
             raise DomainError(f"k2 must be >= 0, got {self.k2}")
 
 
-def _tss_at(c: float, k1: int, tau: float) -> float:
-    ks = np.arange(k1 + 1, dtype=np.float64)
-    terms = np.exp(-np.sqrt((c + TWO_PI * ks) / (DECAY_SCALE * tau)))
-    last = math.exp(-math.sqrt((c + TWO_PI * k1) / (DECAY_SCALE * tau)))
-    tail_factor = (
-        math.sqrt(DECAY_SCALE) * math.sqrt(TWO_PI * k1 + c) + DECAY_SCALE
-    ) / math.pi
-    return float(np.sum(terms)) + last * tail_factor
+_TSS_TAUS = (1.0,) + tuple(i / 10.0 for i in range(1, 10))
+
+
+def _tss_grid(cs: np.ndarray, k1: int) -> np.ndarray:
+    """tail_sum_small at each c of ``cs`` for one k1 and each tau of _TSS_TAUS
+    (1, where the sup sits, then the monotonicity samples): one (c, tau, k)
+    array summed over its contiguous k axis, np.sum's order on one unpadded
+    row.  ``last`` uses libm's exp, as numpy's may round differently."""
+    scales = DECAY_SCALE * np.array(_TSS_TAUS)
+    x = (cs[:, None, None] + TWO_PI * np.arange(k1 + 1.0)) / scales[:, None]
+    sums = np.exp(-np.sqrt(x)).sum(axis=-1)
+    ends = -np.sqrt((cs[:, None] + TWO_PI * k1) / scales)
+    last = np.array(list(map(math.exp, ends.ravel().tolist()))).reshape(ends.shape)
+    tail_factor = (math.sqrt(DECAY_SCALE) * np.sqrt(TWO_PI * k1 + cs)
+                   + DECAY_SCALE) / math.pi
+    vals = sums + last * tail_factor[:, None]
+    bad = np.argwhere(vals[:, 1:] > vals[:, :1] * (1.0 + 1e-12))
+    if bad.size:
+        i, j = bad[0].tolist()
+        raise PrecisionError(f"tail_sum_small monotonicity violated at c={cs[i]}, "
+                             f"k1={k1}, tau={_TSS_TAUS[j + 1]}")
+    return vals[:, 0]
 
 
 def tail_sum_small(c: float, k1: int) -> float:
@@ -172,20 +187,12 @@ def tail_sum_small(c: float, k1: int) -> float:
     series plus its integral-comparison tail factor.
 
     Every summand and the tail term increase in tau, so the sup sits at
-    tau = 1; that monotonicity is asserted by sampling, not assumed.
+    tau = 1; that monotonicity is asserted by sampling, not assumed.  One
+    row of the kernel the optimizer runs on its c grid, so both share bits.
     """
-    if c < 1:
-        raise DomainError(f"tail_sum_small needs c >= 1, got {c}")
-    if k1 < 0:
-        raise DomainError(f"tail_sum_small needs k1 >= 0, got {k1}")
-    top = _tss_at(c, k1, 1.0)
-    for i in range(1, 10):
-        tau = i / 10.0
-        if _tss_at(c, k1, tau) > top * (1.0 + 1e-12):
-            raise PrecisionError(
-                f"tail_sum_small monotonicity violated at tau={tau}"
-            )
-    return top
+    if not c >= 1 or k1 < 0:
+        raise DomainError(f"tail_sum_small needs c >= 1 and k1 >= 0, got {c}, {k1}")
+    return float(_tss_grid(np.array([float(c)]), k1)[0])
 
 
 def _tsl_at(eps: float, k2: int, tau: float, two_pi_ks: np.ndarray,
@@ -236,10 +243,12 @@ def tail_sum_large(eps: float, k2: int) -> float:
 def error_bound_small(params: ErrorParams, f: PeriodicF) -> float:
     """Short-range error bound: the pi/(2c) window term plus the tail
     series, times the variation, plus the sup term."""
-    return (
-        math.pi / (2.0 * params.c)
-        + TAIL_COEFF * tail_sum_small(params.c, params.k1)
-    ) * f.variation + (SUP_COEFF / params.c) * f.sup
+    return _small_bound(params.c, tail_sum_small(params.c, params.k1), f)
+
+
+def _small_bound(c, tss, f: PeriodicF):
+    # elementwise, so a (c, k1) grid of tail sums gets the scalar bits
+    return (math.pi / (2.0 * c) + TAIL_COEFF * tss) * f.variation + (SUP_COEFF / c) * f.sup
 
 
 def _error_bound_large_at(params: ErrorParams, f: PeriodicF, tau: float,
@@ -329,6 +338,13 @@ DEFAULT_EPS_GRID = tuple(i / 100.0 for i in range(50, 1001))
 DEFAULT_K2_GRID = (10 ** 3, 10 ** 4, 10 ** 5, 3 * 10 ** 5, 10 ** 6)
 
 
+def _c_ii_grid(c_grid, k1_grid, f: PeriodicF) -> np.ndarray:
+    """c_ii at every (c, k1) of the grids, one tail-sum kernel per k1."""
+    cs = np.array(c_grid, dtype=np.float64)[:, None]
+    tss = np.stack([_tss_grid(cs[:, 0], k1) for k1 in k1_grid], axis=1)
+    return _case_i(cs, f) + _small_bound(cs, tss, f)
+
+
 def optimize_C0(c_grid, k1_grid, eps_grid, k2_grid, f: PeriodicF | None = None):
     """Exhaustive-equivalent minimization of the max-of-cases constant
     over the grid product.  Returns (ErrorParams, achieved value).
@@ -339,6 +355,8 @@ def optimize_C0(c_grid, k1_grid, eps_grid, k2_grid, f: PeriodicF | None = None):
     which is then provably part of the lexicographically smallest
     argmin.  The trivial-range constant grows with eps, which prunes the
     remaining eps values once it passes both min A and the best G seen.
+    A is one array over the grid, one tail-sum kernel per k1, with the
+    bits of case_bounds' c_ii at each point.
     """
     c_grid = sorted({float(c) for c in c_grid})
     k1_grid = sorted({int(k) for k in k1_grid})
@@ -346,20 +364,13 @@ def optimize_C0(c_grid, k1_grid, eps_grid, k2_grid, f: PeriodicF | None = None):
     k2_grid = sorted({int(k) for k in k2_grid})
     if not (c_grid and k1_grid and eps_grid and k2_grid):
         raise UsageError("optimize_C0 grids must all be non-empty")
+    # every bound is a lower one, so each grid's least value (or NaN) checks all
+    ErrorParams(np.min(c_grid), k1_grid[0], np.min(eps_grid), k2_grid[0])
     if f is None:
         f = PeriodicF.build()
 
-    a_rows = []
-    a_min = math.inf
-    for c in c_grid:
-        ci = _case_i(c, f)
-        for k1 in k1_grid:
-            a = ci + error_bound_small(
-                ErrorParams(c=c, k1=k1, eps=eps_grid[0], k2=k2_grid[0]), f
-            )
-            a_rows.append((c, k1, a))
-            if a < a_min:
-                a_min = a
+    a_grid = _c_ii_grid(c_grid, k1_grid, f)
+    a_min = float(a_grid.min())
 
     witness = None
     g_best = math.inf
@@ -384,9 +395,8 @@ def optimize_C0(c_grid, k1_grid, eps_grid, k2_grid, f: PeriodicF | None = None):
     else:
         achieved = g_best
         eps_best, k2_best = g_arg
-    c_best, k1_best = next(
-        (c, k1) for c, k1, a in a_rows if a <= achieved
-    )
+    i, j = divmod(int(np.argmax(a_grid.ravel() <= achieved)), len(k1_grid))
+    c_best, k1_best = c_grid[i], k1_grid[j]
     params = ErrorParams(c=c_best, k1=k1_best, eps=eps_best, k2=k2_best)
     return params, achieved
 
@@ -418,14 +428,20 @@ def nu3(k_trunc: int) -> Enclosure:
     The two-sided tail beyond k_trunc is bounded by an integral
     comparison: log(u+4.5) <= A log u for u >= T-1/2 with
     A = log(T+4)/log(T-1/2), then the incomplete-gamma style bound
-    int_a^inf t^c e^-t dt <= a^c e^-a / (1 - c/a).
+    int_a^inf t^c e^-t dt <= a^c e^-a / (1 - c/a).  The sum runs in place in
+    two buffers: log(|k| + 4)**c once per |k|, mirrored onto k < 0, then
+    divided by (k - 1/2)^2 + 1.
     """
     if k_trunc < 10 ** 3:
         raise DomainError(f"nu3 needs k_trunc >= 1e3, got {k_trunc}")
-    kmid = solve_K().mid
-    c = 2.0 + 2.0 * kmid
-    ks = np.arange(-k_trunc, k_trunc + 1, dtype=np.float64)
-    terms = np.log(np.abs(ks) + 4.0) ** c / ((ks - 0.5) ** 2 + 1.0)
+    c = 2.0 + 2.0 * solve_K().mid
+    d = np.arange(-k_trunc, k_trunc + 1, dtype=np.float64)
+    terms = np.empty_like(d)
+    pos = np.add(d[k_trunc:], 4.0, out=terms[k_trunc:])  # |k| + 4 for k >= 0
+    np.power(np.log(pos, out=pos), c, out=pos)
+    terms[:k_trunc] = pos[:0:-1]
+    d -= 0.5
+    terms /= np.add(np.square(d, out=d), 1.0, out=d)
     s = float(np.sum(terms))
     pad = 1e-12 * s
     a = math.log(k_trunc - 0.5)

@@ -255,6 +255,15 @@ def test_constants_evaluates_each_ledger_input_once(capsys, monkeypatch):
     assert counts == {"nu2": 1, "nu3": 1}
 
 
+def test_constants_runs_the_mean_quadrature_once(capsys):
+    # solve_K's cross-check and PeriodicF.build's mean check share one K
+    meanvalue.solve_K.cache_clear()
+    meanvalue._abs_cos_mean.cache_clear()
+    _run(capsys, "constants")
+    info = meanvalue._abs_cos_mean.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 def test_random_signs_hashed_once_per_job(capsys, monkeypatch):
     hashed = []
     real = mfunc._random_signs

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,12 +8,17 @@ from xpv import meanvalue
 from xpv.constants import (
     EPSILON_TABLE_C,
     EPSILON_TABLE_C1,
+    MERTENS_M,
     PUBLISHED_C0,
     PUBLISHED_DELTA,
 )
-from xpv.errors import DomainError, UsageError
+from xpv.errors import DomainError, PrecisionError, UsageError
 from xpv.meanvalue import (
     DECAY_SCALE,
+    DEFAULT_C_GRID,
+    DEFAULT_EPS_GRID,
+    DEFAULT_K1_GRID,
+    DEFAULT_K2_GRID,
     SUP_COEFF,
     TAIL_COEFF,
     CaseBounds,
@@ -104,6 +110,9 @@ def test_error_params_validation():
         ErrorParams(c=1.0, k1=0, eps=0.0, k2=0)
     with pytest.raises(DomainError):
         ErrorParams(c=1.0, k1=0, eps=0.5, k2=-2)
+    for c, eps in ((math.nan, 0.5), (1.0, math.nan)):
+        with pytest.raises(DomainError):
+            ErrorParams(c=c, k1=0, eps=eps, k2=0)
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +132,8 @@ def test_tss_domain():
         tail_sum_small(0.9, 0)
     with pytest.raises(DomainError):
         tail_sum_small(2.0, -1)
+    with pytest.raises(DomainError):
+        tail_sum_small(math.nan, 0)
 
 
 def test_tsl_reference_value():
@@ -226,21 +237,97 @@ def test_optimizer_degenerate_grid_reproduces_case_bounds(periodic_f):
 
 
 def test_optimizer_default_grids(periodic_f):
-    from xpv.meanvalue import (
-        DEFAULT_C_GRID,
-        DEFAULT_EPS_GRID,
-        DEFAULT_K1_GRID,
-        DEFAULT_K2_GRID,
-    )
     params, achieved = optimize_C0(
         DEFAULT_C_GRID, DEFAULT_K1_GRID, DEFAULT_EPS_GRID, DEFAULT_K2_GRID, periodic_f
     )
     assert achieved == pytest.approx(7.407792810653899, rel=1e-10)
+    assert achieved.hex() == "0x1.da19470452fc3p+2"  # the scalar loop's bits
     assert 6.5 <= achieved <= 8.0
     assert (params.c, params.k1) == (2.71, 20)
     # never worse than the reference point
     ref = case_bounds(ErrorParams(c=2.67, k1=0, eps=3.61, k2=300000), periodic_f)
     assert achieved <= ref.c0
+
+
+def _tss_at(c, k1, tau):
+    # the scalar tail sum the optimizer evaluated 10 times per (c, k1)
+    ks = np.arange(k1 + 1, dtype=np.float64)
+    terms = np.exp(-np.sqrt((c + TWO_PI * ks) / (DECAY_SCALE * tau)))
+    last = math.exp(-math.sqrt((c + TWO_PI * k1) / (DECAY_SCALE * tau)))
+    tail_factor = (
+        math.sqrt(DECAY_SCALE) * math.sqrt(TWO_PI * k1 + c) + DECAY_SCALE
+    ) / math.pi
+    return float(np.sum(terms)) + last * tail_factor
+
+
+def _loop_a_values(c_grid, k1_grid, f):
+    """The optimizer's A half as the scalar loop it replaced: c_ii per (c, k1)."""
+    rows = []
+    for c in sorted(set(c_grid)):
+        ci = (1.0 - f.K) * (MERTENS_M + 1.0) + (1.0 + 1e-8) * c * c / 4.0
+        for k1 in sorted(set(k1_grid)):
+            top = _tss_at(c, k1, 1.0)
+            assert all(_tss_at(c, k1, i / 10.0) <= top * (1.0 + 1e-12) for i in range(1, 10))
+            bound = (math.pi / (2.0 * c) + TAIL_COEFF * top) * f.variation + (
+                SUP_COEFF / c
+            ) * f.sup
+            rows.append((c, k1, (ci + bound).hex()))
+    return rows
+
+
+@pytest.mark.parametrize("c_grid, k1_grid", [
+    (DEFAULT_C_GRID, DEFAULT_K1_GRID),
+    ([2.67], DEFAULT_K1_GRID),
+    (DEFAULT_C_GRID, [0]),
+    ([3.5, 1.0, 2.67, 3.5, 1.0, 4.99], [7, 0, 20, 7, 1]),
+], ids=["default", "single-c", "k1-0", "unsorted-duplicates"])
+def test_optimizer_a_half_bits_match_scalar_loop(periodic_f, monkeypatch, c_grid, k1_grid):
+    grids = []
+    real = meanvalue._c_ii_grid
+
+    def spy(*args):
+        grids.append(real(*args))
+        return grids[-1]
+
+    monkeypatch.setattr(meanvalue, "_c_ii_grid", spy)
+    optimize_C0(c_grid, k1_grid, [0.5], [1000], periodic_f)
+    (a_grid,) = grids
+    cs, k1s = sorted(set(c_grid)), sorted(set(k1_grid))
+    got = [(c, k1, float(a_grid[i, j]).hex())
+           for i, c in enumerate(cs) for j, k1 in enumerate(k1s)]
+    assert got == _loop_a_values(c_grid, k1_grid, periodic_f)
+
+
+def test_tail_sum_small_is_the_scalar_tail_sum():
+    for c, k1 in ((1.0, 0), (2.67, 0), (2.67, 20), (5.0, 3), (4.37, 11)):
+        assert tail_sum_small(c, k1).hex() == _tss_at(c, k1, 1.0).hex(), (c, k1)
+
+
+def test_monotonicity_violation_propagates_out_of_optimizer(periodic_f, monkeypatch):
+    # a sample above tau = 1 makes the sampled series exceed its sup there
+    monkeypatch.setattr(meanvalue, "_TSS_TAUS", (1.0, 0.5, 2.0))
+    with pytest.raises(PrecisionError, match=r"c=2\.67, k1=3, tau=2\.0"):
+        optimize_C0([3.0, 2.67], [5, 3], [0.5], [1000], periodic_f)
+
+
+@pytest.mark.parametrize("grids", [
+    ([2.0, 0.99], [0], [1.0], [1000]),
+    ([2.0], [3, -1], [1.0], [1000]),
+    ([2.0], [0], [1.0, 0.0], [1000]),
+    ([2.0], [0], [1.0, -0.5], [1000]),
+    ([2.0], [0], [1.0], [1000, -1]),
+    ([2.0, math.nan, 3.0], [0], [1.0], [1000]),
+    ([2.0], [0], [1.0, math.nan], [1000]),
+], ids=["c", "k1", "eps-zero", "eps-negative", "k2", "c-nan", "eps-nan"])
+def test_optimizer_rejects_out_of_domain_grid_values_first(grids, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the grids were checked")
+
+    monkeypatch.setattr(meanvalue, "_c_ii_grid", no_work)
+    monkeypatch.setattr(meanvalue, "_case_iii_sup", no_work)
+    monkeypatch.setattr(meanvalue.PeriodicF, "build", no_work)
+    with pytest.raises(DomainError):
+        optimize_C0(*grids)
 
 
 def test_optimizer_rejects_empty_grids(periodic_f):
@@ -270,6 +357,27 @@ def test_nu3_values_and_nesting():
     assert big.width < 1e-3
     with pytest.raises(DomainError):
         nu3(999)
+
+
+def test_nu3_bits_are_frozen():
+    # float.hex recorded before the sum ran in place
+    got = [(e.lo.hex(), e.hi.hex()) for e in (nu3(10 ** 3), nu3(10 ** 6))]
+    assert got == [
+        ("0x1.11df3931bfcb9p+2", "0x1.15fb4013d9539p+2"),
+        ("0x1.159ab01bed086p+2", "0x1.159fb3fdf9972p+2"),
+    ]
+
+
+def test_nu3_peak_memory():
+    # two buffers of 2e6 + 1 floats; the temporaries peaked at 48 MB
+    nu3(10 ** 6)
+    tracemalloc.start()
+    try:
+        nu3(10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 35e6
 
 
 # ---------------------------------------------------------------------------

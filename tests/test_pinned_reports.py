@@ -99,6 +99,17 @@ PINNED = {
         "66fb0685ad0813669bdd4d8e8c666e63ace891b0badeffe5066482e79327b4d3",
     "mfunc --kind qchar:15 --x 1000,100000":
         "09a95b14f4f0d68c57dcdd9c0d0299552079f6f1c864beacb24c143b53d71638",
+    # the constant chain without the optimizer, at the published and at
+    # another C0
+    "constants":
+        "33f9650d60eb0d5aafd6a97e48216c13beaf572f67b682e278a19b6a651e5c18",
+    "constants --c0 8":
+        "c1f3caf892069d9c48533bacac9bfcce9a8cd4c0dd13c5054ad7e6fe9f5778b2",
+    # nu2 and nu3 on a table sieved past the ledger's prime limit
+    "mfunc --kind liouville --x 1000000,1500000":
+        "f76e6258933d2c7af7daeaddf04c686eb2eb04a1d7901c6338ed38474bfc820d",
+    "mfunc --kind random:5 --x 1000000,1500000":
+        "e0fe3a111439eb7a7c4acd4a0d82da837b06ac5981475ce255d225f1c35503ad",
 }
 
 

@@ -313,6 +313,18 @@ def test_prime_zeta_decreasing_and_bounded(prime_table):
         prime_zeta(1, prime_table)
 
 
+def test_prime_zeta_bits_are_frozen(prime_table):
+    # sha256 of every enclosure's float.hex for k = 2..64, recorded before
+    # the powers that round to +0 were written as zeros instead of computed
+    h = hashlib.sha256()
+    for k in range(2, 65):
+        enc = prime_zeta(k, prime_table)
+        h.update(f"{k} {enc.lo.hex()} {enc.hi.hex()}\n".encode())
+    assert h.hexdigest() == (
+        "1db9f78419dca480af97b10fcf8f9130292bcb43ddf6a8aeb23ea8e822fb84de"
+    )
+
+
 def test_prime_zeta_p2(prime_table):
     enc = prime_zeta(2, prime_table)
     # prime zeta at 2, literature value
