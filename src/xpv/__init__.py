@@ -15,7 +15,7 @@ The package has five layers:
 
 __version__ = "0.1.0"
 
-from .core import Enclosure, VerificationReport, classify, merge_reports
+from .core import Enclosure, VerificationReport, classify
 from .errors import (
     DomainError,
     PrecisionError,
@@ -30,7 +30,6 @@ __all__ = [
     "Enclosure",
     "VerificationReport",
     "classify",
-    "merge_reports",
     "DomainError",
     "PrecisionError",
     "PreconditionError",

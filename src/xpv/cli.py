@@ -36,7 +36,7 @@ from .constants import (
     PUBLISHED_NU3_BOUND,
     PUBLISHED_V1,
 )
-from .core import DEFAULT_ETA, geometric_grid, merge_reports
+from .core import DEFAULT_ETA, geometric_grid
 from .dickman import (
     build_rho_table,
     max_exponent,
@@ -62,8 +62,7 @@ from .meanvalue import (
 from .mfunc import (
     STATS_CSV_HEADER,
     MultiplicativeSpec,
-    _chi_period,
-    char_sum,
+    char_sum_profile,
     check_stats_x,
     constant_one,
     custom,
@@ -77,7 +76,6 @@ from .primes import (
     DEFAULT_SIEVE_CAP,
     check_def,
     sieve_primes,
-    split_range,
     verify_inequality,
 )
 
@@ -320,23 +318,23 @@ def _discrepancy(report) -> list:
 
 def _cmd_verify(args):
     cd = check_def(args.check)
+    # --partitions is checked and echoed, but the one chunked sweep gives
+    # the same results for every accepted value
     most = max(1, geometric_grid(args.x_from, args.x_to).size)
     if not 1 <= args.partitions <= most:
         raise UsageError(
-            f"--partitions must lie in [1, {most}]: a sub-sweep needs at least "
-            f"one point of the 2^(1/128) geometric grid on the range"
+            f"--partitions must lie in [1, {most}], the number of points of "
+            f"the 2^(1/128) geometric grid on the range"
         )
     table = None
     if cd.states.needs_table:
         table = sieve_primes(int(math.ceil(args.x_to)), cap=_sieve_cap(args))
         if cd.states.prefix is not None:
-            # the prime sums are table work: build them once, before any
-            # sub-sweep, so they stay out of the sweep's own time
+            # the prime sums are table work: build them before the sweep,
+            # so they stay out of the sweep's own time
             cd.states.prefix(table)
-    report = merge_reports(
-        verify_inequality(cd.check_id, lo, hi, table, eta=args.safety_margin)
-        for lo, hi in split_range(args.x_from, args.x_to, args.partitions)
-    )
+    report = verify_inequality(cd.check_id, args.x_from, args.x_to, table,
+                               eta=args.safety_margin)
     return [report.as_dict()], _discrepancy(report), report.verdict == "pass", None
 
 
@@ -563,10 +561,7 @@ def _cmd_charsum(args):
     results = []
     discrepancies = []
     for q in args.q:
-        full = char_sum(q, q)
-        cums = np.cumsum(_chi_period(q)[1:])
-        partial_max = int(np.max(np.abs(cums)))
-        best_t = int(np.argmax(np.abs(cums))) + 1
+        full, partial_max, best_t = char_sum_profile(q)
         entry = {
             "q": q,
             "full_period_sum": full,

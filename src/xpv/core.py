@@ -1,8 +1,8 @@
 """Shared numeric plumbing.
 
-Enclosures, margin verdicts, verification reports, adaptive quadrature,
-anchored grids, and the small root-finding and line-search helpers used
-across the toolkit.  Compensated prefix sums: ``primes._compensated_prefix``.
+Enclosures, margin verdicts, mergeable sweep summaries and their reports,
+adaptive quadrature, anchored grids, and the small root-finding and
+line-search helpers.  Compensated prefix sums: ``primes._compensated_prefix``.
 """
 
 from __future__ import annotations
@@ -116,76 +116,68 @@ class VerificationReport:
         }
 
 
+_SEVERITY = ("pass", "indeterminate", "fail")
+
+
+@dataclass(frozen=True)
+class SweepSummary:
+    """The reduction of a run of consecutive sweep states.
+
+    Summaries of adjacent runs merge, earlier run first, into the
+    summary of their union, so a sweep can be reduced chunk by chunk
+    and still give the report of the whole.  The worst point is the
+    smallest margin, ties going to the smaller x and then to the
+    earlier state; 0.0 and -0.0 tie, and the winner keeps its sign.
+    """
+
+    count: int
+    worst_margin: float
+    arg_min: float
+    verdict: str
+    negative_count: int
+    first_negative_x: float  # inf when there is none
+    last_negative_x: float  # -inf when there is none
+
+    @classmethod
+    def of(cls, xs, margins, scales, eta: float = DEFAULT_ETA) -> SweepSummary:
+        """Summarize one run of states; the xs need not be sorted."""
+        ties = np.flatnonzero(margins == margins.min())
+        worst_i = int(ties[np.argmin(xs[ties])])
+        verdict = margins_verdict(margins, scales, eta)
+        neg_xs = xs[margins < 0.0]
+        return cls(int(margins.size), float(margins[worst_i]), float(xs[worst_i]),
+                   verdict, int(neg_xs.size), float(neg_xs.min(initial=math.inf)),
+                   float(neg_xs.max(initial=-math.inf)))
+
+    def merge(self, later: SweepSummary) -> SweepSummary:
+        """The summary of these states followed by ``later``'s."""
+        worst = self if (self.worst_margin, self.arg_min) <= (
+            later.worst_margin, later.arg_min) else later
+        return SweepSummary(
+            self.count + later.count, worst.worst_margin, worst.arg_min,
+            max(self.verdict, later.verdict, key=_SEVERITY.index),
+            self.negative_count + later.negative_count,
+            min(self.first_negative_x, later.first_negative_x),
+            max(self.last_negative_x, later.last_negative_x))
+
+    def report(self, check_id, x_lo, x_hi, notes) -> VerificationReport:
+        """Render the report, noting the negative margins' count and x range."""
+        notes = list(notes)
+        if self.negative_count:
+            notes.append(
+                f"negative margins at {self.negative_count} of {self.count} "
+                f"evaluation points; first at x = {self.first_negative_x:.9g}, "
+                f"last at x = {self.last_negative_x:.9g}"
+            )
+        return VerificationReport(check_id, float(x_lo), float(x_hi), self.worst_margin,
+                                  self.arg_min, self.verdict == "pass", self.count,
+                                  self.verdict, notes)
+
+
 def sweep_report(check_id, x_lo, x_hi, xs, margins, scales, notes,
                  eta: float = DEFAULT_ETA) -> VerificationReport:
-    """Reduce one sweep to its report.
-
-    The worst point is the smallest margin, ties broken toward the
-    smaller x.  Negative margins add a note with their count and the
-    smallest and largest x where they occur; the states need not be
-    sorted by x.
-    """
-    ties = np.flatnonzero(margins == margins.min())
-    worst_i = int(ties[np.argmin(xs[ties])])
-    verdict = margins_verdict(margins, scales, eta)
-    notes = list(notes)
-    neg_xs = xs[margins < 0.0]
-    if neg_xs.size:
-        notes.append(
-            f"negative margins at {neg_xs.size} of {margins.size} evaluation "
-            f"points; first at x = {neg_xs.min():.9g}, last at x = {neg_xs.max():.9g}"
-        )
-    return VerificationReport(
-        check_id=check_id,
-        x_lo=float(x_lo),
-        x_hi=float(x_hi),
-        worst_margin=float(margins[worst_i]),
-        arg_min=float(xs[worst_i]),
-        passed=(verdict == "pass"),
-        evaluation_count=int(margins.size),
-        verdict=verdict,
-        notes=notes,
-    )
-
-
-def merge_reports(reports) -> VerificationReport:
-    """Merge sub-range reports of the same check into one.
-
-    Worst margin is the minimum across parts (ties broken toward the
-    smaller arg_min, so partitioned sweeps reproduce the single-threaded
-    arg_min).  Evaluation counts add; notes are concatenated without
-    duplicates.
-    """
-    reports = list(reports)
-    if not reports:
-        raise UsageError("merge_reports needs at least one report")
-    ids = {r.check_id for r in reports}
-    if len(ids) != 1:
-        raise UsageError(f"cannot merge reports of different checks: {sorted(ids)}")
-    worst = min(reports, key=lambda r: (r.worst_margin, r.arg_min))
-    verdicts = [r.verdict for r in reports]
-    if "fail" in verdicts:
-        verdict = "fail"
-    elif "indeterminate" in verdicts:
-        verdict = "indeterminate"
-    else:
-        verdict = "pass"
-    notes = []
-    for r in reports:
-        for n in r.notes:
-            if n not in notes:
-                notes.append(n)
-    return VerificationReport(
-        check_id=worst.check_id,
-        x_lo=min(r.x_lo for r in reports),
-        x_hi=max(r.x_hi for r in reports),
-        worst_margin=worst.worst_margin,
-        arg_min=worst.arg_min,
-        passed=all(r.passed for r in reports),
-        evaluation_count=sum(r.evaluation_count for r in reports),
-        verdict=verdict,
-        notes=notes,
-    )
+    """Reduce one sweep, held whole, to its report."""
+    return SweepSummary.of(xs, margins, scales, eta).report(check_id, x_lo, x_hi, notes)
 
 
 def adaptive_simpson(f, a: float, b: float, tol: float = 1e-12,

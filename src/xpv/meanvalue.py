@@ -213,27 +213,22 @@ def _tsl_at(eps: float, k2: int, tau: float, two_pi_ks: np.ndarray,
     return float(np.sum(buf)) + last * tail_factor
 
 
-def _sup_log_tau(g):
-    """(sup, tau) of ``g`` over log tau in [0, 30]: golden section, then a
-    thousand-point grid (endpoints included) that wins only if larger."""
-    s_star, best = golden_max(g, 0.0, 30.0)
-    best_tau = math.exp(s_star)
-    for s in np.linspace(0.0, 30.0, 1000).tolist():
-        v = g(s)
-        if v > best:
-            best_tau, best = math.exp(s), v
-    return best, best_tau
-
-
 def tail_sum_large(eps: float, k2: int) -> float:
-    """Sup of the large-range tail series over tau >= 1."""
-    if eps <= 0:
+    """Sup of the large-range tail series over tau >= 1, sampled over
+    log tau in [0, 30]: a golden section, then a thousand-point grid
+    (endpoints included) that wins only if larger."""
+    if not eps > 0:
         raise DomainError(f"tail_sum_large needs eps > 0, got {eps}")
     if k2 < 0:
         raise DomainError(f"tail_sum_large needs k2 >= 0, got {k2}")
     two_pi_ks = TWO_PI * np.arange(k2 + 1, dtype=np.float64)
     buf = np.empty_like(two_pi_ks)
-    return _sup_log_tau(lambda s: _tsl_at(eps, k2, math.exp(s), two_pi_ks, buf))[0]
+
+    def g(s):
+        return _tsl_at(eps, k2, math.exp(s), two_pi_ks, buf)
+
+    best = golden_max(g, 0.0, 30.0)[1]
+    return max(best, *(g(s) for s in np.linspace(0.0, 30.0, 1000).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -280,20 +275,17 @@ def _case_iv(eps: float, f: PeriodicF) -> float:
 
 
 def _case_iii_sup(eps: float, k2: int, f: PeriodicF):
-    """(sup, maximizer) over tau >= 1 of the long-range case constant."""
-    tsl = tail_sum_large(eps, k2)
+    """(sup, maximizer) over tau >= 1 of the long-range case constant.
+    Every term decreases in tau (see ``error_bound_large``, and
+    1/log^4(tau + 3)), so the sup is the value at tau = 1."""
     w = (1.0 + eps) * DECAY_SCALE
     params = ErrorParams(c=1.0, k1=0, eps=eps, k2=k2)
-
-    def g(s):
-        tau = math.exp(s)
-        return (
-            2.0 * f.K * math.log(w)
-            + (1.0 + f.K) * (MERTENS_M + 1.0 / (w * w * math.log(tau + 3.0) ** 4))
-            + _error_bound_large_at(params, f, tau, tsl)
-        )
-
-    return _sup_log_tau(g)
+    sup = (
+        2.0 * f.K * math.log(w)
+        + (1.0 + f.K) * (MERTENS_M + 1.0 / (w * w * math.log(4.0) ** 4))
+        + _error_bound_large_at(params, f, 1.0, tail_sum_large(eps, k2))
+    )
+    return sup, 1.0
 
 
 @dataclass(frozen=True)

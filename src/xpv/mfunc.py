@@ -334,8 +334,9 @@ def _chi_period(q: int) -> np.ndarray:
             raise ResourceError(f"character period capped at q <= {CHAR_PRIME_CAP:.0e}")
         chi = np.full(q, -1, dtype=np.int8)
         chi[0] = 0
-        half = np.arange(1, (q + 1) // 2, dtype=np.int64)
-        chi[np.mod(half * half, q)] = 1
+        squares = np.arange(1, (q + 1) // 2, dtype=np.int64)
+        np.multiply(squares, squares, out=squares)
+        chi[np.mod(squares, q, out=squares)] = 1
     else:
         if q > CHAR_COMPOSITE_CAP:
             raise ResourceError(
@@ -361,6 +362,21 @@ def char_sum(q: int, t: int) -> int:
     return whole * full + int(chi[1 : rest + 1].sum())
 
 
+@lru_cache(maxsize=1)
+def char_sum_profile(q: int):
+    """(full-period sum, max |S(t)|, its first argmax t) over 1 <= t < q,
+    S(t) = char_sum(q, t), from one int32 partial-sum pass (|S| < q); the
+    last q is cached, so a charsum row and its pv_ratio share the pass."""
+    if q < 3 or q % 2 == 0:
+        raise DomainError(f"char_sum_profile needs odd q >= 3, got {q}")
+    sums = _chi_period(q)[1:].astype(np.int32)
+    np.cumsum(sums, out=sums)  # in place: with dtype= it keeps a cast copy
+    full = int(sums[-1])  # chi(0) = 0
+    np.abs(sums, out=sums)
+    t = int(np.argmax(sums))
+    return full, int(sums[t]), t + 1
+
+
 def pv_ratio(q: int, table: PrimeTable | None = None) -> float:
     """max over 1 <= t <= q of |S_chi(t)| divided by sqrt(q) log q."""
     if q < 3 or q % 2 == 0:
@@ -374,10 +390,7 @@ def pv_ratio(q: int, table: PrimeTable | None = None) -> float:
         is_prime = _is_prime_u64(q)
     if not is_prime:
         raise DomainError(f"pv_ratio needs prime q, got {q}")
-    chi = _chi_period(q)
-    partial = np.cumsum(chi[1:].astype(np.int64))
-    peak = int(np.max(np.abs(partial)))
-    return peak / (math.sqrt(q) * math.log(q))
+    return char_sum_profile(q)[1] / (math.sqrt(q) * math.log(q))
 
 
 # ---------------------------------------------------------------------------

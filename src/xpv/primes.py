@@ -4,11 +4,14 @@ inequality sweep engine.
 The sweep engine is the workhorse: it verifies each registered
 prime-counting or prime-sum inequality over a range by evaluating the
 margin (RHS - LHS, signed) at every point where the margin can attain an
-extremum, and reports the worst margin with a three-way verdict.
+extremum, and reports the worst margin with a three-way verdict.  It
+reduces one fixed-size chunk of states at a time, so no full-length
+margin array exists.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -26,12 +29,12 @@ from .constants import (
 from .core import (
     DEFAULT_ETA,
     Enclosure,
+    SweepSummary,
     VerificationReport,
     adaptive_simpson,
     anchored_grid,
     bisect_root,
     geometric_grid,
-    sweep_report,
 )
 from .errors import (
     DomainError,
@@ -44,6 +47,7 @@ from .errors import (
 DEFAULT_SIEVE_CAP = 10 ** 9
 _SEGMENT_SIZE = 1 << 22
 _LI_BLOCK = 1 << 14  # points per block of the li term loop
+_SWEEP_CHUNK = 1 << 20  # states per chunk of the sweep's margin reduction
 
 # Deterministic Miller-Rabin witness set, valid for all n < 3.3e24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -188,9 +192,16 @@ def least_prime_3mod4_above(x: float) -> int:
 # the logarithmic integral
 
 
-def _li_series(xs: np.ndarray):
+def _li_terms(x_max: float) -> int:
+    """Terms of the li series for points up to ``x_max``; a sweep takes
+    it from its largest x, so no value depends on its chunk."""
+    return max(80, int(5.2 * float(np.log(x_max))) + 20)
+
+
+def _li_series(xs: np.ndarray, n_terms: int):
     """li over an array of x > 1 by the exponential-integral series at
-    y = log x.  Returns (values, half_widths).
+    y = log x, summed to ``n_terms`` terms (see ``_li_terms``).  Returns
+    (values, half_widths).
 
     The half-width combines the truncation remainder (next term times a
     geometric factor) with per-term rounding, scaled by the terms'
@@ -206,22 +217,20 @@ def _li_series(xs: np.ndarray):
     first = np.empty(xs.shape, dtype=bool)
     first[:1] = True
     np.not_equal(xs[1:], xs[:-1], out=first[1:])
-    acc, half = _li_series_blocked(xs[first])
+    acc, half = _li_series_blocked(xs[first], n_terms)
     back = np.cumsum(first)
     back -= 1
     return acc[back], half[back]
 
 
-def _li_series_blocked(xs: np.ndarray):
+def _li_series_blocked(xs: np.ndarray, n_terms: int):
     """The series of ``_li_series`` with its term loop run over
     cache-sized blocks through one scratch buffer.
 
-    Every point sees the same operations in the same order, and the term
-    count comes from the whole array, so a value depends neither on the
-    blocking nor on the other points except through the largest x.
+    Every point sees the same operations in the same order, so a value
+    depends neither on the blocking nor on the other points.
     """
     ys = np.log(xs)
-    n_terms = max(80, int(5.2 * float(ys.max())) + 20)
     acc = np.log(ys)
     mag = np.abs(acc) + abs(EULER_GAMMA)
     acc += EULER_GAMMA
@@ -309,7 +318,7 @@ def log_integral(x: float) -> Enclosure:
     """
     if not 1.0 < x < math.inf:
         raise DomainError(f"log_integral needs finite x > 1, got {x}")
-    (value,), (half,) = _li_series(np.array([x]))
+    (value,), (half,) = _li_series(np.array([x]), _li_terms(x))
     scale = max(1.0, abs(value))
     qtol = max(1e-13, 1e-12 * scale)
     qv, qe = _li_quad(x, qtol)
@@ -434,17 +443,19 @@ def _step_states(x_lo: float, x_hi: float, table: PrimeTable, extra):
     """Evaluation states for step-function sweeps.
 
     Returns (xs, pis): the x of each evaluation and the prime count of
-    the state.  For each prime p in (x_lo, x_hi] both the left-limit
-    state (pi(p) - 1, evaluated at x = p) and the inclusive state pi(p)
-    appear; x_lo, x_hi and each extra x contribute their inclusive states.
+    the state, as int64.  For each prime p in (x_lo, x_hi] both the
+    left-limit state (pi(p) - 1, evaluated at x = p) and the inclusive
+    state pi(p) appear; x_lo, x_hi and each extra x contribute their
+    inclusive states.
     """
     pr = table.primes
     i_lo = int(np.searchsorted(pr, x_lo, side="right"))
     i_hi = int(np.searchsorted(pr, x_hi, side="right"))
     ps = pr[i_lo:i_hi].astype(np.float64)
     xs = np.concatenate([[x_lo], np.repeat(ps, 2), [x_hi], extra])
-    pis = np.repeat(np.arange(i_lo, i_hi + 1, dtype=np.float64), 2)
-    return xs, np.concatenate([pis, [table.prime_pi(x) for x in extra]])
+    pis = np.repeat(np.arange(i_lo, i_hi + 1, dtype=np.int64), 2)
+    extra_pis = np.array([table.prime_pi(x) for x in extra], dtype=np.int64)
+    return xs, np.concatenate([pis, extra_pis])
 
 
 def _geometric_states(x_lo, x_hi, table, extra):
@@ -467,10 +478,10 @@ class CheckDef:
     """One registered inequality.
 
     ``valid(x_lo, x_hi)`` tells whether a range lies in the stated
-    validity.  ``margins(xs, state)`` returns (margins, scales) over the
-    states the check sweeps.  ``stationary`` lists extra x where the
-    smooth side is stationary; those inside (x_lo, x_hi] are evaluated
-    too.  ``crossover`` marks a grid check whose margin is bisected for
+    validity.  ``margins(xs, state, n_li)`` returns (margins, scales)
+    over the states the check sweeps, li summed to ``n_li`` terms.
+    ``stationary`` lists extra x where the smooth side is stationary;
+    those inside (x_lo, x_hi] are evaluated too.  ``crossover`` marks a grid check whose margin is bisected for
     its sign change when the sweep goes from negative to positive.
     """
 
@@ -487,14 +498,14 @@ class CheckDef:
 def _compare(rhs, lhs=None, upper=True):
     """Margins of lhs <= rhs (``upper``) or lhs >= rhs, scaled by rhs.
 
-    Both sides are functions of (xs, log xs, state); lhs defaults to the
-    state itself, pi(x) or a prime sum.
+    Both sides are functions of (xs, log xs, state, li term count); lhs
+    defaults to the state itself, pi(x) or a prime sum.
     """
 
-    def margins(xs, state):
+    def margins(xs, state, n_li):
         u = np.log(xs)
-        left = state if lhs is None else lhs(xs, u, state)
-        right = rhs(xs, u, state)
+        left = state if lhs is None else lhs(xs, u, state, n_li)
+        right = rhs(xs, u, state, n_li)
         return (right - left if upper else left - right), right
 
     return margins
@@ -503,8 +514,8 @@ def _compare(rhs, lhs=None, upper=True):
 def _worse(first, second):
     """At each state, the worse of two margins, with its scale."""
 
-    def margins(xs, state):
-        (m1, s1), (m2, s2) = first(xs, state), second(xs, state)
+    def margins(xs, state, n_li):
+        (m1, s1), (m2, s2) = first(xs, state, n_li), second(xs, state, n_li)
         take_first = m1 <= m2
         return np.where(take_first, m1, m2), np.where(take_first, s1, s2)
 
@@ -513,35 +524,35 @@ def _worse(first, second):
 
 def _rs(c):
     """The bound x/log x (1 + c/(2 log x))."""
-    return lambda xs, u, _: xs / u * (1.0 + c / (2.0 * u))
+    return lambda xs, u, *_: xs / u * (1.0 + c / (2.0 * u))
 
 
 def _loglog(c):
     """The bound loglog x + c."""
-    return lambda xs, u, _: np.log(u) + c
+    return lambda xs, u, *_: np.log(u) + c
 
 
-def _li_lower_edge(xs, u, _):
-    li, li_err = _li_series(xs)
+def _li_lower_edge(xs, u, _, n_li):
+    li, li_err = _li_series(xs, n_li)
     return li - li_err
 
 
-def _li_dev(xs, u, pis):
+def _li_dev(xs, u, pis, n_li):
     """|li(x) - pi(x)| plus the li error."""
-    li, li_err = _li_series(xs)
+    li, li_err = _li_series(xs, n_li)
     return np.abs(li - pis) + li_err
 
 
-def _li_upper(xs, _):
+def _li_upper(xs, _, n_li):
     """li(x) - li(2) <= x/log x (1 + 3/(2 log x)), li errors counted."""
     u = np.log(xs)
-    li, li_err = _li_series(xs)
-    li2, li2_half = _li_series(np.array([2.0]))
+    li, li_err = _li_series(xs, n_li)
+    li2, li2_half = _li_series(np.array([2.0]), _li_terms(2.0))
     rhs = xs / u * (1.0 + 3.0 / (2.0 * u)) + li2
     return rhs - (li + li_err + li2_half), rhs
 
 
-def _mertens_dev(xs, u, sums):
+def _mertens_dev(xs, u, sums, _):
     """|S(x) - loglog x - M|."""
     return np.abs(sums - np.log(u) - MERTENS_M)
 
@@ -568,20 +579,20 @@ REGISTRY = {
         ),
         CheckDef(
             "pi-li-1", "x >= 2", lambda a, b: a >= 2.0, PI_STATES,
-            _compare(lambda xs, u, _: 0.4897 * xs / u, _li_dev),
+            _compare(lambda xs, u, *_: 0.4897 * xs / u, _li_dev),
             note="on gaps RHS' - li' = -(0.5103 log x + 0.4897)/log^2 x < 0, so the "
                  "margin is monotone on each sign branch of li - pi and minima land "
                  "on gap endpoints",
         ),
         CheckDef(
             "pi-li-2", "x >= 2", lambda a, b: a >= 2.0, PI_STATES,
-            _compare(lambda xs, u, _: 1.3597 * xs / u ** 2, _li_dev),
+            _compare(lambda xs, u, *_: 1.3597 * xs / u ** 2, _li_dev),
             note="on gaps RHS' - li' = (1.3597(log x - 2) - log^2 x)/log^3 x < 0 "
                  "(negative discriminant), so minima land on gap endpoints",
         ),
         CheckDef(
             "pi-li-3", "x >= 2", lambda a, b: a >= 2.0, PI_STATES,
-            _compare(lambda xs, u, _: 0.1522 * xs * np.exp(-np.sqrt(u / 6.455)),
+            _compare(lambda xs, u, *_: 0.1522 * xs * np.exp(-np.sqrt(u / 6.455)),
                      _li_dev),
             note="0.1522 u exp(-sqrt(u/6.455))(1 - 1/(2 sqrt(6.455 u))) peaks at "
                  "0.5113 < 1 (u = 25.82), so RHS' < li' everywhere and minima land "
@@ -589,7 +600,7 @@ REGISTRY = {
         ),
         CheckDef(
             "mertens-remainder", "x > 1", lambda a, b: a > 1.0, RECIP_SUMS,
-            _compare(lambda xs, u, _: 1.0 / u ** 2, _mertens_dev),
+            _compare(lambda xs, u, *_: 1.0 / u ** 2, _mertens_dev),
             note="the upper-branch margin 1/log^2 x + loglog x + M - S has one "
                  "stationary point at x = exp(sqrt 2), evaluated explicitly when "
                  "in range",
@@ -600,14 +611,14 @@ REGISTRY = {
                  _worse(_compare(_loglog(MERTENS_BRACKET_LO), upper=False),
                         _compare(_loglog(MERTENS_BRACKET_HI)))),
         CheckDef("mertens-mprime-coarse", "x >= 2", lambda a, b: a >= 2.0, RECIP_SUMS,
-                 _compare(lambda xs, u, _: MPRIME_COARSE_BOUND, _mertens_dev)),
+                 _compare(lambda *_: MPRIME_COARSE_BOUND, _mertens_dev)),
         CheckDef("log2p-plain", "1 < x < 355991", lambda a, b: 1.0 < a and b < 355991.0,
-                 LOG2_SUMS, _compare(lambda xs, u, _: u ** 2 / 2.0)),
+                 LOG2_SUMS, _compare(lambda xs, u, *_: u ** 2 / 2.0)),
         CheckDef(
             "tail-power", "0 < alpha <= 1", lambda a, b: 0.0 < a and b <= 1.0,
             ALPHA_GRID,
-            _compare(lambda a, u, _: PUBLISHED_V1,
-                     lambda a, u, _: (1.0 + a) * 1.2551 / math.e),
+            _compare(lambda *_: PUBLISHED_V1,
+                     lambda a, *_: (1.0 + a) * 1.2551 / math.e),
             note="alpha sweep of the chain bound (1+alpha)*1.2551/e against the "
                  "published 0.9235; grid step 1/1024 plus endpoints",
         ),
@@ -633,6 +644,11 @@ def verify_inequality(
 ) -> VerificationReport:
     """Sweep one registered inequality over [x_lo, x_hi].
 
+    The states are built once; their margins are evaluated and reduced
+    to a ``SweepSummary`` one chunk of ``_SWEEP_CHUNK`` states at a time,
+    and each chunk is dropped before the next.  The li term count comes
+    from x_hi, the largest x, so the chunking moves no bit.
+
     Raises UsageError for an unknown check id and PreconditionError when
     the range leaves the check's stated validity interval (the message
     names the valid range).
@@ -649,37 +665,29 @@ def verify_inequality(
         _require_table(table, x_hi, check_id)
     extra = [x for x in cd.stationary if x_lo < x <= x_hi]
     xs, state = cd.states.build(x_lo, x_hi, table, extra)
-    if cd.states.prefix is not None:
-        state = cd.states.prefix(table)[state.astype(np.int64)]
-    margins, scales = cd.margins(xs, state)
+    prefix = None if cd.states.prefix is None else cd.states.prefix(table)
+    n_li = _li_terms(x_hi)
+
+    def summarize(lo):
+        part = slice(lo, lo + _SWEEP_CHUNK)
+        st = None if state is None else state[part]
+        if prefix is not None:
+            st = prefix[st]
+        margins, scales = cd.margins(xs[part], st, n_li)
+        return SweepSummary.of(xs[part], margins, scales, eta)
+
+    summary = functools.reduce(SweepSummary.merge,
+                               map(summarize, range(0, xs.size, _SWEEP_CHUNK)))
     notes = [n for n in (cd.states.note, cd.note) if n]
-    if cd.crossover and margins[0] < 0.0 < margins[-1]:
-        a, b = bisect_root(lambda t: cd.margins(np.array([t]), None)[0][0],
-                           float(xs[0]), float(xs[-1]), tol=1e-9)
-        notes.append(
-            f"margin changes sign at x = {0.5 * (a + b):.9f}; the stated "
-            f"validity ({cd.validity}) is inconsistent with the computed "
-            f"crossover and is reported, not adjusted"
-        )
-    return sweep_report(check_id, x_lo, x_hi, xs, margins, scales, notes, eta)
-
-
-def split_range(x_lo: float, x_hi: float, parts: int):
-    """Geometric partition of [x_lo, x_hi] into closed subranges that
-    cover the range without double-counting interior points."""
-    if parts < 1:
-        raise UsageError(f"parts must be >= 1, got {parts}")
-    if x_lo > x_hi:
-        raise UsageError(f"empty range [{x_lo}, {x_hi}]")
-    if parts == 1 or x_lo == x_hi:
-        return [(x_lo, x_hi)]
-    ratio = (x_hi / x_lo) ** (1.0 / parts) if x_lo > 0 else None
-    cuts = [x_lo * ratio ** i if ratio else x_lo + (x_hi - x_lo) * i / parts
-            for i in range(1, parts)]
-    out = []
-    lo = x_lo
-    for hi in cuts + [x_hi]:
-        if lo <= hi:
-            out.append((lo, hi))
-            lo = float(np.nextafter(hi, math.inf))
-    return out
+    if cd.crossover:
+        (first, last), _ = cd.margins(xs[[0, -1]], None, n_li)
+        if first < 0.0 < last:
+            a, b = bisect_root(
+                lambda t: cd.margins(np.array([t]), None, _li_terms(t))[0][0],
+                float(xs[0]), float(xs[-1]), tol=1e-9)
+            notes.append(
+                f"margin changes sign at x = {0.5 * (a + b):.9f}; the stated "
+                f"validity ({cd.validity}) is inconsistent with the computed "
+                f"crossover and is reported, not adjusted"
+            )
+    return summary.report(check_id, x_lo, x_hi, notes)

@@ -173,14 +173,13 @@ def test_out_writes_file(tmp_path, capsys):
 
 
 def test_verify_partitions_match_single(capsys):
-    base = ["verify", "--check", "mertens-remainder", "--from", "2", "--to", "20000"]
-    _, single = _run(capsys, *base)
-    _, split = _run(capsys, *base, "--partitions", "5")
-    a = json.loads(single)["results"][0]
-    b = json.loads(split)["results"][0]
-    assert a["worst_margin"] == b["worst_margin"]
-    assert a["arg_min"] == b["arg_min"]
-    assert a["verdict"] == b["verdict"]
+    # pi-li-2 on [2, 100] has negative margins at 3 of its 50 states
+    for check, to, parts in (("mertens-remainder", "20000", "5"),
+                             ("pi-li-2", "100", "4")):
+        base = ["verify", "--check", check, "--from", "2", "--to", to]
+        _, single = _run(capsys, *base)
+        _, split = _run(capsys, *base, "--partitions", parts)
+        assert json.loads(split)["results"] == json.loads(single)["results"]
 
 
 def test_dickman_csv_grid(capsys):

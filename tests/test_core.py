@@ -5,6 +5,7 @@ import pytest
 
 from xpv.core import (
     Enclosure,
+    SweepSummary,
     VerificationReport,
     adaptive_simpson,
     anchored_grid,
@@ -13,7 +14,6 @@ from xpv.core import (
     geometric_grid,
     golden_max,
     margins_verdict,
-    merge_reports,
     sweep_report,
 )
 from xpv.errors import PrecisionError, UsageError
@@ -156,23 +156,46 @@ def test_sweep_report_reduces_unsorted_states():
         assert zero.verdict == "pass" and zero.notes == []
 
 
-def test_merge_reports_rules():
-    a = VerificationReport("c", 1.0, 2.0, 0.5, 1.5, True, 10, "pass", ["n1"])
-    b = VerificationReport("c", 2.0, 3.0, -0.1, 2.5, False, 12, "fail", ["n1", "n2"])
-    m = merge_reports([a, b])
-    assert m.worst_margin == -0.1 and m.arg_min == 2.5
-    assert m.verdict == "fail" and not m.passed
-    assert m.evaluation_count == 22
-    assert m.x_lo == 1.0 and m.x_hi == 3.0
-    assert m.notes == ["n1", "n2"]
-    with pytest.raises(UsageError):
-        merge_reports([])
-    with pytest.raises(UsageError):
-        merge_reports([a, VerificationReport("other", 1, 2, 0, 1, True, 1, "pass")])
+def _summary(xs, margins):
+    return SweepSummary.of(np.array(xs), np.array(margins), np.ones(len(xs)))
 
 
-def test_merge_reports_tie_breaks_on_arg_min():
-    a = VerificationReport("c", 1.0, 2.0, 0.5, 1.9, True, 1, "pass")
-    b = VerificationReport("c", 2.0, 3.0, 0.5, 2.1, True, 1, "pass")
-    m = merge_reports([b, a])
-    assert m.arg_min == 1.9
+def test_summary_merge_tie_goes_to_the_smaller_x():
+    early = _summary([5.0, 6.0], [0.25, 0.5])
+    late = _summary([3.0, 9.0], [0.25, 0.75])
+    for merged in (early.merge(late), late.merge(early)):
+        assert (merged.worst_margin, merged.arg_min, merged.count) == (0.25, 3.0, 4)
+    # at the same x the earlier state wins, and a 0.0/-0.0 tie keeps its sign
+    for first, second in ((-0.0, 0.0), (0.0, -0.0)):
+        merged = _summary([2.0], [first]).merge(_summary([2.0], [second]))
+        assert merged.worst_margin == 0.0 and merged.arg_min == 2.0
+        assert math.copysign(1.0, merged.worst_margin) == math.copysign(1.0, first)
+
+
+def test_summary_merge_verdict_and_negatives():
+    fail = _summary([4.0, 2.0], [-1.0, 1.0])
+    unsure = _summary([3.0], [-1e-12])
+    ok = _summary([1.0], [1.0])
+    assert (fail.verdict, unsure.verdict, ok.verdict) == ("fail", "indeterminate", "pass")
+    assert unsure.merge(fail).verdict == fail.merge(unsure).verdict == "fail"
+    assert ok.merge(unsure).verdict == unsure.merge(ok).verdict == "indeterminate"
+    assert ok.merge(ok).verdict == "pass"
+    merged = ok.merge(fail).merge(unsure)
+    assert (merged.negative_count, merged.first_negative_x,
+            merged.last_negative_x) == (2, 3.0, 4.0)
+    assert merged.report("c", 1.0, 4.0, ["n"]).notes == [
+        "n", "negative margins at 2 of 4 evaluation points; "
+        "first at x = 3, last at x = 4"]
+
+
+def test_summary_merge_equals_the_whole_at_every_split():
+    # few distinct margins and x, so ties across the split are common
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        xs = rng.choice([1.0, 2.0, 3.0], 12)
+        margins = rng.choice([-1.0, -0.0, 0.0, 1e-12, 1.0], 12)
+        whole = repr(_summary(xs, margins))
+        for cut in range(1, 12):
+            parts = _summary(xs[:cut], margins[:cut]).merge(
+                _summary(xs[cut:], margins[cut:]))
+            assert repr(parts) == whole, (xs, margins, cut)

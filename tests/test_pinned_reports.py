@@ -50,9 +50,11 @@ PINNED = {
         "fdcac1de56c18a3c30fb1016d3f8d6a87246cb2f5d364c6501c3116502abb84f",
     "verify --check pi-li-3 --from 2 --to 1000000":
         "eb2866692ad8d01782a40aff4cbebe6d82eee61886530aea7eaeb3116b67490a",
-    # each part keeps its own li term count
+    # --partitions is echoed in the config and splits nothing: the
+    # results equal the unpartitioned run's byte for byte (was 127ab11d...
+    # when each of three sub-sweeps kept its own li term count)
     "verify --check pi-li-1 --from 2 --to 1000000 --partitions 3":
-        "127ab11d5129e1e486921629093ac97eca751cbeb86b13292052df8449f66826",
+        "42ee7801b258082495220421daa1a20c42382404cb9285e0b05f3405aeada8d2",
     # 78498 primes: the prime-sum prefixes run far past small-x effects
     "verify --check mertens-remainder --from 2 --to 1000000":
         "ad2688d0f2cf6d41a9bec31e9e5c4ab5a9d0568f128b4c8fc7f894ea7f8de222",
@@ -63,8 +65,10 @@ PINNED = {
     # the last x inside the stated validity of log2p-plain
     "verify --check log2p-plain --from 2 --to 355990":
         "af72a27a4472c976a04dc0d4814f3d0411eb5520aab5704ef2edc120b267c582",
+    # as above; the four merged sub-sweeps counted 19191 states, 6 more
+    # than the range has (was bef4fcd2...)
     "verify --check mertens-remainder --from 2 --to 100000 --partitions 4":
-        "bef4fcd2de26be72a036db49ed92795384fabc45edc7d69363d8b0fb4d3cc8da",
+        "9cafb72a9a61c4d494c5dc43bcb3d5fda04d21c99429c2056cfd88392c5f43b5",
     # the buchstab exponent check gained the negative-margin note from
     # the shared sweep reducer (was 6ab4e8eb...); then the table's
     # landmarks, max_err and largest_exponent moved when the series
@@ -74,9 +78,11 @@ PINNED = {
         "b3f826ba86e2e96895c09b77d9c375066defde7de4229b9bd356a2a2f6385307",
     "charsum --q 7":
         "3c426b674cecc16437b225dde0434f32c57e1a9823abf2457644634aa437ca7a",
-    # runs both log-tau searches (case iii and the optimizer's tail sums)
+    # runs the tail-sum tau search; c_iii_tau reads 1 since case iii is
+    # taken at its proven worst point tau = 1 (was 8937088c..., with the
+    # golden section's 1.0000000000000002)
     "constants --optimize":
-        "8937088165711e35b63f04eeda70caa860530da57d9c945e7902ae4c9038c07c",
+        "1e71365a41adbebbb8afc8ba2c7a22f12b1cd3c886a0bc18455e01c2ae6aa9b4",
     "table --delta-paper":
         "44e54d849b05bb8b3473f7a4e4fe96371572e8d3d381370a66c0b96c2a7a3b42",
     "mfunc --kind liouville --x 1000,100000":
@@ -100,11 +106,12 @@ PINNED = {
     "mfunc --kind qchar:15 --x 1000,100000":
         "09a95b14f4f0d68c57dcdd9c0d0299552079f6f1c864beacb24c143b53d71638",
     # the constant chain without the optimizer, at the published and at
-    # another C0
+    # another C0; c_iii_tau moved to 1 as above (were 33f9650d... and
+    # c1f3caf8...)
     "constants":
-        "33f9650d60eb0d5aafd6a97e48216c13beaf572f67b682e278a19b6a651e5c18",
+        "603871b00cc4a25234e1c4fbb6402eb19617bd791061a6548f54b33bf5c5a180",
     "constants --c0 8":
-        "c1f3caf892069d9c48533bacac9bfcce9a8cd4c0dd13c5054ad7e6fe9f5778b2",
+        "3b8ca489d51eb152fb54d7c1373b48811c47651852111ecb2fd35d88f5524f4a",
     # nu2 and nu3 on a table sieved past the ledger's prime limit
     "mfunc --kind liouville --x 1000000,1500000":
         "f76e6258933d2c7af7daeaddf04c686eb2eb04a1d7901c6338ed38474bfc820d",

@@ -1,10 +1,11 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from xpv.core import merge_reports
+from xpv import primes
 from xpv.errors import (
     DomainError,
     PreconditionError,
@@ -17,6 +18,7 @@ from xpv.primes import (
     _alpha_states,
     _compensated_prefix,
     _li_series,
+    _li_terms,
     least_prime_3mod4_above,
     log_integral,
     log_square_sum,
@@ -24,7 +26,6 @@ from xpv.primes import (
     nu2,
     prime_zeta,
     sieve_primes,
-    split_range,
     tail_power_sum_bound,
     verify_inequality,
 )
@@ -147,10 +148,15 @@ def test_li_zero_crossing_region():
     assert log_integral(1.5).mid > 0.0
 
 
+def _li(xs):
+    """The series with the term count of its largest x, as a sweep fixes it."""
+    return _li_series(xs, _li_terms(np.max(xs)))
+
+
 def _li_alone(x, top):
-    """The series at x evaluated next to only ``top``, which fixes the
-    term count, with no neighbours, duplicates or blocks around it."""
-    acc, half = _li_series(np.array([x, top]))
+    """The series at x alone, with the term count of ``top``: no
+    neighbours, duplicates or blocks around it."""
+    acc, half = _li_series(np.array([x]), _li_terms(top))
     return acc[0], half[0]
 
 
@@ -165,7 +171,7 @@ def test_li_series_bits_are_frozen():
     # was deduplicated and blocked; a change in the operations or their
     # order moves it.  The half-widths moved once, when they gained the
     # rounding of y = log x (was 47f1f397...); the values did not move.
-    acc, half = _li_series(np.logspace(1e-3, 9.0, 2000))
+    acc, half = _li(np.logspace(1e-3, 9.0, 2000))
     digest = hashlib.sha256(acc.tobytes() + half.tobytes()).hexdigest()
     assert digest == (
         "ad9c1fcab0dc3c229b47e04ebdb104263065ac38f0645d75b2e7acaadb4efc11")
@@ -175,8 +181,8 @@ def test_li_series_once_per_distinct_x_is_bit_identical(prime_table):
     # more than two blocks of distinct primes, each listed twice as in a
     # step sweep
     xs = prime_table.float_primes()[: 2 * _LI_BLOCK + 100]
-    acc, half = _li_series(xs)
-    acc2, half2 = _li_series(np.repeat(xs, 2))
+    acc, half = _li(xs)
+    acc2, half2 = _li(np.repeat(xs, 2))
     assert np.array_equal(acc2, np.repeat(acc, 2))
     assert np.array_equal(half2, np.repeat(half, 2))
     edges = [0, _LI_BLOCK - 1, _LI_BLOCK, _LI_BLOCK + 1,
@@ -185,18 +191,18 @@ def test_li_series_once_per_distinct_x_is_bit_identical(prime_table):
 
     # non-adjacent duplicates are evaluated apart and still agree
     mixed = np.concatenate([xs[:50], xs[:50][::-1], xs[-1:]])
-    acc, half = _li_series(mixed)
+    acc, half = _li(mixed)
     assert np.array_equal(acc[:50], acc[50:100][::-1])
     assert np.array_equal(half[:50], half[50:100][::-1])
     _assert_each_alone(mixed, acc, half, range(mixed.size))
 
     # unsorted input over a block boundary
     shuffled = np.random.default_rng(5).permutation(xs)
-    acc, half = _li_series(shuffled)
+    acc, half = _li(shuffled)
     _assert_each_alone(shuffled, acc, half, edges)
 
     # one element
-    (value,), (width,) = _li_series(np.array([7.5]))
+    (value,), (width,) = _li(np.array([7.5]))
     assert (value, width) == _li_alone(7.5, 7.5)
 
 
@@ -212,13 +218,13 @@ def test_li_series_error_model_against_mpmath(prime_table):
     xs = np.concatenate([[1.0 + 2.0 ** -30, 1.0 + 1e-6, 1.5, 2.0],
                          np.logspace(1e-3, 9.0, 300),
                          np.linspace(3.0030, 3.0043, 4001)])
-    acc, half = _li_series(xs)
+    acc, half = _li(xs)
     # primes on both sides of the li series' block boundaries, evaluated
     # as a step sweep lists them
     ps = prime_table.float_primes()[: 3 * _LI_BLOCK + 3]
     near = [i + d for i in (_LI_BLOCK, 2 * _LI_BLOCK, 3 * _LI_BLOCK)
             for d in (-2, -1, 0, 1, 2)]
-    pacc, phalf = _li_series(np.repeat(ps, 2))
+    pacc, phalf = _li(np.repeat(ps, 2))
     points = list(zip(xs, acc, half)) + [
         (ps[i], pacc[2 * i], phalf[2 * i]) for i in near]
     with mp.workdps(40):
@@ -477,23 +483,31 @@ def test_verify_input_errors(prime_table):
         verify_inequality("log2p-plain", 2, 400000, prime_table)
 
 
-def test_split_range_covers_and_merges(prime_table):
-    parts = split_range(2.0, 1e6, 5)
-    assert len(parts) == 5
-    assert parts[0][0] == 2.0 and parts[-1][1] == 1e6
-    for (a1, b1), (a2, b2) in zip(parts, parts[1:]):
-        assert a2 == np.nextafter(b1, math.inf)
-    single = verify_inequality("pi-li-1", 2, 1e6, prime_table)
-    merged = merge_reports(
-        [verify_inequality("pi-li-1", a, b, prime_table) for a, b in parts]
-    )
-    assert merged.worst_margin == single.worst_margin
-    assert merged.arg_min == single.arg_min
-    assert merged.verdict == single.verdict
+def test_sweep_chunks_match_one_chunk(prime_table, monkeypatch):
+    # 157k states: one chunk at the default size, 154 chunks of 2^10;
+    # mertens-remainder's stationary extra sits in the last chunk
+    for check_id in ("pi-li-1", "mertens-remainder", "mertens-bracket"):
+        monkeypatch.setattr(primes, "_SWEEP_CHUNK", 1 << 20)
+        whole = repr(verify_inequality(check_id, 2, 1e6, prime_table).as_dict())
+        monkeypatch.setattr(primes, "_SWEEP_CHUNK", 1 << 10)
+        chunked = repr(verify_inequality(check_id, 2, 1e6, prime_table).as_dict())
+        assert chunked == whole, check_id
 
 
-def test_split_range_validation():
-    with pytest.raises(UsageError):
-        split_range(2.0, 1.0, 3)
-    with pytest.raises(UsageError):
-        split_range(1.0, 2.0, 0)
+def test_sweep_peak_memory_is_one_chunk(prime_table, monkeypatch):
+    prime_table.recip_prefix()
+
+    def peak():
+        tracemalloc.start()
+        try:
+            verify_inequality("mertens-bracket", 2, 1e6, prime_table)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    monkeypatch.setattr(primes, "_SWEEP_CHUNK", 1 << 30)
+    whole = peak()
+    monkeypatch.setattr(primes, "_SWEEP_CHUNK", 1 << 14)
+    chunked = peak()
+    # 4.4 against 11.5 MB when written: the states themselves stay whole
+    assert chunked < 0.5 * whole, (chunked, whole)
