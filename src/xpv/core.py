@@ -1,12 +1,14 @@
 """Shared numeric plumbing.
 
-Enclosures, margin verdicts, mergeable sweep summaries and their reports,
-adaptive quadrature, anchored grids, and the small root-finding and
-line-search helpers.  Compensated prefix sums: ``primes._compensated_prefix``.
+Enclosures, margin verdicts, the one sweep reducer (chunk by chunk into
+mergeable summaries) and its reports, adaptive quadrature, anchored grids,
+and the small root-finding and line-search helpers.  Compensated prefix
+sums: ``primes._compensated_prefix``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -19,6 +21,8 @@ from .errors import PrecisionError, UsageError
 # counts as a fail.  Anything in between is reported as indeterminate so
 # that float noise can never flip a verdict.
 DEFAULT_ETA = 1e-9
+
+_SWEEP_CHUNK = 1 << 16  # states per chunk of every sweep, li's cache block too
 
 
 @dataclass(frozen=True)
@@ -174,10 +178,17 @@ class SweepSummary:
                                   self.verdict, notes)
 
 
-def sweep_report(check_id, x_lo, x_hi, xs, margins, scales, notes,
-                 eta: float = DEFAULT_ETA) -> VerificationReport:
-    """Reduce one sweep, held whole, to its report."""
-    return SweepSummary.of(xs, margins, scales, eta).report(check_id, x_lo, x_hi, notes)
+def sweep(xs, margins, eta: float = DEFAULT_ETA) -> SweepSummary:
+    """Summarize the states at ``xs``, one chunk of ``_SWEEP_CHUNK`` at a time.
+
+    ``margins(part)`` returns (margins, scales) at ``xs[part]`` for a slice
+    ``part``.  Margins are elementwise and the merge is exact, so the
+    summary is the whole sweep's; only one chunk's temporaries are live.
+    """
+    chunk = _SWEEP_CHUNK
+    parts = (slice(lo, lo + chunk) for lo in range(0, xs.size, chunk))
+    return functools.reduce(SweepSummary.merge,
+                            (SweepSummary.of(xs[p], *margins(p), eta) for p in parts))
 
 
 def adaptive_simpson(f, a: float, b: float, tol: float = 1e-12,

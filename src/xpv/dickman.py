@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_ETA, Enclosure, VerificationReport, anchored_grid, sweep_report
+from .core import DEFAULT_ETA, Enclosure, VerificationReport, anchored_grid, sweep
 from .errors import (
     DomainError,
     PrecisionError,
@@ -252,7 +252,8 @@ def verify_rho_exponent(
                 f"range [{x_lo}, {x_hi}] must sit inside [1, {table.x_max}]"
             )
         xs, lower = _grid_lower(table, x_lo, x_hi)
-        extra = [e for e in (x_lo, x_hi) if not ((e - 1.0) / table.step).is_integer()]
+        extra = [e for e in dict.fromkeys((x_lo, x_hi))
+                 if not ((e - 1.0) / table.step).is_integer()]
         xs = np.concatenate([xs, extra])
         lower = np.concatenate([lower, [rho_log(e, table).lo for e in extra]])
         notes.append("margins use table enclosure lower edges")
@@ -266,12 +267,16 @@ def verify_rho_exponent(
             raise ResourceError(
                 f"{n_real:.6g} grid steps exceed the cap {MAX_TABLE_STEPS}")
         xs = anchored_grid(x_lo, x_hi, DEFAULT_STEP)
-        lower = _buchstab_vec(xs)
+        lower = None
         notes.append("margins use the closed-form lower bound")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bound = -exponent * xs * np.log(xs)
-    return sweep_report(f"rho-exponent-{source}", x_lo, x_hi, xs,
-                        lower - bound, np.abs(bound), notes, eta)
+
+    def margins(part):
+        x = xs[part]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bound = -exponent * x * np.log(x)
+        return (_buchstab_vec(x) if lower is None else lower[part]) - bound, np.abs(bound)
+
+    return sweep(xs, margins, eta).report(f"rho-exponent-{source}", x_lo, x_hi, notes)
 
 
 def max_exponent(table: RhoLogTable, x_lo: float, x_hi: float) -> float:

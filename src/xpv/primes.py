@@ -5,13 +5,12 @@ The sweep engine is the workhorse: it verifies each registered
 prime-counting or prime-sum inequality over a range by evaluating the
 margin (RHS - LHS, signed) at every point where the margin can attain an
 extremum, and reports the worst margin with a three-way verdict.  It
-reduces one fixed-size chunk of states at a time, so no full-length
-margin array exists.
+reduces through ``core.sweep``, one chunk of ``core._SWEEP_CHUNK`` states
+at a time, so no full-length margin or li array exists.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -29,12 +28,12 @@ from .constants import (
 from .core import (
     DEFAULT_ETA,
     Enclosure,
-    SweepSummary,
     VerificationReport,
     adaptive_simpson,
     anchored_grid,
     bisect_root,
     geometric_grid,
+    sweep,
 )
 from .errors import (
     DomainError,
@@ -46,8 +45,6 @@ from .errors import (
 
 DEFAULT_SIEVE_CAP = 10 ** 9
 _SEGMENT_SIZE = 1 << 22
-_LI_BLOCK = 1 << 14  # points per block of the li term loop
-_SWEEP_CHUNK = 1 << 20  # states per chunk of the sweep's margin reduction
 
 # Deterministic Miller-Rabin witness set, valid for all n < 3.3e24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -210,46 +207,32 @@ def _li_series(xs: np.ndarray, n_terms: int):
     y itself through dli/dy = x/y.
 
     A run of equal adjacent x (a step sweep lists each prime twice) is
-    evaluated once and its result copied back to every position of the run.
-    The series runs in its own function so that its work arrays are freed
-    before that copy is made, which keeps the peak memory down.
+    evaluated once and its result copied back to every position of the
+    run.  Each x sees the same operations in the same order, so its value
+    depends on it alone; a sweep passes one cache-sized chunk at a time.
     """
     first = np.empty(xs.shape, dtype=bool)
     first[:1] = True
     np.not_equal(xs[1:], xs[:-1], out=first[1:])
-    acc, half = _li_series_blocked(xs[first], n_terms)
-    back = np.cumsum(first)
-    back -= 1
-    return acc[back], half[back]
-
-
-def _li_series_blocked(xs: np.ndarray, n_terms: int):
-    """The series of ``_li_series`` with its term loop run over
-    cache-sized blocks through one scratch buffer.
-
-    Every point sees the same operations in the same order, so a value
-    depends neither on the blocking nor on the other points.
-    """
+    xs = xs[first]
     ys = np.log(xs)
     acc = np.log(ys)
     mag = np.abs(acc) + abs(EULER_GAMMA)
     acc += EULER_GAMMA
     t = np.ones_like(ys)
-    tk = np.empty(min(ys.size, _LI_BLOCK))
-    for lo in range(0, ys.size, _LI_BLOCK):
-        y, tb, a, m = (v[lo : lo + _LI_BLOCK] for v in (ys, t, acc, mag))
-        buf = tk[: y.size]
-        for k in range(1, n_terms + 1):
-            np.divide(y, k, out=buf)
-            tb *= buf
-            np.divide(tb, k, out=buf)
-            a += buf
-            m += buf
+    buf = np.empty_like(ys)
+    for k in range(1, n_terms + 1):
+        np.divide(ys, k, out=buf)
+        t *= buf
+        np.divide(t, k, out=buf)
+        acc += buf
+        mag += buf
     nxt = t * ys / (n_terms + 1) / (n_terms + 1)
     trunc = nxt / (1.0 - ys / (n_terms + 2))
     # xs: y = log x is rounded by up to 2.3e-16 y, times dli/dy = x/y
     half = trunc + 2.3e-16 * ((ys + 2.0) * mag + xs) + 1e-300
-    return acc, half
+    back = np.cumsum(first) - 1
+    return acc[back], half[back]
 
 
 def _graded_simpson(f, a: float, b: float, tol: float):
@@ -351,15 +334,6 @@ def mertens_sum(x: float, table: PrimeTable) -> float:
     _require_table(table, x, "mertens_sum")
     ps = table.float_primes()[: table.prime_pi(x)]
     return math.fsum((1.0 / ps).tolist())
-
-
-def log_square_sum(x: float, table: PrimeTable) -> float:
-    """Sum of log(p)^2/p over primes p <= x."""
-    if x <= 1:
-        raise DomainError(f"log_square_sum needs x > 1, got {x}")
-    _require_table(table, x, "log_square_sum")
-    ps = table.float_primes()[: table.prime_pi(x)]
-    return math.fsum((np.log(ps) ** 2 / ps).tolist())
 
 
 def prime_zeta(k: int, table: PrimeTable) -> Enclosure:
@@ -644,10 +618,10 @@ def verify_inequality(
 ) -> VerificationReport:
     """Sweep one registered inequality over [x_lo, x_hi].
 
-    The states are built once; their margins are evaluated and reduced
-    to a ``SweepSummary`` one chunk of ``_SWEEP_CHUNK`` states at a time,
-    and each chunk is dropped before the next.  The li term count comes
-    from x_hi, the largest x, so the chunking moves no bit.
+    The states are built once; ``core.sweep`` evaluates their margins
+    and reduces them one chunk of ``core._SWEEP_CHUNK`` states at a time.
+    The li term count comes from x_hi, the largest x, so the chunking
+    moves no bit.
 
     Raises UsageError for an unknown check id and PreconditionError when
     the range leaves the check's stated validity interval (the message
@@ -668,16 +642,13 @@ def verify_inequality(
     prefix = None if cd.states.prefix is None else cd.states.prefix(table)
     n_li = _li_terms(x_hi)
 
-    def summarize(lo):
-        part = slice(lo, lo + _SWEEP_CHUNK)
+    def margins(part):
         st = None if state is None else state[part]
         if prefix is not None:
             st = prefix[st]
-        margins, scales = cd.margins(xs[part], st, n_li)
-        return SweepSummary.of(xs[part], margins, scales, eta)
+        return cd.margins(xs[part], st, n_li)
 
-    summary = functools.reduce(SweepSummary.merge,
-                               map(summarize, range(0, xs.size, _SWEEP_CHUNK)))
+    summary = sweep(xs, margins, eta)
     notes = [n for n in (cd.states.note, cd.note) if n]
     if cd.crossover:
         (first, last), _ = cd.margins(xs[[0, -1]], None, n_li)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from xpv import core
 from xpv.core import (
     Enclosure,
     SweepSummary,
@@ -14,7 +15,7 @@ from xpv.core import (
     geometric_grid,
     golden_max,
     margins_verdict,
-    sweep_report,
+    sweep,
 )
 from xpv.errors import PrecisionError, UsageError
 
@@ -127,33 +128,38 @@ def test_report_dict_shape():
     assert d["verdict"] == "pass"
 
 
-def test_sweep_report_reduces_unsorted_states():
-    xs = np.array([2.0, 3.0, 5.0, 4.0, 1.5])
-    margins = np.array([0.5, -0.2, -0.1, -0.2, -0.3])
-    r = sweep_report("demo", 1.5, 5.0, xs, margins, np.ones(5), ["given"])
-    assert r.worst_margin == -0.3 and r.arg_min == 1.5
-    assert r.verdict == "fail" and not r.passed
-    assert r.evaluation_count == 5
-    assert r.notes == [
-        "given",
-        "negative margins at 4 of 5 evaluation points; "
-        "first at x = 1.5, last at x = 5",
-    ]
-    # ties on the margin go to the smaller x; no negative margin, no note
-    tie = sweep_report("demo", 1.0, 3.0, np.array([3.0, 1.0]),
-                       np.array([0.25, 0.25]), np.ones(2), [])
-    assert tie.arg_min == 1.0 and tie.verdict == "pass" and tie.notes == []
-    # a tie among unsorted xs goes to the smallest x of the tie
-    r = sweep_report("demo", 1.0, 9.0, np.array([7.0, 3.0, 9.0, 2.0, 5.0, 1.0]),
-                     np.array([-0.5, 0.1, -0.5, 0.2, -0.5, 0.4]), np.ones(6), [])
-    assert r.worst_margin == -0.5 and r.arg_min == 5.0
-    # 0.0 and -0.0 tie: the smaller x wins and keeps its sign
-    for margins, sign in (([-0.0, 0.0], 1.0), ([0.0, -0.0], -1.0)):
-        zero = sweep_report("demo", 2.0, 3.0, np.array([3.0, 2.0]),
-                            np.array(margins), np.ones(2), [])
-        assert zero.arg_min == 2.0 and zero.worst_margin == 0.0
-        assert math.copysign(1.0, zero.worst_margin) == sign
-        assert zero.verdict == "pass" and zero.notes == []
+def _sweep_report(x_lo, x_hi, xs, margins, notes):
+    xs, margins = np.array(xs), np.array(margins)
+    return sweep(xs, lambda part: (margins[part], np.ones(xs.size)[part])).report(
+        "demo", x_lo, x_hi, notes)
+
+
+def test_sweep_report_reduces_unsorted_states(monkeypatch):
+    for chunk in (core._SWEEP_CHUNK, 1, 2):
+        monkeypatch.setattr(core, "_SWEEP_CHUNK", chunk)
+        r = _sweep_report(1.5, 5.0, [2.0, 3.0, 5.0, 4.0, 1.5],
+                          [0.5, -0.2, -0.1, -0.2, -0.3], ["given"])
+        assert r.worst_margin == -0.3 and r.arg_min == 1.5
+        assert r.verdict == "fail" and not r.passed
+        assert r.evaluation_count == 5
+        assert r.notes == [
+            "given",
+            "negative margins at 4 of 5 evaluation points; "
+            "first at x = 1.5, last at x = 5",
+        ]
+        # ties on the margin go to the smaller x; no negative margin, no note
+        tie = _sweep_report(1.0, 3.0, [3.0, 1.0], [0.25, 0.25], [])
+        assert tie.arg_min == 1.0 and tie.verdict == "pass" and tie.notes == []
+        # a tie among unsorted xs goes to the smallest x of the tie
+        r = _sweep_report(1.0, 9.0, [7.0, 3.0, 9.0, 2.0, 5.0, 1.0],
+                          [-0.5, 0.1, -0.5, 0.2, -0.5, 0.4], [])
+        assert r.worst_margin == -0.5 and r.arg_min == 5.0, chunk
+        # 0.0 and -0.0 tie: the smaller x wins and keeps its sign
+        for margins, sign in (([-0.0, 0.0], 1.0), ([0.0, -0.0], -1.0)):
+            zero = _sweep_report(2.0, 3.0, [3.0, 2.0], margins, [])
+            assert zero.arg_min == 2.0 and zero.worst_margin == 0.0
+            assert math.copysign(1.0, zero.worst_margin) == sign
+            assert zero.verdict == "pass" and zero.notes == []
 
 
 def _summary(xs, margins):

@@ -2,10 +2,12 @@ import dataclasses
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from xpv import core
 from xpv.cli import json_dumps, run
 from xpv.dickman import (
     buchstab_lower_log,
@@ -221,6 +223,49 @@ def test_exponent_table_evaluates_the_endpoint(offset):
     x_hi = 9.0 - offset * table.step
     r = verify_rho_exponent(6.0, x_hi, 1.0, "table", table=table)
     assert r.evaluation_count == 3073
+
+
+@pytest.mark.parametrize("check", [
+    "5.0001,5.0001,1.15,table", "5,5,1.15,table", "6.0001,6.0001,1.0,buchstab"])
+def test_exponent_check_degenerate_range_counts_its_point_once(check, capsys):
+    # x_lo == x_hi off the grid is one state, not one per endpoint
+    run(["dickman", "--xmax", "10", "--exponent-check", check])
+    rep = json.loads(capsys.readouterr().out)["results"][1]
+    assert rep["evaluation_count"] == 1
+    assert rep["arg_min"] == rep["range"][0] == rep["range"][1]
+
+
+def test_exponent_sweep_chunks_match_one_chunk(rho_table, monkeypatch):
+    # each off-grid x_hi is the last state, so it lands in the last chunk
+    # of 2^10: alone there for [5.0003, 9.9997] (5121 states), whose
+    # negative onsets are both off-grid endpoints
+    cases = [((5.0003, 9.9997, 0.3, "table"), build_rho_table(10.0)),
+             ((1.0, 129.9999, 1.15, "table"), rho_table),
+             ((6.0, 100.3, 1.1, "buchstab"), None),
+             ((130.0, 1000.0, 1.42, "buchstab"), None)]
+    for args, table in cases:
+        monkeypatch.setattr(core, "_SWEEP_CHUNK", 1 << 30)
+        whole = repr(verify_rho_exponent(*args, table=table).as_dict())
+        monkeypatch.setattr(core, "_SWEEP_CHUNK", 1 << 10)
+        chunked = repr(verify_rho_exponent(*args, table=table).as_dict())
+        assert chunked == whole, args
+
+
+def test_exponent_sweep_peak_memory_is_one_chunk(monkeypatch):
+    def peak():
+        tracemalloc.start()
+        try:
+            verify_rho_exponent(6.0, 1000.0, 1.42, "buchstab")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    monkeypatch.setattr(core, "_SWEEP_CHUNK", 1 << 30)
+    whole = peak()
+    monkeypatch.setattr(core, "_SWEEP_CHUNK", 1 << 14)
+    chunked = peak()
+    # the grid itself (1M points) stays whole
+    assert chunked < 0.7 * whole, (chunked, whole)
 
 
 def test_exponent_sweep_validation(rho_table):

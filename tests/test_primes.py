@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from xpv import primes
+from xpv import core
 from xpv.errors import (
     DomainError,
     PreconditionError,
@@ -13,7 +13,6 @@ from xpv.errors import (
     UsageError,
 )
 from xpv.primes import (
-    _LI_BLOCK,
     REGISTRY,
     _alpha_states,
     _compensated_prefix,
@@ -21,7 +20,6 @@ from xpv.primes import (
     _li_terms,
     least_prime_3mod4_above,
     log_integral,
-    log_square_sum,
     mertens_sum,
     nu2,
     prime_zeta,
@@ -148,6 +146,11 @@ def test_li_zero_crossing_region():
     assert log_integral(1.5).mid > 0.0
 
 
+# the li series once ran its term loop over blocks of this many points;
+# the inputs below still straddle those old block edges
+_BLOCK = 1 << 14
+
+
 def _li(xs):
     """The series with the term count of its largest x, as a sweep fixes it."""
     return _li_series(xs, _li_terms(np.max(xs)))
@@ -180,13 +183,13 @@ def test_li_series_bits_are_frozen():
 def test_li_series_once_per_distinct_x_is_bit_identical(prime_table):
     # more than two blocks of distinct primes, each listed twice as in a
     # step sweep
-    xs = prime_table.float_primes()[: 2 * _LI_BLOCK + 100]
+    xs = prime_table.float_primes()[: 2 * _BLOCK + 100]
     acc, half = _li(xs)
     acc2, half2 = _li(np.repeat(xs, 2))
     assert np.array_equal(acc2, np.repeat(acc, 2))
     assert np.array_equal(half2, np.repeat(half, 2))
-    edges = [0, _LI_BLOCK - 1, _LI_BLOCK, _LI_BLOCK + 1,
-             2 * _LI_BLOCK - 1, 2 * _LI_BLOCK, xs.size - 1]
+    edges = [0, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+             2 * _BLOCK - 1, 2 * _BLOCK, xs.size - 1]
     _assert_each_alone(xs, acc, half, edges)
 
     # non-adjacent duplicates are evaluated apart and still agree
@@ -219,10 +222,10 @@ def test_li_series_error_model_against_mpmath(prime_table):
                          np.logspace(1e-3, 9.0, 300),
                          np.linspace(3.0030, 3.0043, 4001)])
     acc, half = _li(xs)
-    # primes on both sides of the li series' block boundaries, evaluated
-    # as a step sweep lists them
-    ps = prime_table.float_primes()[: 3 * _LI_BLOCK + 3]
-    near = [i + d for i in (_LI_BLOCK, 2 * _LI_BLOCK, 3 * _LI_BLOCK)
+    # primes on both sides of the old block boundaries, evaluated as a
+    # step sweep lists them
+    ps = prime_table.float_primes()[: 3 * _BLOCK + 3]
+    near = [i + d for i in (_BLOCK, 2 * _BLOCK, 3 * _BLOCK)
             for d in (-2, -1, 0, 1, 2)]
     pacc, phalf = _li(np.repeat(ps, 2))
     points = list(zip(xs, acc, half)) + [
@@ -261,11 +264,6 @@ def test_mertens_sum_preconditions(prime_table):
         mertens_sum(10 ** 6 + 1, prime_table)
     # a table to floor(x) holds every prime <= x
     assert mertens_sum(10 ** 6 + 0.5, prime_table) == mertens_sum(1e6, prime_table)
-
-
-def test_log_square_sum_small(prime_table):
-    want = math.log(2) ** 2 / 2 + math.log(3) ** 2 / 3
-    assert log_square_sum(3.0, prime_table) == pytest.approx(want, rel=1e-15)
 
 
 # sha256 of each prefix array on the 1e6 table, recorded from the
@@ -484,12 +482,12 @@ def test_verify_input_errors(prime_table):
 
 
 def test_sweep_chunks_match_one_chunk(prime_table, monkeypatch):
-    # 157k states: one chunk at the default size, 154 chunks of 2^10;
+    # 157k states: one chunk of 2^20, 154 chunks of 2^10;
     # mertens-remainder's stationary extra sits in the last chunk
     for check_id in ("pi-li-1", "mertens-remainder", "mertens-bracket"):
-        monkeypatch.setattr(primes, "_SWEEP_CHUNK", 1 << 20)
+        monkeypatch.setattr(core, "_SWEEP_CHUNK", 1 << 20)
         whole = repr(verify_inequality(check_id, 2, 1e6, prime_table).as_dict())
-        monkeypatch.setattr(primes, "_SWEEP_CHUNK", 1 << 10)
+        monkeypatch.setattr(core, "_SWEEP_CHUNK", 1 << 10)
         chunked = repr(verify_inequality(check_id, 2, 1e6, prime_table).as_dict())
         assert chunked == whole, check_id
 
@@ -505,9 +503,9 @@ def test_sweep_peak_memory_is_one_chunk(prime_table, monkeypatch):
         finally:
             tracemalloc.stop()
 
-    monkeypatch.setattr(primes, "_SWEEP_CHUNK", 1 << 30)
+    monkeypatch.setattr(core, "_SWEEP_CHUNK", 1 << 30)
     whole = peak()
-    monkeypatch.setattr(primes, "_SWEEP_CHUNK", 1 << 14)
+    monkeypatch.setattr(core, "_SWEEP_CHUNK", 1 << 14)
     chunked = peak()
     # 4.4 against 11.5 MB when written: the states themselves stay whole
     assert chunked < 0.5 * whole, (chunked, whole)
