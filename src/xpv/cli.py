@@ -320,7 +320,7 @@ def _cmd_verify(args):
     cd = check_def(args.check)
     # --partitions is checked and echoed, but the one chunked sweep gives
     # the same results for every accepted value
-    most = max(1, geometric_grid(args.x_from, args.x_to).size)
+    most = max(1, sum(xs.size for xs, _ in geometric_grid(args.x_from, args.x_to)))
     if not 1 <= args.partitions <= most:
         raise UsageError(
             f"--partitions must lie in [1, {most}], the number of points of "

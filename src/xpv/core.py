@@ -1,9 +1,9 @@
 """Shared numeric plumbing.
 
-Enclosures, margin verdicts, the one sweep reducer (chunk by chunk into
-mergeable summaries) and its reports, adaptive quadrature, anchored grids,
-and the small root-finding and line-search helpers.  Compensated prefix
-sums: ``primes._compensated_prefix``.
+Enclosures, margin verdicts, the one sweep reducer (state chunks into
+mergeable summaries) and its reports, the chunked absolute grids,
+adaptive quadrature, and the small root-finding and line-search helpers.
+Compensated prefix sums: ``primes._compensated_prefix``.
 """
 
 from __future__ import annotations
@@ -178,17 +178,21 @@ class SweepSummary:
                                   self.verdict, notes)
 
 
-def sweep(xs, margins, eta: float = DEFAULT_ETA) -> SweepSummary:
-    """Summarize the states at ``xs``, one chunk of ``_SWEEP_CHUNK`` at a time.
+def runs(lo: int, hi: int):
+    """lo..hi-1 as ``np.arange`` runs of ``_SWEEP_CHUNK``: a sweep's chunks."""
+    for a in range(lo, hi, _SWEEP_CHUNK):
+        yield np.arange(a, min(a + _SWEEP_CHUNK, hi))
 
-    ``margins(part)`` returns (margins, scales) at ``xs[part]`` for a slice
-    ``part``.  Margins are elementwise and the merge is exact, so the
-    summary is the whole sweep's; only one chunk's temporaries are live.
+
+def sweep(chunks, margins, eta: float = DEFAULT_ETA) -> SweepSummary:
+    """Summarize the non-empty (xs, state) ``chunks`` a state builder
+    yields; ``margins(xs, state)`` returns (margins, scales) of one.
+
+    Margins are elementwise and the merge is exact, so the summary is the
+    whole sweep's; only one chunk's states and temporaries are live.
     """
-    chunk = _SWEEP_CHUNK
-    parts = (slice(lo, lo + chunk) for lo in range(0, xs.size, chunk))
-    return functools.reduce(SweepSummary.merge,
-                            (SweepSummary.of(xs[p], *margins(p), eta) for p in parts))
+    return functools.reduce(SweepSummary.merge, (
+        SweepSummary.of(xs, *margins(xs, state), eta) for xs, state in chunks))
 
 
 def adaptive_simpson(f, a: float, b: float, tol: float = 1e-12,
@@ -273,30 +277,34 @@ def golden_max(f, lo: float, hi: float, iters: int = 80):
     return x, f(x)
 
 
-def geometric_grid(lo: float, hi: float, per_octave: int = 128) -> np.ndarray:
-    """Absolute geometric grid 2**(j/per_octave) clipped to [lo, hi].
+def grid(lo: float, hi: float, point, coord):
+    """Sweep chunks of the absolute grid x = point(j), j integer: (xs, j)
+    for the grid points in [lo, hi] in runs of ``_SWEEP_CHUNK`` j, then
+    (xs, None) with the endpoints off the grid; nothing when lo > hi.
 
-    Anchored to powers of two rather than to the endpoints, so the union
-    of grids over a partition of [lo, hi] equals the grid of the whole
-    range.  Both endpoints are appended exactly.
+    ``point`` is increasing and ``coord`` its inverse, which only picks
+    the candidate j (1e-12 tolerance): exact comparisons decide what lies
+    in the range and which endpoint is on the grid.
     """
-    if not (lo < hi):
-        return np.array([lo] if lo == hi else [], dtype=float)
-    j_lo = math.ceil(per_octave * math.log2(lo) - 1e-12)
-    j_hi = math.floor(per_octave * math.log2(hi) + 1e-12)
-    pts = np.exp2(np.arange(j_lo, j_hi + 1, dtype=float) / per_octave)
-    pts = pts[(pts >= lo) & (pts <= hi)]
-    return np.unique(np.concatenate([[lo], pts, [hi]]))
+    ends = dict.fromkeys((lo, hi) if lo <= hi else ())
+    for js in runs(math.ceil(coord(lo) - 1e-12), math.floor(coord(hi) + 1e-12) + 1):
+        xs = point(js)
+        keep = (xs >= lo) & (xs <= hi)
+        if keep.any():
+            xs, js = xs[keep], js[keep]
+            ends.pop(xs[0], None)
+            ends.pop(xs[-1], None)
+            yield xs, js
+    if ends:
+        yield np.array(list(ends), dtype=float), None
 
 
-def anchored_grid(lo: float, hi: float, step: float) -> np.ndarray:
-    """Absolute grid j*step clipped to [lo, hi].
+def geometric_grid(lo: float, hi: float, per_octave: int = 128):
+    """``grid`` chunks of the geometric grid 2**(j/per_octave) on [lo, hi]."""
+    return grid(lo, hi, lambda j: np.exp2(j / per_octave),
+                lambda x: per_octave * math.log2(x))
 
-    Anchored to multiples of ``step`` rather than to the endpoints, so the
-    union of grids over a partition of [lo, hi] equals the grid of the
-    whole range.  Both endpoints are appended exactly.
-    """
-    pts = np.arange(math.ceil(lo / step), math.floor(hi / step) + 1,
-                    dtype=float) * step
-    pts = pts[(pts >= lo) & (pts <= hi)]
-    return np.unique(np.concatenate([[lo], pts, [hi]]))
+
+def anchored_grid(lo: float, hi: float, step: float):
+    """``grid`` chunks of the grid j*step on [lo, hi]."""
+    return grid(lo, hi, lambda j: j * step, lambda x: x / step)

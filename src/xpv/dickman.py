@@ -6,7 +6,8 @@ identity x*rho(x) = integral of rho over [x-1, x].  On [k, k+1],
 rho(k + 1/2 + s) = e^{L_k} sum_{n<=N} a_n s^n with a_0 = 1 and the level
 L_k kept as a log, so values near e^-700 never underflow (van de Lune
 and Wattel, Math. Comp. 23, 1969; Marsaglia, Zaman and Marsaglia, Math.
-Comp. 53, 1989).
+Comp. 53, 1989).  The exponent checks sweep ``core.anchored_grid`` chunks,
+reading the table at row j - 1/step and an off-grid endpoint by its series.
 """
 
 from __future__ import annotations
@@ -192,14 +193,14 @@ def rho_log(x: float, table: RhoLogTable) -> Enclosure:
     return Enclosure(float(_lower(v, e)), float(-_lower(-v, e)))
 
 
-def _grid_lower(table: RhoLogTable, x_lo: float, x_hi: float):
-    """Grid points in [x_lo, x_hi] and their enclosure lower edges; the
-    positions (x - 1)/step are exact for a power-of-two step."""
-    h = table.step
-    i0 = math.ceil((x_lo - 1.0) / h)
-    i1 = math.floor((x_hi - 1.0) / h)
-    rows = slice(i0, i1 + 1)
-    return table.xs[rows], _lower(table.log_values[rows], table.err[rows])
+def _table_lower(table: RhoLogTable, xs: np.ndarray, j) -> np.ndarray:
+    """Enclosure lower edges at an ``anchored_grid`` chunk: table row
+    j - 1/step at x = j*step (both exact for a power-of-two step), or
+    ``rho_log`` at the endpoints off the grid (j is None)."""
+    if j is None:
+        return np.array([rho_log(x, table).lo for x in xs])
+    rows = j - round(1.0 / table.step)
+    return _lower(table.log_values[rows], table.err[rows])
 
 
 def _buchstab_vec(xs: np.ndarray) -> np.ndarray:
@@ -237,10 +238,13 @@ def verify_rho_exponent(
     source="table" reads enclosure lower edges off the table grid;
     source="buchstab" uses the closed-form lower bound on a 2^-10
     anchored grid of at most MAX_TABLE_STEPS steps.  Either way the
-    check goes through a lower bound, so a pass is conservative.
+    check goes through a lower bound, so a pass is conservative.  The
+    exponent must be finite and positive (DomainError).
     """
     if source not in ("table", "buchstab"):
         raise UsageError(f"source must be 'table' or 'buchstab', got {source!r}")
+    if not 0.0 < exponent < math.inf:
+        raise DomainError(f"exponent must be finite and positive, got {exponent}")
     if not (x_lo <= x_hi):
         raise UsageError(f"empty range [{x_lo}, {x_hi}]")
     notes = []
@@ -251,11 +255,7 @@ def verify_rho_exponent(
             raise PreconditionError(
                 f"range [{x_lo}, {x_hi}] must sit inside [1, {table.x_max}]"
             )
-        xs, lower = _grid_lower(table, x_lo, x_hi)
-        extra = [e for e in dict.fromkeys((x_lo, x_hi))
-                 if not ((e - 1.0) / table.step).is_integer()]
-        xs = np.concatenate([xs, extra])
-        lower = np.concatenate([lower, [rho_log(e, table).lo for e in extra]])
+        chunks = anchored_grid(x_lo, x_hi, table.step)
         notes.append("margins use table enclosure lower edges")
     else:
         if x_lo < 6:
@@ -266,30 +266,28 @@ def verify_rho_exponent(
         if not n_real <= MAX_TABLE_STEPS:
             raise ResourceError(
                 f"{n_real:.6g} grid steps exceed the cap {MAX_TABLE_STEPS}")
-        xs = anchored_grid(x_lo, x_hi, DEFAULT_STEP)
-        lower = None
+        chunks = anchored_grid(x_lo, x_hi, DEFAULT_STEP)
         notes.append("margins use the closed-form lower bound")
 
-    def margins(part):
-        x = xs[part]
+    def margins(xs, j):
         with np.errstate(divide="ignore", invalid="ignore"):
-            bound = -exponent * x * np.log(x)
-        return (_buchstab_vec(x) if lower is None else lower[part]) - bound, np.abs(bound)
+            bound = -exponent * xs * np.log(xs)
+        lower = _buchstab_vec(xs) if source == "buchstab" else _table_lower(table, xs, j)
+        return lower - bound, np.abs(bound)
 
-    return sweep(xs, margins, eta).report(f"rho-exponent-{source}", x_lo, x_hi, notes)
+    return sweep(chunks, margins, eta).report(f"rho-exponent-{source}", x_lo, x_hi, notes)
 
 
 def max_exponent(table: RhoLogTable, x_lo: float, x_hi: float) -> float:
     """Largest e such that log rho(x) >= -e*x*log x holds at every grid
-    point of (x_lo, x_hi], judged through enclosure lower edges."""
+    point of [x_lo, x_hi] above 1, judged through enclosure lower edges."""
     if not (1.0 <= x_lo < x_hi <= table.x_max):
         raise PreconditionError(
             f"range [{x_lo}, {x_hi}] must sit inside [1, {table.x_max}]"
         )
-    xs, lower = _grid_lower(table, x_lo, x_hi)
-    keep = xs > 1.0
-    xs, lower = xs[keep], lower[keep]
-    return float(np.max(-lower / (xs * np.log(xs))))
+    return max(float(np.max(-_table_lower(table, xs, j) / (xs * np.log(xs))))
+               for xs, j in anchored_grid(max(x_lo, 1.0 + table.step), x_hi, table.step)
+               if j is not None)
 
 
 def integral_identity_residual(table: RhoLogTable, x: float):

@@ -5,8 +5,8 @@ The sweep engine is the workhorse: it verifies each registered
 prime-counting or prime-sum inequality over a range by evaluating the
 margin (RHS - LHS, signed) at every point where the margin can attain an
 extremum, and reports the worst margin with a three-way verdict.  It
-reduces through ``core.sweep``, one chunk of ``core._SWEEP_CHUNK`` states
-at a time, so no full-length margin or li array exists.
+reduces through ``core.sweep`` one chunk of states at a time, as they are
+made, so only the prime table and its prefix sums are O(pi(x)).
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .core import (
     anchored_grid,
     bisect_root,
     geometric_grid,
+    runs,
     sweep,
 )
 from .errors import (
@@ -97,8 +98,11 @@ class PrimeTable:
         return int(self.primes.size)
 
     def prime_pi(self, x: float) -> int:
-        """pi(x) = number of primes <= x."""
-        return int(np.searchsorted(self.primes, x, side="right"))
+        """pi(x) = number of primes <= x, by the integer key floor(x): a
+        float key would cast the whole table to float64."""
+        if not x < self.limit:  # inf and nan too, as a float search gives
+            return len(self)
+        return int(np.searchsorted(self.primes, math.floor(max(x, 0)), side="right"))
 
     def float_primes(self) -> np.ndarray:
         if self._float_primes is None:
@@ -399,12 +403,13 @@ _GAP_NOTE = (
 class States:
     """A family of evaluation states.
 
-    ``build(x_lo, x_hi, table, extra)`` returns (xs, state): the x of
-    each evaluation, the extra points appended last, and what the margin
-    function reads there (None for the smooth grids).  Step states read
-    a prime table and carry the gap note into every report; with a
-    ``prefix`` (table -> prefix-sum array) their state is the prime sum
-    at each pi instead of pi itself.
+    ``build(x_lo, x_hi, table, extra)`` yields (xs, state) chunks: the x
+    of each evaluation and what the margin function reads there, one
+    ``core.sweep`` chunk at a time.  Step states read a prime table,
+    list the extra points last and carry the gap note into every report;
+    their state is pi, or with a ``prefix`` (table -> prefix-sum array)
+    the prime sum at pi.  Grid states carry the grid index j, or None
+    for the endpoints off the grid; no grid check has extra points.
     """
 
     build: Callable
@@ -414,37 +419,27 @@ class States:
 
 
 def _step_states(x_lo: float, x_hi: float, table: PrimeTable, extra):
-    """Evaluation states for step-function sweeps.
+    """Evaluation states for step-function sweeps, as (xs, pis) chunks.
 
-    Returns (xs, pis): the x of each evaluation and the prime count of
-    the state, as int64.  For each prime p in (x_lo, x_hi] both the
-    left-limit state (pi(p) - 1, evaluated at x = p) and the inclusive
-    state pi(p) appear; x_lo, x_hi and each extra x contribute their
-    inclusive states.
+    For each prime p in (x_lo, x_hi] both the left-limit state (pi(p) - 1,
+    evaluated at x = p) and the inclusive state pi(p) appear, in runs of
+    primes by index; x_lo comes first, and x_hi and each extra x last,
+    each with its inclusive state.
     """
-    pr = table.primes
-    i_lo = int(np.searchsorted(pr, x_lo, side="right"))
-    i_hi = int(np.searchsorted(pr, x_hi, side="right"))
-    ps = pr[i_lo:i_hi].astype(np.float64)
-    xs = np.concatenate([[x_lo], np.repeat(ps, 2), [x_hi], extra])
-    pis = np.repeat(np.arange(i_lo, i_hi + 1, dtype=np.int64), 2)
-    extra_pis = np.array([table.prime_pi(x) for x in extra], dtype=np.int64)
-    return xs, np.concatenate([pis, extra_pis])
-
-
-def _geometric_states(x_lo, x_hi, table, extra):
-    return np.append(geometric_grid(x_lo, x_hi), extra), None
-
-
-def _alpha_states(x_lo, x_hi, table, extra):
-    return np.append(anchored_grid(x_lo, x_hi, 2.0 ** -10), extra), None
+    i_lo, i_hi = table.prime_pi(x_lo), table.prime_pi(x_hi)
+    yield np.array([x_lo], dtype=float), np.array([i_lo])
+    # state k is prime k // 2, left limit for even k and inclusive for odd
+    for k in runs(2 * i_lo, 2 * i_hi):
+        yield table.primes[k >> 1].astype(np.float64), (k + 1) >> 1
+    ends = [x_hi, *extra]
+    yield np.array(ends, dtype=float), np.array([table.prime_pi(x) for x in ends])
 
 
 PI_STATES = States(_step_states, True, _GAP_NOTE)
 RECIP_SUMS = States(_step_states, True, _GAP_NOTE, lambda t: t.recip_prefix())
 LOG2_SUMS = States(_step_states, True, _GAP_NOTE, lambda t: t.log2_prefix())
-GEOMETRIC_GRID = States(_geometric_states)
-ALPHA_GRID = States(_alpha_states)
+GEOMETRIC_GRID = States(lambda x_lo, x_hi, *_: geometric_grid(x_lo, x_hi))
+ALPHA_GRID = States(lambda x_lo, x_hi, *_: anchored_grid(x_lo, x_hi, 2.0 ** -10))
 
 
 @dataclass(frozen=True)
@@ -618,18 +613,19 @@ def verify_inequality(
 ) -> VerificationReport:
     """Sweep one registered inequality over [x_lo, x_hi].
 
-    The states are built once; ``core.sweep`` evaluates their margins
-    and reduces them one chunk of ``core._SWEEP_CHUNK`` states at a time.
-    The li term count comes from x_hi, the largest x, so the chunking
-    moves no bit.
+    ``core.sweep`` evaluates the margins one chunk of states at a time, as
+    the check's ``States`` make them.  The li term count comes from x_hi,
+    the largest x, so the chunking moves no bit.
 
-    Raises UsageError for an unknown check id and PreconditionError when
-    the range leaves the check's stated validity interval (the message
-    names the valid range).
+    Raises UsageError for an unknown check id, an empty range or a
+    non-finite bound, and PreconditionError when the range leaves the
+    check's stated validity interval (the message names the valid range).
     """
     cd = check_def(check_id)
     if not (x_lo <= x_hi):
         raise UsageError(f"empty range [{x_lo}, {x_hi}]")
+    if not (math.isfinite(x_lo) and math.isfinite(x_hi)):
+        raise UsageError(f"range [{x_lo}, {x_hi}] must be finite")
     if not cd.valid(x_lo, x_hi):
         raise PreconditionError(
             f"check {check_id!r} is valid for {cd.validity}; "
@@ -638,24 +634,20 @@ def verify_inequality(
     if cd.states.needs_table:
         _require_table(table, x_hi, check_id)
     extra = [x for x in cd.stationary if x_lo < x <= x_hi]
-    xs, state = cd.states.build(x_lo, x_hi, table, extra)
     prefix = None if cd.states.prefix is None else cd.states.prefix(table)
     n_li = _li_terms(x_hi)
 
-    def margins(part):
-        st = None if state is None else state[part]
-        if prefix is not None:
-            st = prefix[st]
-        return cd.margins(xs[part], st, n_li)
+    def margins(xs, state):
+        return cd.margins(xs, state if prefix is None else prefix[state], n_li)
 
-    summary = sweep(xs, margins, eta)
+    summary = sweep(cd.states.build(x_lo, x_hi, table, extra), margins, eta)
     notes = [n for n in (cd.states.note, cd.note) if n]
     if cd.crossover:
-        (first, last), _ = cd.margins(xs[[0, -1]], None, n_li)
+        (first, last), _ = cd.margins(np.array([x_lo, x_hi], dtype=float), None, n_li)
         if first < 0.0 < last:
             a, b = bisect_root(
                 lambda t: cd.margins(np.array([t]), None, _li_terms(t))[0][0],
-                float(xs[0]), float(xs[-1]), tol=1e-9)
+                float(x_lo), float(x_hi), tol=1e-9)
             notes.append(
                 f"margin changes sign at x = {0.5 * (a + b):.9f}; the stated "
                 f"validity ({cd.validity}) is inconsistent with the computed "

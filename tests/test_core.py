@@ -14,7 +14,9 @@ from xpv.core import (
     classify,
     geometric_grid,
     golden_max,
+    grid,
     margins_verdict,
+    runs,
     sweep,
 )
 from xpv.errors import PrecisionError, UsageError
@@ -90,31 +92,64 @@ def test_golden_max_parabola():
     assert v <= 0.0
 
 
+def _points(chunks):
+    """The sorted, flattened points of grid chunks."""
+    return np.sort(np.concatenate([xs for xs, _ in chunks]))
+
+
 def test_geometric_grid_endpoints_and_absolute_anchoring():
-    g = geometric_grid(2.0, 1000.0)
+    g = _points(geometric_grid(2.0, 1000.0))
     assert g[0] == 2.0 and g[-1] == 1000.0
     assert np.all(np.diff(g) > 0)
     # anchored to absolute powers of two: a shifted range shares nodes
-    h = geometric_grid(3.0, 1000.0)
+    h = _points(geometric_grid(3.0, 1000.0))
     shared = np.intersect1d(g[1:-1], h[1:-1])
     assert shared.size > 100
 
 
 def test_anchored_grid_clips_to_the_range():
-    g = anchored_grid(0.3, 1.0, 0.25)
+    g = _points(anchored_grid(0.3, 1.0, 0.25))
     assert g.tolist() == [0.3, 0.5, 0.75, 1.0]
     # a range starting just above a grid point leaves that point out
     lo = float(np.nextafter(0.5, 1.0))
-    assert anchored_grid(lo, 1.0, 0.25).tolist() == [lo, 0.75, 1.0]
+    assert _points(anchored_grid(lo, 1.0, 0.25)).tolist() == [lo, 0.75, 1.0]
     hi = float(np.nextafter(1.0, 0.0))
-    assert anchored_grid(0.5, hi, 0.25).tolist() == [0.5, 0.75, hi]
+    assert _points(anchored_grid(0.5, hi, 0.25)).tolist() == [0.5, 0.75, hi]
     # on-grid endpoints appear once, and a point range is one point
-    assert anchored_grid(0.5, 1.0, 0.25).tolist() == [0.5, 0.75, 1.0]
-    assert anchored_grid(0.6, 0.6, 0.25).tolist() == [0.6]
+    assert _points(anchored_grid(0.5, 1.0, 0.25)).tolist() == [0.5, 0.75, 1.0]
+    assert _points(anchored_grid(0.6, 0.6, 0.25)).tolist() == [0.6]
     # anchored to multiples of the step: a shifted range shares nodes
-    shared = np.intersect1d(anchored_grid(6.0, 10.0, 2.0 ** -10),
-                            anchored_grid(7.3, 12.0, 2.0 ** -10))
+    shared = np.intersect1d(_points(anchored_grid(6.0, 10.0, 2.0 ** -10)),
+                            _points(anchored_grid(7.3, 12.0, 2.0 ** -10)))
     assert shared.size == 2765
+
+
+def test_grid_chunks_and_endpoint_rule(monkeypatch):
+    # lo > hi gives no states, even one ulp apart on the grid
+    assert list(anchored_grid(1.0, 0.5, 0.25)) == []
+    assert list(geometric_grid(8.0, float(np.nextafter(8.0, 0.0)))) == []
+    # lo == hi: a grid point is one grid state, any other x one endpoint
+    ((xs, j),) = anchored_grid(0.75, 0.75, 0.25)
+    assert xs.tolist() == [0.75] and j.tolist() == [3]
+    ((xs, j),) = geometric_grid(3.0, 3.0)
+    assert xs.tolist() == [3.0] and j is None
+    # an endpoint one ulp off a grid point is its own state, off the grid
+    lo, hi = float(np.nextafter(4.0, 0.0)), float(np.nextafter(8.0, 16.0))
+    *runs_, (ends, none) = geometric_grid(lo, hi, per_octave=4)
+    assert none is None and ends.tolist() == [lo, hi]
+    assert np.concatenate([xs for xs, _ in runs_]).tolist() == [
+        4.0, 2 ** 2.25, 2 ** 2.5, 2 ** 2.75, 8.0]
+    # runs of _SWEEP_CHUNK candidate j, each x = point(j); the tolerance
+    # makes j = 2 a candidate for lo one ulp above 0.5, and it is dropped
+    monkeypatch.setattr(core, "_SWEEP_CHUNK", 3)
+    lo = float(np.nextafter(0.5, 1.0))
+    chunks = list(grid(lo, 2.0, lambda j: j * 0.25, lambda x: x / 0.25))
+    assert [xs.tolist() for xs, _ in chunks] == [
+        [0.75, 1.0], [1.25, 1.5, 1.75], [2.0], [lo]]
+    assert [None if j is None else j.tolist() for _, j in chunks] == [
+        [3, 4], [5, 6, 7], [8], None]
+    assert [k.tolist() for k in runs(5, 12)] == [[5, 6, 7], [8, 9, 10], [11]]
+    assert list(runs(5, 5)) == []
 
 
 def test_report_dict_shape():
@@ -129,8 +164,10 @@ def test_report_dict_shape():
 
 
 def _sweep_report(x_lo, x_hi, xs, margins, notes):
+    # chunks of _SWEEP_CHUNK states, each carrying its state indices
     xs, margins = np.array(xs), np.array(margins)
-    return sweep(xs, lambda part: (margins[part], np.ones(xs.size)[part])).report(
+    chunks = ((xs[k], k) for k in runs(0, xs.size))
+    return sweep(chunks, lambda x, k: (margins[k], np.ones(k.size))).report(
         "demo", x_lo, x_hi, notes)
 
 

@@ -264,8 +264,21 @@ def test_exponent_sweep_peak_memory_is_one_chunk(monkeypatch):
     whole = peak()
     monkeypatch.setattr(core, "_SWEEP_CHUNK", 1 << 14)
     chunked = peak()
-    # the grid itself (1M points) stays whole
     assert chunked < 0.7 * whole, (chunked, whole)
+
+
+def test_exponent_sweep_grid_comes_in_chunks(monkeypatch):
+    # 4.09M grid points; the whole grid alone is 33 MB, and the check
+    # peaked at 136 MB when the grid was built before the sweep
+    monkeypatch.setattr(core, "_SWEEP_CHUNK", 1 << 14)
+    tracemalloc.start()
+    try:
+        rep = verify_rho_exponent(6.0, 4000.0, 1.0, "buchstab")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.evaluation_count == 3994 * 1024 + 1
+    assert peak < 10 * 2 ** 20, peak
 
 
 def test_exponent_sweep_validation(rho_table):
@@ -279,6 +292,11 @@ def test_exponent_sweep_validation(rho_table):
         verify_rho_exponent(1.0, 10 ** 4, 1.15, "table", table=rho_table)
     with pytest.raises(PreconditionError):
         verify_rho_exponent(3.0, 10.0, 1.42, "buchstab")
+    # a bad exponent is refused before any work, whatever the source
+    for exponent in (math.nan, math.inf, 0.0, -1.0):
+        for source in ("table", "buchstab"):
+            with pytest.raises(DomainError):
+                verify_rho_exponent(6.0, 10.0, exponent, source, table=rho_table)
 
 
 def test_max_exponent_values(rho_table):

@@ -14,7 +14,6 @@ from xpv.errors import (
 )
 from xpv.primes import (
     REGISTRY,
-    _alpha_states,
     _compensated_prefix,
     _li_series,
     _li_terms,
@@ -93,6 +92,25 @@ def test_prime_pi_step_semantics(prime_table):
     assert prime_table.prime_pi(6.999999) == 3
     assert prime_table.prime_pi(2) == 1
     assert prime_table.prime_pi(1.999) == 0
+
+
+def test_prime_pi_integer_key_matches_the_float_search(prime_table):
+    pr = prime_table.primes
+    keys = [*pr[::97].tolist(), *(pr[::89] + 0.5).tolist(), *(pr[::83] - 0.5).tolist(),
+            prime_table.limit, prime_table.limit + 0.5, 1e300, math.inf, -math.inf,
+            -5, 0, 1.5, 2]
+    for x in keys:
+        assert prime_table.prime_pi(x) == int(np.searchsorted(pr, float(x), "right")), x
+    assert prime_table.prime_pi(math.inf) == len(prime_table)
+    # a float key cast the whole table (0.6 MB here) on every call
+    tracemalloc.start()
+    try:
+        for x in (999983.5, 500000.5, math.inf):
+            prime_table.prime_pi(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * 2 ** 20, peak
 
 
 def test_least_prime_3mod4():
@@ -462,9 +480,12 @@ def test_tail_power_sweep(prime_table):
     assert r.worst_margin == pytest.approx(4.902677144539596e-05, rel=1e-9)
     # a range starting just above a grid point does not evaluate it
     lo = float(np.nextafter(0.5, 1.0))
-    xs, _ = _alpha_states(lo, 1.0, None, [])
-    assert xs.size == 513 and xs.min() == lo
-    assert _alpha_states(0.5, 1.0, None, [])[0].size == 513
+    build = REGISTRY["tail-power"].states.build
+    chunks = list(build(lo, 1.0, None, []))
+    # 512 grid points in one chunk, then the off-grid lo alone
+    assert [xs.size for xs, _ in chunks] == [512, 1]
+    assert chunks[-1][0].tolist() == [lo] and chunks[-1][1] is None
+    assert sum(xs.size for xs, _ in build(0.5, 1.0, None, [])) == 513
     assert verify_inequality("tail-power", lo, 1.0).evaluation_count == 513
 
 
@@ -473,6 +494,8 @@ def test_verify_input_errors(prime_table):
         verify_inequality("no-such-check", 2, 3, prime_table)
     with pytest.raises(UsageError):
         verify_inequality("pnt-lower", 100, 90, prime_table)
+    with pytest.raises(UsageError):
+        verify_inequality("li-lower", 2, math.inf)
     with pytest.raises(PreconditionError):
         verify_inequality("pnt-lower", 2, 100, prime_table)
     with pytest.raises(PreconditionError):
@@ -507,5 +530,6 @@ def test_sweep_peak_memory_is_one_chunk(prime_table, monkeypatch):
     whole = peak()
     monkeypatch.setattr(core, "_SWEEP_CHUNK", 1 << 14)
     chunked = peak()
-    # 4.4 against 11.5 MB when written: the states themselves stay whole
+    # 1.2 against 11.5 MB when written; the states come in chunks too
     assert chunked < 0.5 * whole, (chunked, whole)
+    assert chunked < 2 * 2 ** 20, chunked
