@@ -285,9 +285,12 @@ def max_exponent(table: RhoLogTable, x_lo: float, x_hi: float) -> float:
         raise PreconditionError(
             f"range [{x_lo}, {x_hi}] must sit inside [1, {table.x_max}]"
         )
-    return max(float(np.max(-_table_lower(table, xs, j) / (xs * np.log(xs))))
-               for xs, j in anchored_grid(max(x_lo, 1.0 + table.step), x_hi, table.step)
-               if j is not None)
+    exponents = [float(np.max(-_table_lower(table, xs, j) / (xs * np.log(xs))))
+                 for xs, j in anchored_grid(max(x_lo, 1.0 + table.step), x_hi, table.step)
+                 if j is not None]
+    if not exponents:
+        raise PreconditionError(f"range [{x_lo}, {x_hi}] holds no grid point above 1")
+    return max(exponents)
 
 
 def integral_identity_residual(table: RhoLogTable, x: float):

@@ -148,12 +148,12 @@ class ErrorParams:
     k2: int
 
     def __post_init__(self):
-        if not self.c >= 1:  # NaN fails too
-            raise DomainError(f"c must be >= 1, got {self.c}")
+        if not 1 <= self.c < math.inf:  # NaN fails too
+            raise DomainError(f"c must be finite and >= 1, got {self.c}")
         if self.k1 < 0:
             raise DomainError(f"k1 must be >= 0, got {self.k1}")
-        if not self.eps > 0:
-            raise DomainError(f"eps must be > 0, got {self.eps}")
+        if not 0 < self.eps < math.inf:
+            raise DomainError(f"eps must be finite and > 0, got {self.eps}")
         if self.k2 < 0:
             raise DomainError(f"k2 must be >= 0, got {self.k2}")
 
@@ -190,8 +190,8 @@ def tail_sum_small(c: float, k1: int) -> float:
     tau = 1; that monotonicity is asserted by sampling, not assumed.  One
     row of the kernel the optimizer runs on its c grid, so both share bits.
     """
-    if not c >= 1 or k1 < 0:
-        raise DomainError(f"tail_sum_small needs c >= 1 and k1 >= 0, got {c}, {k1}")
+    if not 1 <= c < math.inf or k1 < 0:
+        raise DomainError(f"tail_sum_small needs finite c >= 1 and k1 >= 0, got {c}, {k1}")
     return float(_tss_grid(np.array([float(c)]), k1)[0])
 
 
@@ -213,12 +213,46 @@ def _tsl_at(eps: float, k2: int, tau: float, two_pi_ks: np.ndarray,
     return float(np.sum(buf)) + last * tail_factor
 
 
+def _tsl_upper(eps: float, k2: int, s: np.ndarray) -> np.ndarray:
+    """An upper bound on ``_tsl_at`` at tau = e^s for each s of ``s``, with
+    no per-k work.  The terms f(k) = exp(-sqrt(a + b k)), a = (1 + eps)
+    log^2(tau + 3), b = 2 pi / (DECAY_SCALE tau), are convex and decreasing
+    in k, so f(k) is at most the integral of f over [k - 1/2, k + 1/2], and
+    the sum over k = 1..k2 is at most min((2/b)(u + 1), k2) e^-u with
+    u = sqrt(a + b/2): the closed form (2/b)(u + 1)e^-u of the integral from
+    1/2 to infinity, or k2 f(1/2).  Neither subtracts, so nothing cancels.
+    f(0) and the tail term are added as ``_tsl_at`` has them.
+
+    Rounding: every argument x = sqrt(...) of an exp, here and in
+    ``_tsl_at``, is off by a few ulps relative (tau from np.exp rather than
+    math.exp included), so each term is off by at most 745 * 8 * 2^-53 <
+    1e-12 relative while x <= 745, and by under 2^-1074 absolute where exp
+    is subnormal, under 1e-311 for all k2 + 1 < 2^40 terms together; the
+    pairwise sum of positive terms adds under 1e-14 relative.  The relative
+    slack 1e-9 and the absolute 1e-300 cover both sides, two orders over;
+    the raw bound was seen at most 4e-15 below ``_tsl_at``.
+    """
+    tau = np.exp(s)
+    a = (1.0 + eps) * np.log(tau + 3.0) ** 2
+    b = TWO_PI / (DECAY_SCALE * tau)
+    u = np.sqrt(a + 0.5 * b)
+    last = np.exp(-np.sqrt(a + b * k2))
+    tail_factor = (np.sqrt(DECAY_SCALE * tau) * np.sqrt(TWO_PI * k2 + tau * DECAY_SCALE * a)
+                   + DECAY_SCALE * tau) / math.pi
+    total = (np.exp(-np.sqrt(a)) + np.minimum(2.0 / b * (u + 1.0), k2) * np.exp(-u)
+             + last * tail_factor)
+    return total * (1.0 + 1e-9) + 1e-300
+
+
 def tail_sum_large(eps: float, k2: int) -> float:
     """Sup of the large-range tail series over tau >= 1, sampled over
     log tau in [0, 30]: a golden section, then a thousand-point grid
-    (endpoints included) that wins only if larger."""
-    if not eps > 0:
-        raise DomainError(f"tail_sum_large needs eps > 0, got {eps}")
+    (endpoints included) whose points win only if larger.  A sampled max,
+    not a certified sup.  A grid point runs the series only where
+    ``_tsl_upper`` is not below the running max: a skipped point cannot
+    win, so the result has the bits of the full scan."""
+    if not 0 < eps < math.inf:
+        raise DomainError(f"tail_sum_large needs finite eps > 0, got {eps}")
     if k2 < 0:
         raise DomainError(f"tail_sum_large needs k2 >= 0, got {k2}")
     two_pi_ks = TWO_PI * np.arange(k2 + 1, dtype=np.float64)
@@ -228,7 +262,11 @@ def tail_sum_large(eps: float, k2: int) -> float:
         return _tsl_at(eps, k2, math.exp(s), two_pi_ks, buf)
 
     best = golden_max(g, 0.0, 30.0)[1]
-    return max(best, *(g(s) for s in np.linspace(0.0, 30.0, 1000).tolist()))
+    grid = np.linspace(0.0, 30.0, 1000)
+    for s, upper in zip(grid.tolist(), _tsl_upper(eps, k2, grid).tolist()):
+        if not upper < best:  # NaN runs the series, as max(best, *grid) would
+            best = max(best, g(s))
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +394,9 @@ def optimize_C0(c_grid, k1_grid, eps_grid, k2_grid, f: PeriodicF | None = None):
     k2_grid = sorted({int(k) for k in k2_grid})
     if not (c_grid and k1_grid and eps_grid and k2_grid):
         raise UsageError("optimize_C0 grids must all be non-empty")
-    # every bound is a lower one, so each grid's least value (or NaN) checks all
-    ErrorParams(np.min(c_grid), k1_grid[0], np.min(eps_grid), k2_grid[0])
+    # each grid's least and largest value (either NaN if one is) check it all
+    for pick in (np.min, np.max):
+        ErrorParams(pick(c_grid), k1_grid[0], pick(eps_grid), k2_grid[0])
     if f is None:
         f = PeriodicF.build()
 

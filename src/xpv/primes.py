@@ -45,7 +45,7 @@ from .errors import (
 )
 
 DEFAULT_SIEVE_CAP = 10 ** 9
-_SEGMENT_SIZE = 1 << 22
+_SEGMENT_SIZE = 1 << 20  # numbers per sieve segment; its flags are 1 MB
 
 # Deterministic Miller-Rabin witness set, valid for all n < 3.3e24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -123,28 +123,49 @@ class PrimeTable:
         return self._log2_prefix
 
 
+def _pi_upper(x: int) -> int:
+    """An integer above pi(x) for x >= 2: pi(x) < x/log x (1 + 3/(2 log x))
+    for x > 1 (Rosser and Schoenfeld, Illinois J. Math. 6, 1962, (3.3)),
+    plus one for the rounding.  About 2% above pi(x) at 1e7."""
+    log_x = math.log(x)
+    return int(x / log_x * (1.0 + 1.5 / log_x)) + 1
+
+
 def sieve_primes(limit: int, cap: int | None = None) -> PrimeTable:
-    """Sieve all primes up to ``limit``, in bounded segments above its root."""
+    """Sieve all primes up to ``limit``, in bounded segments above its root,
+    into one array sized by ``_pi_upper`` and trimmed in place."""
     limit = int(limit)
     cap = DEFAULT_SIEVE_CAP if cap is None else int(cap)
     if limit < 2:
         raise DomainError(f"sieve limit must be at least 2, got {limit}")
     if limit > cap:
         raise ResourceError(f"sieve limit {limit} exceeds cap {cap}")
-    base = np.flatnonzero(_sieve_flags(math.isqrt(limit))).astype(np.int64)
-    chunks = [base]
-    lo = math.isqrt(limit) + 1
+    root = math.isqrt(limit)
+    base = np.flatnonzero(_sieve_flags(root))
+    primes = np.empty(_pi_upper(limit), dtype=np.int64)
+    primes[: base.size] = base
+    count = base.size
+    base_list = base.tolist()
+    seg = np.empty(min(_SEGMENT_SIZE, limit - root), dtype=bool)
+    lo = root + 1
     while lo <= limit:
         hi = min(lo + _SEGMENT_SIZE, limit + 1)
-        seg = np.ones(hi - lo, dtype=bool)
-        for p in base.tolist():
+        flags = seg[: hi - lo]
+        flags[:] = True
+        for p in base_list:
             if p * p >= hi:
                 break
             start = max(p * p, ((lo + p - 1) // p) * p)
-            seg[start - lo :: p] = False
-        chunks.append(np.flatnonzero(seg).astype(np.int64) + lo)
+            flags[start - lo :: p] = False
+        found = np.flatnonzero(flags)
+        if count + found.size > primes.size:
+            raise PrecisionError(f"more than {primes.size} primes up to {limit}")
+        np.add(found, lo, out=primes[count : count + found.size])
+        count += found.size
         lo = hi
-    return PrimeTable(limit, np.concatenate(chunks))
+        del found  # before the next segment's primes exist
+    primes.resize(count, refcheck=False)
+    return PrimeTable(limit, primes)
 
 
 def _is_prime_u64(n: int) -> bool:

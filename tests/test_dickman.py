@@ -309,6 +309,14 @@ def test_max_exponent_values(rho_table):
     assert wider > 1.15 > got
 
 
+def test_max_exponent_needs_a_grid_point_above_one():
+    table = build_rho_table(3.0)
+    for x_lo, x_hi in ((1.0, 1.0005), (1.5003, 1.5007)):
+        with pytest.raises(PreconditionError):
+            max_exponent(table, x_lo, x_hi)
+    assert max_exponent(table, 1.0, 1.0 + 2.0 * table.step) > 0.0
+
+
 def test_divisor_mean_lower_bound():
     assert divisor_mean_lower_bound(math.e, 0.0) == pytest.approx(0.2, rel=1e-15)
     assert divisor_mean_lower_bound(math.e ** 2, 0.0) == pytest.approx(0.4, rel=1e-14)

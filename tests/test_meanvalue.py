@@ -136,6 +136,20 @@ def test_tss_domain():
         tail_sum_small(math.nan, 0)
     with pytest.raises(DomainError):
         tail_sum_large(math.nan, 1000)
+    for bad in (math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            tail_sum_small(bad, 0)
+        with pytest.raises(DomainError):
+            tail_sum_large(bad, 10)
+    # c_iii was nan and c = inf went through
+    with pytest.raises(DomainError):
+        case_bounds(ErrorParams(2.67, 0, math.inf, 10))
+    with pytest.raises(DomainError):
+        ErrorParams(math.inf, 0, 3.61, 10)
+    with pytest.raises(DomainError):
+        optimize_C0([2.0, math.inf], [0], [3.61], [10])
+    with pytest.raises(DomainError):
+        optimize_C0([2.0], [0], [3.61, math.inf], [10])
 
 
 def test_tsl_reference_value():
@@ -153,6 +167,32 @@ def test_tsl_bits_are_frozen():
     }
     for (eps, k2), want in frozen.items():
         assert tail_sum_large(eps, k2).hex() == want, (eps, k2)
+
+
+@pytest.mark.parametrize("k2", [0, 1, 300000, 10 ** 6])
+def test_tsl_upper_bounds_the_series_at_every_grid_point(k2):
+    s = np.linspace(0.0, 30.0, 1000)  # the grid of tail_sum_large, 0 and 30 included
+    two_pi_ks = TWO_PI * np.arange(k2 + 1, dtype=np.float64)
+    buf = np.empty_like(two_pi_ks)
+    for eps in ((0.01, 3.61, 12.0) if k2 < 1000 else (3.61,)):
+        upper = meanvalue._tsl_upper(eps, k2, s)
+        exact = np.array([meanvalue._tsl_at(eps, k2, math.exp(x), two_pi_ks, buf)
+                          for x in s.tolist()])
+        assert np.all(upper >= exact), (eps, k2, s[np.argmin(upper - exact)])
+
+
+def test_tsl_runs_the_series_at_few_grid_points(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return tsl_at(*args)
+
+    tsl_at = meanvalue._tsl_at
+    monkeypatch.setattr(meanvalue, "_tsl_at", counted)
+    assert tail_sum_large(3.61, 300000).hex() == "0x1.51f1ff042ac13p-1"
+    # 83 golden-section points, then 1000 grid points before the pruning
+    assert len(calls) <= 90, len(calls)
 
 
 def test_tss_dominates_truncated_series():

@@ -13,10 +13,13 @@ from xpv.errors import (
     UsageError,
 )
 from xpv.primes import (
+    _SEGMENT_SIZE,
     REGISTRY,
     _compensated_prefix,
     _li_series,
     _li_terms,
+    _pi_upper,
+    _sieve_flags,
     least_prime_3mod4_above,
     log_integral,
     mertens_sum,
@@ -75,8 +78,29 @@ def test_sieve_edge_and_multi_segment_limits():
     for n in (2, 3, 4, 5):
         expected = [k for k in range(2, n + 1) if _is_prime_trial(k)]
         assert sieve_primes(n).primes.tolist() == expected
-    n = 3 * (1 << 22) + 7  # three segments, the last one short
+    n = 3 * _SEGMENT_SIZE + 7  # three segments, the last one short
     np.testing.assert_array_equal(sieve_primes(n).primes, _odd_only_sieve(n))
+
+
+def test_sieve_holds_one_copy_of_the_table():
+    tracemalloc.start()
+    try:
+        table = sieve_primes(10 ** 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 664579 and table.primes.flags.owndata
+    # 11.7 MB, 2.3 times the 5.3 MB table, while segments were concatenated
+    assert peak <= 1.4 * table.primes.nbytes, peak
+
+
+def test_pi_upper_is_above_every_count():
+    pis = np.cumsum(_sieve_flags(2 * 10 ** 5)).tolist()
+    assert all(pis[n] < _pi_upper(n) for n in range(2, len(pis)))
+    # pi(10^k), k = 6..9
+    for x, pi in ((10 ** 6, 78498), (10 ** 7, 664579), (10 ** 8, 5761455),
+                  (10 ** 9, 50847534)):
+        assert pi < _pi_upper(x) < 1.03 * pi
 
 
 def test_sieve_domain_and_cap():
