@@ -22,7 +22,7 @@ from .errors import PrecisionError, UsageError
 # that float noise can never flip a verdict.
 DEFAULT_ETA = 1e-9
 
-_SWEEP_CHUNK = 1 << 16  # states per chunk of every sweep, li's cache block too
+_SWEEP_CHUNK = 1 << 16  # states per chunk of every sweep
 
 
 @dataclass(frozen=True)
@@ -144,14 +144,15 @@ class SweepSummary:
 
     @classmethod
     def of(cls, xs, margins, scales, eta: float = DEFAULT_ETA) -> SweepSummary:
-        """Summarize one run of states; the xs need not be sorted."""
-        ties = np.flatnonzero(margins == margins.min())
-        worst_i = int(ties[np.argmin(xs[ties])])
-        verdict = margins_verdict(margins, scales, eta)
+        """Summarize one run of states; the xs need not be sorted.  Margins
+        (k, n) over n xs hold k states per x, x by x; scales broadcast."""
+        xs = np.broadcast_to(xs, margins.shape)
+        ties = np.flatnonzero(margins.T == margins.min())  # in state order
+        worst = int(ties[np.argmin(xs.T.flat[ties])])
         neg_xs = xs[margins < 0.0]
-        return cls(int(margins.size), float(margins[worst_i]), float(xs[worst_i]),
-                   verdict, int(neg_xs.size), float(neg_xs.min(initial=math.inf)),
-                   float(neg_xs.max(initial=-math.inf)))
+        return cls(int(margins.size), float(margins.T.flat[worst]), float(xs.T.flat[worst]),
+                   margins_verdict(margins, scales, eta), int(neg_xs.size),
+                   float(neg_xs.min(initial=math.inf)), float(neg_xs.max(initial=-math.inf)))
 
     def merge(self, later: SweepSummary) -> SweepSummary:
         """The summary of these states followed by ``later``'s."""
@@ -178,10 +179,11 @@ class SweepSummary:
                                   self.verdict, notes)
 
 
-def runs(lo: int, hi: int):
-    """lo..hi-1 as ``np.arange`` runs of ``_SWEEP_CHUNK``: a sweep's chunks."""
-    for a in range(lo, hi, _SWEEP_CHUNK):
-        yield np.arange(a, min(a + _SWEEP_CHUNK, hi))
+def runs(lo: int, hi: int, width: int = 1):
+    """lo..hi-1 as ``np.arange`` chunks of ``_SWEEP_CHUNK`` states, ``width`` per index."""
+    step = _SWEEP_CHUNK // width
+    for a in range(lo, hi, step):
+        yield np.arange(a, min(a + step, hi))
 
 
 def sweep(chunks, margins, eta: float = DEFAULT_ETA) -> SweepSummary:

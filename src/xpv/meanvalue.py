@@ -255,6 +255,9 @@ def tail_sum_large(eps: float, k2: int) -> float:
         raise DomainError(f"tail_sum_large needs finite eps > 0, got {eps}")
     if k2 < 0:
         raise DomainError(f"tail_sum_large needs k2 >= 0, got {k2}")
+    tau = math.exp(30.0)  # where the tail term's product, all factors >= 1, is largest
+    if not math.isfinite(tau * (1.0 + eps) * DECAY_SCALE * math.log(tau + 3.0) ** 2):
+        raise DomainError(f"tail_sum_large overflows at eps = {eps}")
     two_pi_ks = TWO_PI * np.arange(k2 + 1, dtype=np.float64)
     buf = np.empty_like(two_pi_ks)
 
@@ -284,9 +287,8 @@ def _small_bound(c, tss, f: PeriodicF):
     return (math.pi / (2.0 * c) + TAIL_COEFF * tss) * f.variation + (SUP_COEFF / c) * f.sup
 
 
-def _error_bound_large_at(params: ErrorParams, f: PeriodicF, tau: float,
-                          tsl: float) -> float:
-    log_w = (1.0 + params.eps) * DECAY_SCALE * math.log(tau + 3.0) ** 2
+def _error_bound_large_at(eps: float, f: PeriodicF, tau: float, tsl: float) -> float:
+    log_w = (1.0 + eps) * DECAY_SCALE * math.log(tau + 3.0) ** 2
     return (
         math.pi / (2.0 * tau * log_w) + TAIL_COEFF * tsl
     ) * f.variation + SUP_COEFF / log_w * f.sup
@@ -298,7 +300,7 @@ def error_bound_large(params: ErrorParams, f: PeriodicF, tau: float) -> float:
     if tau < 1:
         raise DomainError(f"error_bound_large needs tau >= 1, got {tau}")
     tsl = tail_sum_large(params.eps, params.k2)
-    return _error_bound_large_at(params, f, tau, tsl)
+    return _error_bound_large_at(params.eps, f, tau, tsl)
 
 
 def _case_i(c: float, f: PeriodicF) -> float:
@@ -317,11 +319,10 @@ def _case_iii_sup(eps: float, k2: int, f: PeriodicF):
     Every term decreases in tau (see ``error_bound_large``, and
     1/log^4(tau + 3)), so the sup is the value at tau = 1."""
     w = (1.0 + eps) * DECAY_SCALE
-    params = ErrorParams(c=1.0, k1=0, eps=eps, k2=k2)
     sup = (
         2.0 * f.K * math.log(w)
         + (1.0 + f.K) * (MERTENS_M + 1.0 / (w * w * math.log(4.0) ** 4))
-        + _error_bound_large_at(params, f, 1.0, tail_sum_large(eps, k2))
+        + _error_bound_large_at(eps, f, 1.0, tail_sum_large(eps, k2))
     )
     return sup, 1.0
 

@@ -6,7 +6,8 @@ prime-counting or prime-sum inequality over a range by evaluating the
 margin (RHS - LHS, signed) at every point where the margin can attain an
 extremum, and reports the worst margin with a three-way verdict.  It
 reduces through ``core.sweep`` one chunk of states at a time, as they are
-made, so only the prime table and its prefix sums are O(pi(x)).
+made, so only the prime table and its prefix sums are O(pi(x)).  A step
+sweep puts a prime's two states on a second axis: li runs once per prime.
 """
 
 from __future__ import annotations
@@ -231,15 +232,10 @@ def _li_series(xs: np.ndarray, n_terms: int):
     triangle inequality for every x > 1.  It also carries the rounding of
     y itself through dli/dy = x/y.
 
-    A run of equal adjacent x (a step sweep lists each prime twice) is
-    evaluated once and its result copied back to every position of the
-    run.  Each x sees the same operations in the same order, so its value
-    depends on it alone; a sweep passes one cache-sized chunk at a time.
+    Each x sees the same operations in the same order, so its value
+    depends on it alone: an x listed twice gets the same bits twice.  A
+    sweep passes one cache-sized chunk of distinct x at a time.
     """
-    first = np.empty(xs.shape, dtype=bool)
-    first[:1] = True
-    np.not_equal(xs[1:], xs[:-1], out=first[1:])
-    xs = xs[first]
     ys = np.log(xs)
     acc = np.log(ys)
     mag = np.abs(acc) + abs(EULER_GAMMA)
@@ -256,8 +252,7 @@ def _li_series(xs: np.ndarray, n_terms: int):
     trunc = nxt / (1.0 - ys / (n_terms + 2))
     # xs: y = log x is rounded by up to 2.3e-16 y, times dli/dy = x/y
     half = trunc + 2.3e-16 * ((ys + 2.0) * mag + xs) + 1e-300
-    back = np.cumsum(first) - 1
-    return acc[back], half[back]
+    return acc, half
 
 
 def _graded_simpson(f, a: float, b: float, tol: float):
@@ -429,7 +424,8 @@ class States:
     ``core.sweep`` chunk at a time.  Step states read a prime table,
     list the extra points last and carry the gap note into every report;
     their state is pi, or with a ``prefix`` (table -> prefix-sum array)
-    the prime sum at pi.  Grid states carry the grid index j, or None
+    the prime sum at pi, of shape (2, n) over the n primes of a chunk and
+    one per x elsewhere.  Grid states carry the grid index j, or None
     for the endpoints off the grid; no grid check has extra points.
     """
 
@@ -442,16 +438,15 @@ class States:
 def _step_states(x_lo: float, x_hi: float, table: PrimeTable, extra):
     """Evaluation states for step-function sweeps, as (xs, pis) chunks.
 
-    For each prime p in (x_lo, x_hi] both the left-limit state (pi(p) - 1,
-    evaluated at x = p) and the inclusive state pi(p) appear, in runs of
-    primes by index; x_lo comes first, and x_hi and each extra x last,
-    each with its inclusive state.
+    The primes p in (x_lo, x_hi] come in runs of indices i, one x per
+    prime, with pis of shape (2, n): row 0 the left limit pi(p) - 1 = i
+    and row 1 the inclusive state pi(p) = i + 1.  x_lo comes first, and
+    x_hi and each extra x last, each with its inclusive state alone.
     """
     i_lo, i_hi = table.prime_pi(x_lo), table.prime_pi(x_hi)
     yield np.array([x_lo], dtype=float), np.array([i_lo])
-    # state k is prime k // 2, left limit for even k and inclusive for odd
-    for k in runs(2 * i_lo, 2 * i_hi):
-        yield table.primes[k >> 1].astype(np.float64), (k + 1) >> 1
+    for i in runs(i_lo, i_hi, width=2):
+        yield table.primes[i].astype(np.float64), np.stack((i, i + 1))
     ends = [x_hi, *extra]
     yield np.array(ends, dtype=float), np.array([table.prime_pi(x) for x in ends])
 

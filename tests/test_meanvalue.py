@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -150,6 +151,20 @@ def test_tss_domain():
         optimize_C0([2.0, math.inf], [0], [3.61], [10])
     with pytest.raises(DomainError):
         optimize_C0([2.0], [0], [3.61, math.inf], [10])
+
+
+def test_tsl_huge_finite_eps(periodic_f):
+    # the tail term's tau (1 + eps) DECAY_SCALE log^2(tau + 3) overflows at
+    # tau = e^30 from eps ~ 2.9e291: nan before, with a numpy warning
+    for eps in (1e308, 1e295):
+        with pytest.raises(DomainError):
+            tail_sum_large(eps, 10)
+        with pytest.raises(DomainError):
+            case_bounds(ErrorParams(2.67, 0, eps, 10), periodic_f)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert tail_sum_large(1e290, 10) == 0.0
+        assert math.isfinite(case_bounds(ErrorParams(2.67, 0, 1e290, 10), periodic_f).c_iii)
 
 
 def test_tsl_reference_value():

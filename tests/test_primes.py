@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -222,9 +223,9 @@ def test_li_series_bits_are_frozen():
         "ad9c1fcab0dc3c229b47e04ebdb104263065ac38f0645d75b2e7acaadb4efc11")
 
 
-def test_li_series_once_per_distinct_x_is_bit_identical(prime_table):
-    # more than two blocks of distinct primes, each listed twice as in a
-    # step sweep
+def test_li_series_value_depends_on_x_alone(prime_table):
+    # more than two blocks of distinct primes, and each listed twice: an
+    # x gets the same bits wherever, and however often, it is listed
     xs = prime_table.float_primes()[: 2 * _BLOCK + 100]
     acc, half = _li(xs)
     acc2, half2 = _li(np.repeat(xs, 2))
@@ -234,7 +235,7 @@ def test_li_series_once_per_distinct_x_is_bit_identical(prime_table):
              2 * _BLOCK - 1, 2 * _BLOCK, xs.size - 1]
     _assert_each_alone(xs, acc, half, edges)
 
-    # non-adjacent duplicates are evaluated apart and still agree
+    # non-adjacent duplicates agree too
     mixed = np.concatenate([xs[:50], xs[:50][::-1], xs[-1:]])
     acc, half = _li(mixed)
     assert np.array_equal(acc[:50], acc[50:100][::-1])
@@ -557,3 +558,47 @@ def test_sweep_peak_memory_is_one_chunk(prime_table, monkeypatch):
     # 1.2 against 11.5 MB when written; the states come in chunks too
     assert chunked < 0.5 * whole, (chunked, whole)
     assert chunked < 2 * 2 ** 20, chunked
+
+
+# ---------------------------------------------------------------------------
+# the interleaved step states that the (2, n) state axis replaced, kept as
+# the oracle: two states per prime, each with its own x
+
+
+def _interleaved_step_states(x_lo, x_hi, table, extra):
+    i_lo, i_hi = table.prime_pi(x_lo), table.prime_pi(x_hi)
+    yield np.array([x_lo], dtype=float), np.array([i_lo])
+    # state k is prime k // 2, left limit for even k and inclusive for odd
+    for k in core.runs(2 * i_lo, 2 * i_hi):
+        yield table.primes[k >> 1].astype(np.float64), (k + 1) >> 1
+    ends = [x_hi, *extra]
+    yield np.array(ends, dtype=float), np.array([table.prime_pi(x) for x in ends])
+
+
+_STEP_CHECKS = sorted(c for c, cd in REGISTRY.items() if cd.states.needs_table)
+
+
+def _step_ranges(check_id, rng):
+    cd = REGISTRY[check_id]
+    lo = 59 if check_id.startswith("pnt-") else 2
+    # the range to 100 holds pi-li-2's three negative margins
+    ranges = [(lo, 100), (lo, 1e5), (97, 97), (96.5, 101)]
+    ranges += [tuple(sorted(rng.uniform(lo, 1e5, 2))) for _ in range(4)]
+    return [r for r in ranges if cd.valid(*r)]
+
+
+@pytest.mark.parametrize("check_id", _STEP_CHECKS)
+def test_step_states_match_the_interleaved_oracle(check_id, prime_table, monkeypatch):
+    ranges = _step_ranges(check_id, np.random.default_rng(sum(map(ord, check_id))))
+    cd = REGISTRY[check_id]
+    oracle = dataclasses.replace(
+        cd, states=dataclasses.replace(cd.states, build=_interleaved_step_states))
+    # an odd chunk cuts the oracle's states between a prime's two limits
+    for chunk in (core._SWEEP_CHUNK, 101):
+        monkeypatch.setattr(core, "_SWEEP_CHUNK", chunk)
+        for a, b in ranges:
+            got = repr(verify_inequality(check_id, a, b, prime_table).as_dict())
+            with monkeypatch.context() as m:
+                m.setitem(REGISTRY, check_id, oracle)
+                want = repr(verify_inequality(check_id, a, b, prime_table).as_dict())
+            assert got == want, (check_id, a, b, chunk)

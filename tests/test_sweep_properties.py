@@ -110,3 +110,35 @@ def test_anchored_chunks_equal_the_whole_grid(data, chunk, step):
     with mock.patch.object(core, "_SWEEP_CHUNK", chunk):
         chunks = list(anchored_grid(lo, hi, step))
     _check_chunks(chunks, chunk, lambda j: j * step, _anchored_grid_whole(lo, hi, step))
+
+
+# ---------------------------------------------------------------------------
+# states on a second axis: (k, n) margins over n xs
+
+
+@st.composite
+def _two_states_per_x(draw):
+    # each example draws from a few of the values, so its ties are many:
+    # at equal x and across rows, between 0.0 and -0.0 too
+    def some(values, size):
+        pool = draw(st.lists(values, min_size=1, max_size=3))
+        return np.array(draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size)))
+
+    n = draw(st.integers(1, 12))
+    return (some(_XS, n), some(_MARGINS, 2 * n).reshape(2, n),
+            some(_SCALES, 2 * n).reshape(2, n))
+
+
+@hypothesis.settings(deadline=None)
+@hypothesis.given(_two_states_per_x())
+# state 1 (-0.0) precedes state 2 (0.0) at the same x, though not in row order
+@hypothesis.example((np.array([1.0, 1.0]), np.array([[1.0, 0.0], [-0.0, 1.0]]),
+                     np.ones((2, 2))))
+def test_state_axis_equals_the_interleaved_states(states):
+    # state 2j + r is row r of column j: each x's states in row order
+    xs, margins, scales = states
+    flat = np.repeat(xs, 2), margins.T.ravel()
+    assert repr(SweepSummary.of(xs, margins, scales[0])) == repr(
+        SweepSummary.of(*flat, np.repeat(scales[0], 2)))
+    assert repr(SweepSummary.of(xs, margins, scales)) == repr(
+        SweepSummary.of(*flat, scales.T.ravel()))
