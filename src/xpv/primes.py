@@ -8,10 +8,17 @@ extremum, and reports the worst margin with a three-way verdict.  It
 reduces through ``core.sweep`` one chunk of states at a time, as they are
 made, so only the prime table and its prefix sums are O(pi(x)).  A step
 sweep puts a prime's two states on a second axis: li runs once per prime.
+
+A sweep's li (``_li``) is the exponential-integral series below 2^16
+and, from 2^16 up, a certified degree-8 expansion about a fixed grid of
+anchors 2^(j/64), whose li comes from the same series.  Its half-width
+bounds the series error at the anchor, every rounding of the expansion
+and its truncation; ``_li`` lists each part.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -221,10 +228,10 @@ def _li_terms(x_max: float) -> int:
     return max(80, int(5.2 * float(np.log(x_max))) + 20)
 
 
-def _li_series(xs: np.ndarray, n_terms: int):
+def _li_series(xs: np.ndarray, n_terms: int, ys: np.ndarray | None = None):
     """li over an array of x > 1 by the exponential-integral series at
     y = log x, summed to ``n_terms`` terms (see ``_li_terms``).  Returns
-    (values, half_widths).
+    (values, half_widths).  ``ys``, when given, must be ``np.log(xs)``.
 
     The half-width combines the truncation remainder (next term times a
     geometric factor) with per-term rounding, scaled by the terms'
@@ -233,10 +240,11 @@ def _li_series(xs: np.ndarray, n_terms: int):
     y itself through dli/dy = x/y.
 
     Each x sees the same operations in the same order, so its value
-    depends on it alone: an x listed twice gets the same bits twice.  A
-    sweep passes one cache-sized chunk of distinct x at a time.
+    depends on it alone: an x listed twice gets the same bits twice.
+    ``_li`` runs it on the x below 2^16 and on the anchors above, and
+    ``log_integral`` on its one x.
     """
-    ys = np.log(xs)
+    ys = np.log(xs) if ys is None else ys
     acc = np.log(ys)
     mag = np.abs(acc) + abs(EULER_GAMMA)
     acc += EULER_GAMMA
@@ -253,6 +261,127 @@ def _li_series(xs: np.ndarray, n_terms: int):
     # xs: y = log x is rounded by up to 2.3e-16 y, times dli/dy = x/y
     half = trunc + 2.3e-16 * ((ys + 2.0) * mag + xs) + 1e-300
     return acc, half
+
+
+_LI_X0 = 2.0 ** 16  # li is the series below it and anchored at and above it
+_LI_DEGREE = 8
+_LI_CELL = 0.011  # |u| <= 2^(1/64) - 1 = 0.01089, plus the rounding of j and a
+_LOG2 = math.log(2.0)
+# the constants of the anchor half-width (see ``_li``), with 1% to spare
+# for the rounding of the half-width itself
+_LI_EPS = 1.01 * 2.0 ** -53
+_LI_K0 = _LI_EPS * (1.0 + _LI_CELL) + _LI_CELL / (1.0 - 2.0 * _LI_CELL) * (
+    1.01 * (2.0 * _LI_CELL) ** 9 + 20.1 * _LI_EPS)
+_LI_K1 = 1.01 * 2.3e-16 * _LI_CELL
+_LI_K2 = 1.01 * _LI_CELL / (1.0 - 2.0 * _LI_CELL)
+
+
+@functools.lru_cache(maxsize=256)
+def _li_octave(octave: int, n_li: int) -> np.ndarray:
+    """The anchors a = 2^(j/64) of one octave, j = 64 octave + 0..63, as
+    the rows a, li(a), a c_0, ..., a c_8 and the half-width of every x
+    that a serves (see ``_li``).  Made once per octave and term count."""
+    a = np.exp2(np.arange(64 * octave, 64 * octave + 64) / 64.0)
+    L = np.log(a)
+    li_a, half_a = _li_series(a, n_li, L)
+    g = [1.0 / L]  # 1/(L + log1p s) = sum g_k s^k, log1p s = sum (-1)^(m+1) s^m/m
+    for k in range(1, _LI_DEGREE + 1):
+        s = g[k - 1].copy()
+        for m in range(2, k + 1):
+            s += (-1) ** (m + 1) / m * g[k - m]
+        g.append(-s / L)
+    w = a / (L - _LOG2)
+    half = half_a + w * (_LI_K0 + _LI_K1 * L / (L - _LOG2)) + _LI_EPS * (li_a + w * _LI_K2)
+    table = np.stack([a, li_a, *(a * (g_k / (k + 1)) for k, g_k in enumerate(g)), half])
+    table.flags.writeable = False
+    return table
+
+
+def _li(xs: np.ndarray, ys: np.ndarray, n_li: int):
+    """li over an array of x > 1, with ``ys = np.log(xs)``: (values,
+    half_widths).  Every li margin reads li through it.
+
+    Below X0 = 2^16 it is ``_li_series``, bit for bit.  At and above X0,
+    x takes the anchor a = 2^(j/64), j = floor(64 y/log 2), and
+
+        li(x) = li(a) + a * integral_0^u ds/(L + log1p s),  L = log a,
+
+    with u = x/a - 1.  The integrand g(s) = 1/(L + log1p s) = sum g_k s^k
+    has g_0 = 1/L and g_k = -(sum_{m=1..k} (-1)^(m+1) g_{k-m}/m)/L, so
+    li(x) = li(a) + sum_{k<=8} a c_k u^(k+1) with c_k = g_k/(k+1).  li(a),
+    from the series with the same ``n_li``, and the a c_k are made once
+    per octave of anchors (``_li_octave``); each x then costs one Horner
+    pass over its anchor's gathered coefficients.  The anchor grid is
+    absolute, so an x's value and half-width depend on x and ``n_li``
+    alone, as with the series, and no chunking moves a bit.
+
+    The half-width is one number per anchor, the sum of these bounds,
+    with eps = 2^-53, T = 0.011 >= |u| and W = a/(L - log 2):
+
+    1. the anchor's series half-width;
+    2. the rounding of u.  fl(x/a) lies in [1/2, 2], so fl(x/a) - 1 is
+       exact (Sterbenz) and |du| <= eps (1 + T).  On |s| <= T,
+       |g| <= 1/(L - log 2), so this moves li by at most W eps (1 + T);
+    3. the rounding of L = log a, |dL| <= 2.3e-16 L as in the series,
+       which moves the integral by at most a T |dL|/(L - log 2)^2;
+    4. the coefficients.  On |s| <= 1/2, |log1p s| <= log 2, so
+       |g| <= 1/(L - log 2) and, by Cauchy's estimate, |g_k| <= B_k =
+       2^k/(L - log 2).  By induction on the recurrence (with L >= 11),
+       the float g_k lie within (k + 1) eps B_k, so the stored a c_k lie
+       within 3.02 eps a B_k; over the powers of u that is at most
+       3.02 eps W T/(1 - 2T);
+    5. Horner: 8 multiply-adds and the product with u, within
+       gamma_17 <= 17.01 eps of sum |a c_k| |u|^(k+1) <= W T/(1 - 2T);
+    6. the truncation: the terms past degree 8 sum to at most
+       W T (2T)^9/(1 - 2T), by the same Cauchy bound;
+    7. the final addition, eps |value| with |value| <= li(a) + W T/(1 - 2T).
+
+    Parts 2-7 add at most 5% to the anchor's half-width.  j is computed
+    from y, so it can land one cell off where 64 y/log 2 rounds across an
+    integer; u is then just below 0 or just above 2^(1/64) - 1, still
+    within T.  j stops at 65535, since 2^(65536/64) overflows.
+    """
+    small = xs < _LI_X0
+    if small.all():
+        return _li_series(xs, n_li, ys)
+    if small.any():
+        value, half = np.empty_like(xs), np.empty_like(xs)
+        value[small], half[small] = _li_series(xs[small], n_li, ys[small])
+        big = ~small
+        value[big], half[big] = _li(xs[big], ys[big], n_li)
+        return value, half
+    u = np.multiply(ys, 64.0 / _LOG2)
+    np.floor(u, out=u)
+    np.minimum(u, 65535.0, out=u)
+    j = u.astype(np.intp)
+    # the table holds the octaves present, in order; cell indexes it
+    octave = j >> 6
+    first = int(octave.min())
+    octave -= first
+    seen = np.zeros(int(octave.max()) + 1, dtype=np.intp)
+    seen[octave] = 1
+    table = np.concatenate(
+        [_li_octave(first + int(k), n_li) for k in np.flatnonzero(seen)], axis=1)
+    np.cumsum(seen, out=seen)
+    cell = np.take(seen, octave, mode="clip")
+    cell -= 1
+    cell <<= 6
+    j &= 63
+    cell |= j
+
+    def gather(row, out=None):
+        return np.take(table[row], cell, out=out, mode="clip")
+
+    np.divide(xs, gather(0, u), out=u)
+    u -= 1.0
+    value = gather(_LI_DEGREE + 2)
+    tmp = np.empty_like(value)
+    for row in range(_LI_DEGREE + 1, 1, -1):
+        value *= u
+        value += gather(row, tmp)
+    value *= u
+    value += gather(1, tmp)
+    return value, gather(_LI_DEGREE + 3)
 
 
 def _graded_simpson(f, a: float, b: float, tol: float):
@@ -518,23 +647,25 @@ def _loglog(c):
 
 
 def _li_lower_edge(xs, u, _, n_li):
-    li, li_err = _li_series(xs, n_li)
+    li, li_err = _li(xs, u, n_li)
     return li - li_err
 
 
 def _li_dev(xs, u, pis, n_li):
     """|li(x) - pi(x)| plus the li error."""
-    li, li_err = _li_series(xs, n_li)
+    li, li_err = _li(xs, u, n_li)
     return np.abs(li - pis) + li_err
+
+
+_LI2, _LI2_HALF = _li_series(np.array([2.0]), _li_terms(2.0))
 
 
 def _li_upper(xs, _, n_li):
     """li(x) - li(2) <= x/log x (1 + 3/(2 log x)), li errors counted."""
     u = np.log(xs)
-    li, li_err = _li_series(xs, n_li)
-    li2, li2_half = _li_series(np.array([2.0]), _li_terms(2.0))
-    rhs = xs / u * (1.0 + 3.0 / (2.0 * u)) + li2
-    return rhs - (li + li_err + li2_half), rhs
+    li, li_err = _li(xs, u, n_li)
+    rhs = xs / u * (1.0 + 3.0 / (2.0 * u)) + _LI2
+    return rhs - (li + li_err + _LI2_HALF), rhs
 
 
 def _mertens_dev(xs, u, sums, _):

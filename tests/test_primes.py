@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from xpv import core
+from xpv import core, primes
 from xpv.errors import (
     DomainError,
     PreconditionError,
@@ -15,6 +15,7 @@ from xpv.errors import (
 )
 from xpv.primes import (
     _SEGMENT_SIZE,
+    _LI_X0,
     REGISTRY,
     _compensated_prefix,
     _li_series,
@@ -282,6 +283,68 @@ def test_li_series_error_model_against_mpmath(prime_table):
             assert mp.mpf(enc.lo) <= mp.li(mp.mpf(x)) <= mp.mpf(enc.hi), f"x = {x!r}"
 
 
+def _li_of(xs, n_li):
+    xs = np.asarray(xs, dtype=float)
+    return primes._li(xs, np.log(xs), n_li)
+
+
+def test_li_bits_are_frozen():
+    # sha256 of ``_li``'s values and half-widths on the series' grid
+    xs = np.logspace(1e-3, 9.0, 2000)
+    acc, half = _li_of(xs, _li_terms(xs.max()))
+    digest = hashlib.sha256(acc.tobytes() + half.tobytes()).hexdigest()
+    assert digest == (
+        "65db299ae33acd21cc31132b80784fc820849718434394592ed894674dc36f78")
+
+
+def test_li_is_the_series_below_x0():
+    xs = np.concatenate([np.logspace(1e-3, np.log10(_LI_X0), 500)[:-1],
+                         [np.nextafter(_LI_X0, 0.0)]])
+    n_li = _li_terms(1e9)
+    got = _li_of(np.concatenate([xs, [_LI_X0, 1e9]]), n_li)
+    want = _li_series(xs, n_li)
+    for g, w in zip(got, want):
+        assert g[: xs.size].tobytes() == w.tobytes()
+
+
+def _anchor_neighbours():
+    """x at and one ulp around anchors 2^(j/64), among them x just below
+    an anchor whose rounded 64 log x/log 2, as ``_li`` computes it, still
+    floors to the anchor's own j, so that u = x/a - 1 is slightly
+    negative."""
+    xs, far = [], 0
+    for j in (1024, 1025, 1087, 1088, 1300, 1471, 1600, 1663, 1850, 1913):
+        a = float(np.exp2(j / 64.0))
+        for x in (np.nextafter(a, 0.0), a, np.nextafter(a, np.inf)):
+            xs.append(x)
+            far += x < a and np.floor(np.log(x) * (64.0 / math.log(2.0))) == j
+    assert far, "no x below an anchor lands on the anchor"
+    return xs
+
+
+def test_li_against_mpmath(prime_table):
+    """li(x) lies within ``_li``'s value +- half-width, by mpmath at 40
+    digits, around X0, around anchors, at a seeded sample of 2000 primes
+    up to 1e8 and at 1e9; and the half-width stays within twice the
+    series' own."""
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(2016)
+    ps = prime_table.float_primes()
+    small = rng.choice(ps[ps > 2.0], 1000, replace=False)
+    large = [least_prime_3mod4_above(x)
+             for x in np.exp(rng.uniform(np.log(1e6), np.log(1e8), 1000))]
+    xs = np.array([np.nextafter(_LI_X0, 0.0), _LI_X0, np.nextafter(_LI_X0, np.inf),
+                   *_anchor_neighbours(), *small, *large, 1e9])
+    n_li = _li_terms(1e9)
+    value, half = _li_of(xs, n_li)
+    _, series_half = _li_series(xs, n_li)
+    assert np.all(half <= 2.0 * series_half)
+    with mp.workdps(40):
+        for x, v, h in zip(xs, value, half):
+            err = abs(mp.mpf(float(v)) - mp.li(mp.mpf(float(x))))
+            assert err <= mp.mpf(float(h)), f"x = {x!r}"
+
+
 # ---------------------------------------------------------------------------
 # prime sums
 
@@ -531,12 +594,14 @@ def test_verify_input_errors(prime_table):
 
 def test_sweep_chunks_match_one_chunk(prime_table, monkeypatch):
     # 157k states: one chunk of 2^20, 154 chunks of 2^10;
-    # mertens-remainder's stationary extra sits in the last chunk
-    for check_id in ("pi-li-1", "mertens-remainder", "mertens-bracket"):
+    # mertens-remainder's stationary extra sits in the last chunk; the li
+    # checks cross X0 = 2^16, where li turns from the series to the anchors
+    for check_id, lo in (("pi-li-1", 2), ("pi-li-2", 2), ("li-upper", 1865),
+                         ("mertens-remainder", 2), ("mertens-bracket", 2)):
         monkeypatch.setattr(core, "_SWEEP_CHUNK", 1 << 20)
-        whole = repr(verify_inequality(check_id, 2, 1e6, prime_table).as_dict())
+        whole = repr(verify_inequality(check_id, lo, 1e6, prime_table).as_dict())
         monkeypatch.setattr(core, "_SWEEP_CHUNK", 1 << 10)
-        chunked = repr(verify_inequality(check_id, 2, 1e6, prime_table).as_dict())
+        chunked = repr(verify_inequality(check_id, lo, 1e6, prime_table).as_dict())
         assert chunked == whole, check_id
 
 
