@@ -180,6 +180,14 @@ def _non_negative(text: str) -> float:
     return value if value == 0.0 else _positive(text)
 
 
+def _pv_constant(text: str) -> float:
+    """A PV constant c, a _positive number at most 1."""
+    value = _positive(text)
+    if value > 1.0:
+        raise argparse.ArgumentTypeError(f"must satisfy 0 < c <= 1, got {text!r}")
+    return value
+
+
 def _float_list(text: str):
     return [_positive(tok) for tok in text.split(",") if tok]
 
@@ -235,7 +243,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="statistics and empirical checks for one function")
     p.add_argument("--kind", required=True)
     p.add_argument("--x", type=_float_list, required=True)
-    p.add_argument("--c", type=float, default=0.5)
+    p.add_argument("--c", type=_pv_constant, default=0.5)
 
     p = sub.add_parser("charsum", parents=[common],
                        help="quadratic character sums")

@@ -147,10 +147,14 @@ class SweepSummary:
         """Summarize one run of states; the xs need not be sorted.  Margins
         (k, n) over n xs hold k states per x, x by x; scales broadcast."""
         xs = np.broadcast_to(xs, margins.shape)
-        ties = np.flatnonzero(margins.T == margins.min())  # in state order
-        worst = int(ties[np.argmin(xs.T.flat[ties])])
+        # ties in C order: index r n + j is state k j + r of the n xs
+        ties = np.flatnonzero(margins == margins.min())
+        n = margins.shape[-1]
+        ties_x = xs.flat[ties]
+        ties = ties[ties_x == ties_x.min()]
+        worst = int(ties[np.argmin(ties % n * (margins.size // n) + ties // n)])
         neg_xs = xs[margins < 0.0]
-        return cls(int(margins.size), float(margins.T.flat[worst]), float(xs.T.flat[worst]),
+        return cls(int(margins.size), float(margins.flat[worst]), float(xs.flat[worst]),
                    margins_verdict(margins, scales, eta), int(neg_xs.size),
                    float(neg_xs.min(initial=math.inf)), float(neg_xs.max(initial=-math.inf)))
 
@@ -303,8 +307,12 @@ def grid(lo: float, hi: float, point, coord):
 
 def geometric_grid(lo: float, hi: float, per_octave: int = 128):
     """``grid`` chunks of the geometric grid 2**(j/per_octave) on [lo, hi]."""
-    return grid(lo, hi, lambda j: np.exp2(j / per_octave),
-                lambda x: per_octave * math.log2(x))
+
+    def point(j):
+        with np.errstate(over="ignore"):  # a j past the float range gives inf > hi
+            return np.exp2(j / per_octave)
+
+    return grid(lo, hi, point, lambda x: per_octave * math.log2(x))
 
 
 def anchored_grid(lo: float, hi: float, step: float):

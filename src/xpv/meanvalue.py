@@ -695,8 +695,14 @@ def table1_report(c1_list, c_list, delta_table: dict) -> Table1Report:
         deltas = [float(delta_table[c]) for c in c_values]
     except KeyError as exc:
         raise UsageError(f"delta_table is missing an entry for c = {exc.args[0]}")
-
-    column_factors = [4.0 * math.pi * d ** -1.5 for d in deltas]
+    if not all(0.0 < d < math.inf for d in deltas):
+        raise DomainError(f"table1_report needs finite deltas > 0, got {deltas}")
+    try:  # delta^-1.5 overflows below about 3.2e-206, 4 pi times it below 1.7e-205
+        column_factors = [4.0 * math.pi * d ** -1.5 for d in deltas]
+    except OverflowError:
+        column_factors = [math.inf]
+    if not all(math.isfinite(f) for f in column_factors):
+        raise DomainError(f"4 pi delta^-1.5 overflows for a delta in {deltas}")
     cells = [[c1 * fac for fac in column_factors] for c1 in c1_values]
 
     checks = {}

@@ -9,6 +9,11 @@ reduces through ``core.sweep`` one chunk of states at a time, as they are
 made, so only the prime table and its prefix sums are O(pi(x)).  A step
 sweep puts a prime's two states on a second axis: li runs once per prime.
 
+The sieve's segments (as in Oliveira e Silva, Herzog and Pardi, Math.
+Comp. 83, 2014) flag odd numbers only and start from a pattern with the
+odd multiples of 3..13 struck: the primes to 13, over half of a plain
+sieve's writes, never run as strided writes.
+
 A sweep's li (``_li``) is the exponential-integral series below 2^16
 and, from 2^16 up, a certified degree-8 expansion about a fixed grid of
 anchors 2^(j/64), whose li comes from the same series.  Its half-width
@@ -53,7 +58,9 @@ from .errors import (
 )
 
 DEFAULT_SIEVE_CAP = 10 ** 9
-_SEGMENT_SIZE = 1 << 20  # numbers per sieve segment; its flags are 1 MB
+_SEGMENT_SIZE = 1 << 20  # numbers per sieve segment; its odd-only flags are 512 KB
+_WHEEL_PRIMES = (3, 5, 7, 11, 13)
+_WHEEL_PERIOD = 15015  # 3 * 5 * 7 * 11 * 13 odd slots: 30030 numbers
 
 # Deterministic Miller-Rabin witness set, valid for all n < 3.3e24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -139,39 +146,65 @@ def _pi_upper(x: int) -> int:
     return int(x / log_x * (1.0 + 1.5 / log_x)) + 1
 
 
+def _wheel_pattern() -> np.ndarray:
+    """Two periods of odd-number flags, slot i standing for 2i + 1, with
+    the odd multiples of the wheel primes struck, the primes too."""
+    flags = np.ones(2 * _WHEEL_PERIOD, dtype=bool)
+    for p in _WHEEL_PRIMES:
+        flags[(p - 1) // 2 :: p] = False
+    return flags
+
+
+_WHEEL = _wheel_pattern()
+
+
 def sieve_primes(limit: int, cap: int | None = None) -> PrimeTable:
     """Sieve all primes up to ``limit``, in bounded segments above its root,
-    into one array sized by ``_pi_upper`` and trimmed in place."""
+    into one array sized by ``_pi_upper`` and trimmed in place.
+
+    Flags stand for odd numbers only: slot i of a segment from odd lo is
+    lo + 2i.  The base primes run to at least 13, so every segment lies
+    above the wheel primes and starts from the wheel pattern; only base
+    primes above 13 strike it, every p slots from their first odd multiple
+    >= max(p^2, lo).  Base primes above a small limit are dropped at the end.
+    """
     limit = int(limit)
     cap = DEFAULT_SIEVE_CAP if cap is None else int(cap)
     if limit < 2:
         raise DomainError(f"sieve limit must be at least 2, got {limit}")
     if limit > cap:
         raise ResourceError(f"sieve limit {limit} exceeds cap {cap}")
-    root = math.isqrt(limit)
+    root = max(math.isqrt(limit), _WHEEL_PRIMES[-1])  # base primes <= root
     base = np.flatnonzero(_sieve_flags(root))
-    primes = np.empty(_pi_upper(limit), dtype=np.int64)
+    primes = np.empty(_pi_upper(limit), dtype=np.int64)  # >= 7 slots
     primes[: base.size] = base
     count = base.size
-    base_list = base.tolist()
-    seg = np.empty(min(_SEGMENT_SIZE, limit - root), dtype=bool)
-    lo = root + 1
+    base_list = base[len(_WHEEL_PRIMES) + 1 :].tolist()  # the primes above 13
+    lo = (root + 1) | 1
+    seg = np.empty(min(_SEGMENT_SIZE, max(limit + 1 - lo, 0)) // 2 + 1, dtype=bool)
     while lo <= limit:
         hi = min(lo + _SEGMENT_SIZE, limit + 1)
-        flags = seg[: hi - lo]
-        flags[:] = True
+        flags = seg[: (hi - lo + 1) // 2]
+        # whole periods of the wheel pattern, then the start of one
+        period = _WHEEL[lo // 2 % _WHEEL_PERIOD :][:_WHEEL_PERIOD]
+        q, r = divmod(flags.size, _WHEEL_PERIOD)
+        flags[: q * _WHEEL_PERIOD].reshape(q, _WHEEL_PERIOD)[:] = period
+        flags[q * _WHEEL_PERIOD :] = period[:r]
         for p in base_list:
             if p * p >= hi:
                 break
-            start = max(p * p, ((lo + p - 1) // p) * p)
-            flags[start - lo :: p] = False
+            start = max(p * p, ((lo + p - 1) // p | 1) * p)  # an odd multiple
+            flags[(start - lo) >> 1 :: p] = False
         found = np.flatnonzero(flags)
         if count + found.size > primes.size:
             raise PrecisionError(f"more than {primes.size} primes up to {limit}")
-        np.add(found, lo, out=primes[count : count + found.size])
+        out = primes[count : count + found.size]
+        np.multiply(found, 2, out=out)
+        out += lo
         count += found.size
         lo = hi
         del found  # before the next segment's primes exist
+    count = int(np.searchsorted(primes[:count], limit, "right"))
     primes.resize(count, refcheck=False)
     return PrimeTable(limit, primes)
 
@@ -259,7 +292,12 @@ def _li_series(xs: np.ndarray, n_terms: int, ys: np.ndarray | None = None):
     nxt = t * ys / (n_terms + 1) / (n_terms + 1)
     trunc = nxt / (1.0 - ys / (n_terms + 2))
     # xs: y = log x is rounded by up to 2.3e-16 y, times dli/dy = x/y
-    half = trunc + 2.3e-16 * ((ys + 2.0) * mag + xs) + 1e-300
+    with np.errstate(over="ignore"):
+        half = trunc + 2.3e-16 * ((ys + 2.0) * mag + xs) + 1e-300
+    top = np.isinf(half)  # the sum passes the float range near x = 9e307
+    if top.any():
+        half[top] = (trunc[top] + 2.3e-16 * (ys[top] + 2.0) * mag[top]
+                     + 2.3e-16 * xs[top] + 1e-300)
     return acc, half
 
 

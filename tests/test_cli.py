@@ -92,6 +92,18 @@ def test_non_finite_or_non_positive_input_is_exit_two(argv, capsys):
     assert "finite and positive" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("check", ["li-lower", "li-upper"])
+def test_li_checks_at_the_top_of_the_float_range(check, capsys):
+    # the series half-width's sum passes the float range near 9e307, and
+    # the grid's candidate j = 2^17 is 2^1024: neither warns nor fails
+    code, out = _run(capsys, "verify", "--check", check, "--from", "1e308",
+                     "--to", "1.7976931348623157e308")
+    rep = json.loads(out)["results"][0]
+    assert code == 0 and rep["verdict"] == "pass", rep
+    assert 0.0 < rep["worst_margin"] < math.inf and rep["arg_min"] == 1e308
+
+
 def test_bad_exponent_check_numbers_are_exit_two(capsys):
     for spec in ("1,inf,1.15,table", "1,8,x,table", "0,8,1.15,table"):
         assert run(["dickman", "--xmax", "8", "--exponent-check", spec]) == 2
@@ -291,6 +303,22 @@ def test_mfunc_x_checked_before_sieving(capsys, monkeypatch):
     assert "x >= 2, got 1.5" in err
 
 
+def test_mfunc_c_checked_before_sieving(capsys, monkeypatch):
+    calls = []
+
+    def no_sieve(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("sieved before --c was checked")
+
+    monkeypatch.setattr("xpv.cli.sieve_primes", no_sieve)
+    for c in ("2", "1.0000000000000002", "0", "-0.5", "nan", "inf", "-inf", "x"):
+        with pytest.raises(SystemExit) as exc:
+            run(["mfunc", "--kind", "liouville", "--x", "100", "--c", c])
+        assert exc.value.code == 2
+    assert calls == []
+    assert "0 < c <= 1, got '2'" in capsys.readouterr().err
+
+
 def test_mfunc_kind_parsing(capsys):
     assert run(["mfunc", "--kind", "qchar", "--x", "100"]) == 2
     assert run(["mfunc", "--kind", "martian", "--x", "100"]) == 2
@@ -320,6 +348,21 @@ def test_table_csv(capsys):
     lines = out.strip().split("\n")
     assert len(lines) == 3
     assert lines[1].startswith("1,")
+
+
+def test_table_delta_past_the_float_range_is_exit_two(capsys):
+    # the delta candidate of c = 1e-300 underflows to 0, and that of
+    # c = 1e-200 (about 9e-315) gives a column factor past the float range;
+    # c = 2.2e-129 (delta about 3e-206) overflows delta^-1.5 itself, and
+    # c = 5e-129 (about 1e-205) only 4 pi times it
+    for c in ("1e-300", "1e-200", "2.2e-129", "5e-129"):
+        assert run(["table", "--c1", "1", "--c", c]) == 2
+    err = capsys.readouterr().err
+    assert "needs finite deltas > 0" in err and err.count("overflows") == 3
+    # c = 7.1e-129 (delta about 1.72e-205) has a finite factor
+    assert run(["table", "--c1", "1", "--c", "7.1e-129"]) in (0, 1)
+    out = capsys.readouterr().out
+    assert "inf" not in out.lower()
 
 
 def test_charsum_rows(capsys):

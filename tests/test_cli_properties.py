@@ -2,11 +2,11 @@
 never a traceback.
 
 Each argv is drawn from small values, and about a third of them do
-work: ranges up to 1e4, rho tables to x = 30, mfunc x to 1e4.  In half
-of them one argument takes an extreme value (1e300, inf, nan, a
-negative number, a size above the sieve or table cap, a malformed
-token), always one that a parse-time or pre-allocation check refuses,
-so no example starts a large job.
+work: ranges up to 1e4, rho tables to x = 30, mfunc x to 1e4, moduli q
+to about 1e4.  In half of them one argument takes an extreme value
+(1e300, inf, nan, a negative number, a size above the sieve, table or
+character cap, a malformed token), always one that a parse-time or
+pre-allocation check refuses, so no example starts a large job.
 """
 
 import contextlib
@@ -92,6 +92,34 @@ def _constants(draw):
     return ["constants", "--c0", c0] + (["--optimize"] if draw(st.integers(0, 9)) == 0 else [])
 
 
+@st.composite
+def _table(draw):
+    # None leaves the list out, for the published grid; a tiny c gives a
+    # delta candidate that underflows, or whose epsilon column factor
+    # 4 pi delta^-1.5 overflows
+    c1, c = draw(_argv_slots([
+        (st.sampled_from([None, "1", "1e-5,1", "1,1e-10,1e-20", "1e-300", "1e300", "5e-324"]),
+         st.one_of(_UNPARSABLE, st.sampled_from([",", "1,,x"]))),
+        (st.sampled_from([None, "0.99", "0.5,0.25", "0.025,0.05,0.99", "1", "1e-100"]),
+         st.one_of(_UNPARSABLE, st.sampled_from(["1e-200", "1e-300", "2", "1e300", ","]))),
+    ]))
+    lists = [tok for flag, v in (("--c1", c1), ("--c", c)) if v is not None for tok in (flag, v)]
+    return ["table", *lists] + (["--delta-paper"] if draw(st.booleans()) else [])
+
+
+@st.composite
+def _charsum(draw):
+    # past the character caps (a prime above 1e7, an odd composite above
+    # 1e6, 10^30 + 1) is refused before the period is allocated
+    (q,) = draw(_argv_slots([(
+        st.lists(st.sampled_from(["3", "5", "9", "15", "101", "1001", "9973", "10007"]),
+                 min_size=1, max_size=4).map(",".join),
+        st.sampled_from(["1", "2", "0", "-3", "4", "10000019", "1000001", str(10 ** 30 + 1),
+                         "3,x", "1e3", ",", ""]),
+    )]))
+    return ["charsum", "--q", q] + (["--pv-ratio"] if draw(st.booleans()) else [])
+
+
 _COMMON = st.tuples(
     st.sampled_from(["json"] * 4 + ["text"] * 3 + ["csv", "xml"]),
     st.sampled_from(["0", "7", "-3", str(10 ** 30)]),
@@ -99,8 +127,9 @@ _COMMON = st.tuples(
 ).map(lambda t: ["--format", t[0], "--seed", t[1], *t[2]])
 
 
-@hypothesis.settings(deadline=None, max_examples=60)
-@hypothesis.given(st.one_of(_verify(), _dickman(), _mfunc(), _constants()), _COMMON)
+@hypothesis.settings(deadline=None, max_examples=90)
+@hypothesis.given(st.one_of(_verify(), _dickman(), _mfunc(), _constants(), _table(),
+                            _charsum()), _COMMON)
 def test_every_argv_exits_0_1_or_2(argv, common):
     argv = argv + common
     out, err = io.StringIO(), io.StringIO()

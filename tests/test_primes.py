@@ -84,6 +84,44 @@ def test_sieve_edge_and_multi_segment_limits():
     np.testing.assert_array_equal(sieve_primes(n).primes, _odd_only_sieve(n))
 
 
+def _assert_sieve_is_the_reference(n, reference):
+    primes = sieve_primes(n).primes
+    assert primes.dtype == np.int64 and primes.flags.owndata
+    np.testing.assert_array_equal(primes, reference[: np.searchsorted(reference, n, "right")])
+
+
+def test_sieve_equals_the_reference_at_every_small_limit():
+    # 168, 169 and 170 among them: below 169 the root is under 13, and the
+    # base primes to 13 lie above the limit
+    reference = _odd_only_sieve(3000)
+    for n in range(2, 3001):
+        _assert_sieve_is_the_reference(n, reference)
+
+
+def test_sieve_equals_the_reference_at_segment_and_wheel_edges():
+    # segments of _SEGMENT_SIZE numbers, with odd (1023, 1773) and even
+    # (1024, 1448) roots; a segment takes whole wheel periods of 15015 odd
+    # slots and the start of one, and the one segment below 30210 (60312)
+    # holds 15013..15018 (30027..30033) slots
+    edges = [k * _SEGMENT_SIZE + d for k in (1, 2, 3) for d in (-1, 0, 1, 2)]
+    edges += [*range(30199, 30210), *range(60299, 60312), 168, 169, 170]
+    reference = _odd_only_sieve(max(edges))
+    for n in edges:
+        _assert_sieve_is_the_reference(n, reference)
+
+
+def test_sieve_equals_the_reference_at_random_limits():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(deadline=None, max_examples=40)
+    @hypothesis.given(st.integers(2, 3 * 10 ** 6))
+    def check(n):
+        _assert_sieve_is_the_reference(n, _odd_only_sieve(n))
+
+    check()
+
+
 def test_sieve_holds_one_copy_of_the_table():
     tracemalloc.start()
     try:
