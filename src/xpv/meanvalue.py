@@ -517,7 +517,8 @@ def assemble_ledger(C0: float, table: PrimeTable) -> ConstantLedger:
     sums over the primes of ``table`` up to LEDGER_PRIMES only, so any
     table sieved at least that far gives the same ledger; nu2 and nu3 come
     in as enclosure upper ends, and C, a, final follow the ledger
-    identities exactly as stated on the ConstantLedger type.
+    identities exactly as stated on the ConstantLedger type.  A C0 for
+    which one of them is not finite (from about 704 up) is a DomainError.
     """
     if C0 <= 0:
         raise DomainError(f"assemble_ledger needs C0 > 0, got {C0}")
@@ -526,8 +527,13 @@ def assemble_ledger(C0: float, table: PrimeTable) -> ConstantLedger:
     k_enc, nu2_enc, nu3_enc = solve_K(), nu2(table), nu3(10 ** 6)
     k, nu1 = k_enc.mid, tail_power_sum_bound(1.0)
     big_c = C0 + nu1 + nu2_enc.hi + k * (MERTENS_M + 1.0)
-    a_const = 3.14 * nu3_enc.hi * math.exp(big_c) * math.exp(1.82 * k) / (1.0 - 2.0 * k)
-    final = a_const * math.exp(2.0 * k * MERTENS_M + 1.21 * k)
+    try:
+        a_const = 3.14 * nu3_enc.hi * math.exp(big_c) * math.exp(1.82 * k) / (1.0 - 2.0 * k)
+        final = a_const * math.exp(2.0 * k * MERTENS_M + 1.21 * k)
+    except OverflowError:
+        a_const = final = math.inf
+    if not all(map(math.isfinite, (big_c, a_const, final))):
+        raise DomainError(f"C0 = {C0} overflows the ledger: a = {a_const}, final = {final}")
     prov = {
         "K": PROVENANCE_COMPUTED,
         "C0": PROVENANCE_PUBLISHED if C0 == PUBLISHED_C0 else PROVENANCE_COMPUTED,

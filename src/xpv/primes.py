@@ -14,9 +14,9 @@ Comp. 83, 2014) flag odd numbers only and start from a pattern with the
 odd multiples of 3..13 struck: the primes to 13, over half of a plain
 sieve's writes, never run as strided writes.
 
-A sweep's li (``_li``) is the exponential-integral series below 2^16
-and, from 2^16 up, a certified degree-8 expansion about a fixed grid of
-anchors 2^(j/64), whose li comes from the same series.  Its half-width
+The sweeps and ``log_integral`` read one li, ``_li``: the series below
+2^16 and, from 2^16 up, a certified degree-8 expansion about a fixed grid
+of anchors 2^(j/64), whose li comes from the same series.  Its half-width
 bounds the series error at the anchor, every rounding of the expansion
 and its truncation; ``_li`` lists each part.
 """
@@ -256,8 +256,8 @@ def least_prime_3mod4_above(x: float) -> int:
 
 
 def _li_terms(x_max: float) -> int:
-    """Terms of the li series for points up to ``x_max``; a sweep takes
-    it from its largest x, so no value depends on its chunk."""
+    """Terms of the li series for points up to ``x_max``, past which more
+    terms move no bit; ``_li`` takes it at X0 and at each octave's top."""
     return max(80, int(5.2 * float(np.log(x_max))) + 20)
 
 
@@ -273,9 +273,8 @@ def _li_series(xs: np.ndarray, n_terms: int, ys: np.ndarray | None = None):
     y itself through dli/dy = x/y.
 
     Each x sees the same operations in the same order, so its value
-    depends on it alone: an x listed twice gets the same bits twice.
-    ``_li`` runs it on the x below 2^16 and on the anchors above, and
-    ``log_integral`` on its one x.
+    depends on it and ``n_terms`` alone: an x listed twice gets the same
+    bits twice.  Only ``_li`` and ``_li_octave`` call it.
     """
     ys = np.log(xs) if ys is None else ys
     acc = np.log(ys)
@@ -315,13 +314,14 @@ _LI_K2 = 1.01 * _LI_CELL / (1.0 - 2.0 * _LI_CELL)
 
 
 @functools.lru_cache(maxsize=256)
-def _li_octave(octave: int, n_li: int) -> np.ndarray:
+def _li_octave(octave: int) -> np.ndarray:
     """The anchors a = 2^(j/64) of one octave, j = 64 octave + 0..63, as
     the rows a, li(a), a c_0, ..., a c_8 and the half-width of every x
-    that a serves (see ``_li``).  Made once per octave and term count."""
+    that a serves (see ``_li``).  Made once per octave, li(a) summed to
+    the term count of the octave's largest anchor."""
     a = np.exp2(np.arange(64 * octave, 64 * octave + 64) / 64.0)
     L = np.log(a)
-    li_a, half_a = _li_series(a, n_li, L)
+    li_a, half_a = _li_series(a, _li_terms(a[-1]), L)
     g = [1.0 / L]  # 1/(L + log1p s) = sum g_k s^k, log1p s = sum (-1)^(m+1) s^m/m
     for k in range(1, _LI_DEGREE + 1):
         s = g[k - 1].copy()
@@ -335,23 +335,23 @@ def _li_octave(octave: int, n_li: int) -> np.ndarray:
     return table
 
 
-def _li(xs: np.ndarray, ys: np.ndarray, n_li: int):
-    """li over an array of x > 1, with ``ys = np.log(xs)``: (values,
-    half_widths).  Every li margin reads li through it.
+def _li(xs: np.ndarray, ys: np.ndarray | None = None):
+    """li over an array of x > 1, ``ys`` = ``np.log(xs)`` if given:
+    (values, half_widths).  Every li margin and ``log_integral`` read it.
 
-    Below X0 = 2^16 it is ``_li_series``, bit for bit.  At and above X0,
-    x takes the anchor a = 2^(j/64), j = floor(64 y/log 2), and
+    Below X0 = 2^16 it is ``_li_series`` to 80 terms, ``_li_terms(X0)``.
+    From X0 up, x takes the anchor a = 2^(j/64), j = floor(64 y/log 2), and
 
         li(x) = li(a) + a * integral_0^u ds/(L + log1p s),  L = log a,
 
     with u = x/a - 1.  The integrand g(s) = 1/(L + log1p s) = sum g_k s^k
     has g_0 = 1/L and g_k = -(sum_{m=1..k} (-1)^(m+1) g_{k-m}/m)/L, so
     li(x) = li(a) + sum_{k<=8} a c_k u^(k+1) with c_k = g_k/(k+1).  li(a),
-    from the series with the same ``n_li``, and the a c_k are made once
-    per octave of anchors (``_li_octave``); each x then costs one Horner
-    pass over its anchor's gathered coefficients.  The anchor grid is
-    absolute, so an x's value and half-width depend on x and ``n_li``
-    alone, as with the series, and no chunking moves a bit.
+    from the series, and the a c_k are made once per octave of anchors
+    (``_li_octave``); each x then costs one Horner pass over its
+    anchor's gathered coefficients.  The term counts and the anchor grid
+    are fixed, so an x's value and half-width depend on x alone, and no
+    chunking moves a bit.
 
     The half-width is one number per anchor, the sum of these bounds,
     with eps = 2^-53, T = 0.011 >= |u| and W = a/(L - log 2):
@@ -379,14 +379,14 @@ def _li(xs: np.ndarray, ys: np.ndarray, n_li: int):
     integer; u is then just below 0 or just above 2^(1/64) - 1, still
     within T.  j stops at 65535, since 2^(65536/64) overflows.
     """
+    ys = np.log(xs) if ys is None else ys
     small = xs < _LI_X0
     if small.all():
-        return _li_series(xs, n_li, ys)
+        return _li_series(xs, _li_terms(_LI_X0), ys)
     if small.any():
         value, half = np.empty_like(xs), np.empty_like(xs)
-        value[small], half[small] = _li_series(xs[small], n_li, ys[small])
-        big = ~small
-        value[big], half[big] = _li(xs[big], ys[big], n_li)
+        for part in (small, ~small):
+            value[part], half[part] = _li(xs[part], ys[part])
         return value, half
     u = np.multiply(ys, 64.0 / _LOG2)
     np.floor(u, out=u)
@@ -399,7 +399,7 @@ def _li(xs: np.ndarray, ys: np.ndarray, n_li: int):
     seen = np.zeros(int(octave.max()) + 1, dtype=np.intp)
     seen[octave] = 1
     table = np.concatenate(
-        [_li_octave(first + int(k), n_li) for k in np.flatnonzero(seen)], axis=1)
+        [_li_octave(first + int(k)) for k in np.flatnonzero(seen)], axis=1)
     np.cumsum(seen, out=seen)
     cell = np.take(seen, octave, mode="clip")
     cell -= 1
@@ -454,7 +454,8 @@ def _li_quad(x: float, tol: float):
     the exponential integral of exp(-v)/v under t = exp(-v); the tail
     piece over [1+u, x] becomes exp(v)/v under t = exp(v).  Both
     substitutions move the awkward behavior to a simple 1/v factor
-    bounded away from its pole.
+    bounded away from its pole.  The tail's mass lies near v = L = log x,
+    so its panels double down from L: exp(L - w)/(L - w) over w = L - v.
     """
 
     def fold(s):
@@ -465,8 +466,8 @@ def _li_quad(x: float, tol: float):
     def head(v):
         return math.exp(-v) / v
 
-    def tail(v):
-        return math.exp(v) / v
+    def tail(w):
+        return math.exp(L - w) / (L - w)
 
     u = min(0.5, (x - 1.0) / 2.0)
     v0 = -math.log1p(-u)
@@ -474,21 +475,25 @@ def _li_quad(x: float, tol: float):
     v1, e1 = _graded_simpson(head, v0, v_top, tol / 3.0)
     e1 += math.exp(-v_top) / v_top
     v2, e2 = adaptive_simpson(fold, 0.0, u, tol / 3.0)
-    v3, e3 = _graded_simpson(tail, math.log1p(u), math.log(x), tol / 3.0)
-    return -v1 + v2 + v3, e1 + e2 + e3
+    L = math.log(x)
+    w_top = L - math.log1p(u)
+    w1 = min(1.0, w_top)
+    v3, e3 = adaptive_simpson(tail, 0.0, w1, tol / 6.0)
+    v4, e4 = _graded_simpson(tail, w1, w_top, tol / 6.0)
+    return -v1 + v2 + v3 + v4, e1 + e2 + e3 + e4
 
 
 def log_integral(x: float) -> Enclosure:
     """Enclosure of li(x) = PV integral of 1/log t from 0 to x.
 
-    The enclosure comes from the exponential-integral series with a
-    rigorous truncation remainder; an independent adaptive quadrature of
-    the principal-value integral must agree within the combined widths,
-    otherwise a PrecisionError is raised.  Both edges are rounded outward.
+    The enclosure is ``_li``'s, the sweeps' li, with its rigorous
+    half-width; an independent adaptive quadrature of the principal-value
+    integral must agree within the combined widths, otherwise a
+    PrecisionError is raised.  Both edges are rounded outward.
     """
     if not 1.0 < x < math.inf:
         raise DomainError(f"log_integral needs finite x > 1, got {x}")
-    (value,), (half,) = _li_series(np.array([x]), _li_terms(x))
+    (value,), (half,) = _li(np.array([x]))
     scale = max(1.0, abs(value))
     qtol = max(1e-13, 1e-12 * scale)
     qv, qe = _li_quad(x, qtol)
@@ -630,10 +635,10 @@ class CheckDef:
     """One registered inequality.
 
     ``valid(x_lo, x_hi)`` tells whether a range lies in the stated
-    validity.  ``margins(xs, state, n_li)`` returns (margins, scales)
-    over the states the check sweeps, li summed to ``n_li`` terms.
-    ``stationary`` lists extra x where the smooth side is stationary;
-    those inside (x_lo, x_hi] are evaluated too.  ``crossover`` marks a grid check whose margin is bisected for
+    validity.  ``margins(xs, state)`` returns (margins, scales) over the
+    states the check sweeps.  ``stationary`` lists extra x where the
+    smooth side is stationary; those inside (x_lo, x_hi] are evaluated
+    too.  ``crossover`` marks a grid check whose margin is bisected for
     its sign change when the sweep goes from negative to positive.
     """
 
@@ -650,14 +655,14 @@ class CheckDef:
 def _compare(rhs, lhs=None, upper=True):
     """Margins of lhs <= rhs (``upper``) or lhs >= rhs, scaled by rhs.
 
-    Both sides are functions of (xs, log xs, state, li term count); lhs
-    defaults to the state itself, pi(x) or a prime sum.
+    Both sides are functions of (xs, log xs, state); lhs defaults to the
+    state itself, pi(x) or a prime sum.
     """
 
-    def margins(xs, state, n_li):
+    def margins(xs, state):
         u = np.log(xs)
-        left = state if lhs is None else lhs(xs, u, state, n_li)
-        right = rhs(xs, u, state, n_li)
+        left = state if lhs is None else lhs(xs, u, state)
+        right = rhs(xs, u, state)
         return (right - left if upper else left - right), right
 
     return margins
@@ -666,8 +671,8 @@ def _compare(rhs, lhs=None, upper=True):
 def _worse(first, second):
     """At each state, the worse of two margins, with its scale."""
 
-    def margins(xs, state, n_li):
-        (m1, s1), (m2, s2) = first(xs, state, n_li), second(xs, state, n_li)
+    def margins(xs, state):
+        (m1, s1), (m2, s2) = first(xs, state), second(xs, state)
         take_first = m1 <= m2
         return np.where(take_first, m1, m2), np.where(take_first, s1, s2)
 
@@ -684,29 +689,16 @@ def _loglog(c):
     return lambda xs, u, *_: np.log(u) + c
 
 
-def _li_lower_edge(xs, u, _, n_li):
-    li, li_err = _li(xs, u, n_li)
-    return li - li_err
+_LI2, _LI2_HALF = _li(np.array([2.0]))
 
 
-def _li_dev(xs, u, pis, n_li):
+def _li_dev(xs, u, pis):
     """|li(x) - pi(x)| plus the li error."""
-    li, li_err = _li(xs, u, n_li)
+    li, li_err = _li(xs, u)
     return np.abs(li - pis) + li_err
 
 
-_LI2, _LI2_HALF = _li_series(np.array([2.0]), _li_terms(2.0))
-
-
-def _li_upper(xs, _, n_li):
-    """li(x) - li(2) <= x/log x (1 + 3/(2 log x)), li errors counted."""
-    u = np.log(xs)
-    li, li_err = _li(xs, u, n_li)
-    rhs = xs / u * (1.0 + 3.0 / (2.0 * u)) + _LI2
-    return rhs - (li + li_err + _LI2_HALF), rhs
-
-
-def _mertens_dev(xs, u, sums, _):
+def _mertens_dev(xs, u, sums):
     """|S(x) - loglog x - M|."""
     return np.abs(sums - np.log(u) - MERTENS_M)
 
@@ -720,14 +712,16 @@ REGISTRY = {
                  _compare(_rs(3.0))),
         CheckDef(
             "li-lower", "x >= 2", lambda a, b: a >= 2.0, GEOMETRIC_GRID,
-            _compare(_rs(2.0), _li_lower_edge, upper=False),
+            _compare(_rs(2.0), lambda xs, u, _: np.subtract(*_li(xs, u)), upper=False),
             note="margin derivative is 2/log^3 x > 0, so the margin increases in x "
                  "and the worst point is the left endpoint",
             crossover=True,
         ),
         CheckDef(
             "li-upper", "x >= 1865", lambda a, b: a >= 1865.0, GEOMETRIC_GRID,
-            _li_upper,
+            # li(x) - li(2) <= rhs as li(x) <= rhs + li(2), li at its upper edges
+            _compare(lambda xs, u, _: _rs(3.0)(xs, u) + _LI2,
+                     lambda xs, u, _: np.add(*_li(xs, u)) + _LI2_HALF),
             note="margin derivative is (log x - 6)/(2 log^3 x) > 0 for x > e^6, so "
                  "on the validity range the worst point is the left endpoint",
         ),
@@ -799,8 +793,9 @@ def verify_inequality(
     """Sweep one registered inequality over [x_lo, x_hi].
 
     ``core.sweep`` evaluates the margins one chunk of states at a time, as
-    the check's ``States`` make them.  The li term count comes from x_hi,
-    the largest x, so the chunking moves no bit.
+    the check's ``States`` make them.  Every margin at an x depends on
+    that x and its state alone, li included, so neither the chunking nor
+    x_hi moves a bit.
 
     Raises UsageError for an unknown check id, an empty range or a
     non-finite bound, and PreconditionError when the range leaves the
@@ -820,19 +815,17 @@ def verify_inequality(
         _require_table(table, x_hi, check_id)
     extra = [x for x in cd.stationary if x_lo < x <= x_hi]
     prefix = None if cd.states.prefix is None else cd.states.prefix(table)
-    n_li = _li_terms(x_hi)
 
     def margins(xs, state):
-        return cd.margins(xs, state if prefix is None else prefix[state], n_li)
+        return cd.margins(xs, state if prefix is None else prefix[state])
 
     summary = sweep(cd.states.build(x_lo, x_hi, table, extra), margins, eta)
     notes = [n for n in (cd.states.note, cd.note) if n]
     if cd.crossover:
-        (first, last), _ = cd.margins(np.array([x_lo, x_hi], dtype=float), None, n_li)
+        (first, last), _ = cd.margins(np.array([x_lo, x_hi], dtype=float), None)
         if first < 0.0 < last:
-            a, b = bisect_root(
-                lambda t: cd.margins(np.array([t]), None, _li_terms(t))[0][0],
-                float(x_lo), float(x_hi), tol=1e-9)
+            a, b = bisect_root(lambda t: cd.margins(np.array([t]), None)[0][0],
+                               float(x_lo), float(x_hi), tol=1e-9)
             notes.append(
                 f"margin changes sign at x = {0.5 * (a + b):.9f}; the stated "
                 f"validity ({cd.validity}) is inconsistent with the computed "

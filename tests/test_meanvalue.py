@@ -473,6 +473,15 @@ def test_ledger_custom_c0_marked_computed(prime_table):
         assemble_ledger(0.0, prime_table)
 
 
+def test_ledger_refuses_an_overflowing_c0(prime_table):
+    # exp(C) passes the float range near C0 = 704: a and final turn inf,
+    # and from C0 = 709 math.exp itself overflows
+    assert 1e308 < assemble_ledger(703.0, prime_table).final < math.inf
+    for c0 in (704.0, 1000.0, 1e300, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            assemble_ledger(c0, prime_table)
+
+
 # ---------------------------------------------------------------------------
 # delta and the epsilon table
 

@@ -297,7 +297,8 @@ def test_li_series_error_model_against_mpmath(prime_table):
     This checks the series' own error model (truncation, rounding, and
     the rounding of y = log x).  A dense scan near x = 3.003, where the
     rounding of y decides, joins the sampled points, and
-    ``log_integral``'s float edges, rounded outward, must contain li.
+    ``log_integral``'s float edges, rounded outward, must contain li, up
+    to the float max.
     """
     mp = pytest.importorskip("mpmath")
     xs = np.concatenate([[1.0 + 2.0 ** -30, 1.0 + 1e-6, 1.5, 2.0],
@@ -316,20 +317,15 @@ def test_li_series_error_model_against_mpmath(prime_table):
         for x, value, width in points:
             err = abs(mp.mpf(float(value)) - mp.li(mp.mpf(float(x))))
             assert err <= mp.mpf(float(width)), f"x = {x!r}"
-        for x in (3.0032275, 3.00365, 1.5, 1e9):
+        for x in (3.0032275, 3.00365, 1.5, 1e9, 1e150, 1e300, 1.7976931348623157e308):
             enc = log_integral(x)
             assert mp.mpf(enc.lo) <= mp.li(mp.mpf(x)) <= mp.mpf(enc.hi), f"x = {x!r}"
-
-
-def _li_of(xs, n_li):
-    xs = np.asarray(xs, dtype=float)
-    return primes._li(xs, np.log(xs), n_li)
 
 
 def test_li_bits_are_frozen():
     # sha256 of ``_li``'s values and half-widths on the series' grid
     xs = np.logspace(1e-3, 9.0, 2000)
-    acc, half = _li_of(xs, _li_terms(xs.max()))
+    acc, half = primes._li(xs)
     digest = hashlib.sha256(acc.tobytes() + half.tobytes()).hexdigest()
     assert digest == (
         "65db299ae33acd21cc31132b80784fc820849718434394592ed894674dc36f78")
@@ -338,9 +334,8 @@ def test_li_bits_are_frozen():
 def test_li_is_the_series_below_x0():
     xs = np.concatenate([np.logspace(1e-3, np.log10(_LI_X0), 500)[:-1],
                          [np.nextafter(_LI_X0, 0.0)]])
-    n_li = _li_terms(1e9)
-    got = _li_of(np.concatenate([xs, [_LI_X0, 1e9]]), n_li)
-    want = _li_series(xs, n_li)
+    got = primes._li(np.concatenate([xs, [_LI_X0, 1e9]]))
+    want = _li_series(xs, _li_terms(_LI_X0))
     for g, w in zip(got, want):
         assert g[: xs.size].tobytes() == w.tobytes()
 
@@ -373,14 +368,50 @@ def test_li_against_mpmath(prime_table):
              for x in np.exp(rng.uniform(np.log(1e6), np.log(1e8), 1000))]
     xs = np.array([np.nextafter(_LI_X0, 0.0), _LI_X0, np.nextafter(_LI_X0, np.inf),
                    *_anchor_neighbours(), *small, *large, 1e9])
-    n_li = _li_terms(1e9)
-    value, half = _li_of(xs, n_li)
-    _, series_half = _li_series(xs, n_li)
+    value, half = primes._li(xs)
+    _, series_half = _li_series(xs, _li_terms(1e9))
     assert np.all(half <= 2.0 * series_half)
     with mp.workdps(40):
         for x, v, h in zip(xs, value, half):
             err = abs(mp.mpf(float(v)) - mp.li(mp.mpf(float(x))))
             assert err <= mp.mpf(float(h)), f"x = {x!r}"
+
+
+_MOST_TERMS = _li_terms(1.7976931348623157e308)
+
+
+def test_li_terms_past_the_count_move_no_bit():
+    """``_li`` depends on x alone since its term counts are fixed: 80
+    below X0 and the largest anchor's above.  More terms, up to the count
+    of the float max, give the same values and half-widths, below X0 and
+    at every anchor of a seeded sample of octaves, at each count an
+    anchor of the octave would take by itself."""
+    xs = np.concatenate([[1.0 + 2.0 ** -30, 1.0 + 1e-6, 1.4513692348833810, 1.5, 2.0],
+                         np.logspace(1e-3, np.log10(_LI_X0), 2000)[:-1],
+                         [np.nextafter(_LI_X0, 0.0)]])
+    assert _li_terms(_LI_X0) == 80
+    for got, want in zip(_li_series(xs, 80), _li_series(xs, _MOST_TERMS)):
+        assert got.tobytes() == want.tobytes()
+    rng = np.random.default_rng(18)
+    octaves = [16, 17, 1023, *rng.choice(np.arange(18, 1023), 12, replace=False)]
+    for octave in octaves:
+        a = np.exp2(np.arange(64 * octave, 64 * octave + 64) / 64.0)
+        want = _li_series(a, _MOST_TERMS)
+        for n in range(_li_terms(a[0]), _li_terms(a[-1]) + 1):
+            for g, w in zip(_li_series(a, n), want):
+                assert g.tobytes() == w.tobytes(), f"octave {octave}, {n} terms"
+
+
+@pytest.mark.parametrize("check, x_lo, x_hi, x_top, arg_min", [
+    ("pi-li-1", 2.0, 1e5, 1e7, 11.0),
+    ("li-lower", 1e5, 1e6, 1e9, 1e5),  # above X0, on the anchored path
+])
+def test_sweep_worst_point_does_not_depend_on_x_hi(check, x_lo, x_hi, x_top, arg_min):
+    table = sieve_primes(int(x_top)) if REGISTRY[check].states.needs_table else None
+    short = verify_inequality(check, x_lo, x_hi, table)
+    long = verify_inequality(check, x_lo, x_top, table)
+    assert short.arg_min == long.arg_min == arg_min
+    assert np.float64(short.worst_margin).tobytes() == np.float64(long.worst_margin).tobytes()
 
 
 # ---------------------------------------------------------------------------
