@@ -1,13 +1,15 @@
 """Batch front-end.
 
 Subcommands map one-to-one onto the library surface; every run emits a
-single report with a fixed schema: {version, command, config, results,
-discrepancies, pass}.  JSON output is byte-identical across runs with
-identical argv: keys are sorted, floats are printed with 17 significant
-digits, and nothing time- or host-dependent enters the report.
+single report with a fixed schema: {version, command, config, stamps,
+results, discrepancies, pass}.  JSON output is byte-identical across runs
+with identical argv: keys are sorted, floats are printed with 17
+significant digits, and nothing time- or host-dependent enters the report.
 
-Exit codes: 0 all checks passed, 1 at least one check failed or was
-indeterminate, 2 usage or precondition error.
+The discrepancies open with one check-not-passed entry per check that
+failed or was indeterminate; every other kind is a finding and fails
+nothing.  Exit codes: 0 no check-not-passed entry, 1 at least one, 2 usage
+or precondition error, or a report that cannot be written.
 """
 
 from __future__ import annotations
@@ -306,22 +308,29 @@ def _parse_kind(text: str, seed: int) -> MultiplicativeSpec:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (results, discrepancies, passed, csv),
-# csv being None or (header, rows of values); run() formats the rows, and
-# only under --format csv
+# subcommand handlers: each returns (results, checks, findings, csv).
+# checks holds one (passed, entry) pair per check the run made; run() turns
+# each that did not pass into a check-not-passed discrepancy and sets the
+# exit code.  findings are discrepancies that fail nothing.  csv is None or
+# (header, rows of values); run() formats the rows, and only under
+# --format csv
 
 
-def _discrepancy(report) -> list:
-    """The check-not-passed entry of a sweep report, if it did not pass."""
-    if report.verdict == "pass":
-        return []
-    return [{
-        "kind": "check-not-passed",
+def _sweep_check(report):
+    """The (passed, entry) pair of a sweep report."""
+    return report.verdict == "pass", {
         "check_id": report.check_id,
         "verdict": report.verdict,
         "worst_margin": report.worst_margin,
         "arg_min": report.arg_min,
-    }]
+    }
+
+
+def _named_checks(checks: dict) -> list:
+    """The (passed, entry) pair of each check in {name: {"passed": ..., **fields}}."""
+    return [(ch["passed"],
+             {"check_id": name, **{k: v for k, v in ch.items() if k != "passed"}})
+            for name, ch in checks.items()]
 
 
 def _cmd_verify(args):
@@ -343,7 +352,7 @@ def _cmd_verify(args):
             cd.states.prefix(table)
     report = verify_inequality(cd.check_id, args.x_from, args.x_to, table,
                                eta=args.safety_margin)
-    return [report.as_dict()], _discrepancy(report), report.verdict == "pass", None
+    return [report.as_dict()], [_sweep_check(report)], [], None
 
 
 def _parse_exponent_check(text: str):
@@ -383,14 +392,11 @@ def _cmd_dickman(args):
         },
         "provenance": "computed",
     }]
-    discrepancies = []
-    for lo, hi, e, source in checks:
-        rep = verify_rho_exponent(lo, hi, e, source, table=table,
-                                  eta=args.safety_margin)
-        results.append(rep.as_dict())
-        discrepancies += _discrepancy(rep)
+    reports = [verify_rho_exponent(lo, hi, e, source, table=table, eta=args.safety_margin)
+               for lo, hi, e, source in checks]
+    results += [rep.as_dict() for rep in reports]
     csv = ("x,log_rho,err", zip(table.xs, table.log_values, table.err))
-    return results, discrepancies, not discrepancies, csv
+    return results, [_sweep_check(rep) for rep in reports], [], csv
 
 
 def _cmd_constants(args):
@@ -457,12 +463,6 @@ def _cmd_constants(args):
         },
         {"checks": checks, "provenance": "computed"},
     ]
-    discrepancies = []
-    for name, ch in checks.items():
-        if not ch["passed"]:
-            entry = {"kind": "published-value-mismatch", "check": name}
-            entry.update({k: v for k, v in ch.items() if k != "passed"})
-            discrepancies.append(entry)
     gaps = [("short-range case constant exceeds the published C0", cb.c_ii)]
     if args.optimize:
         params, achieved = optimize_C0(
@@ -483,11 +483,10 @@ def _cmd_constants(args):
             "provenance": "computed",
         })
         gaps.append(("optimized constant stays above the published C0", achieved))
-    discrepancies += [{"kind": "constant-gap", "detail": detail, "computed": v,
-                       "published": PUBLISHED_C0, "gap": v - PUBLISHED_C0}
-                      for detail, v in gaps if v > PUBLISHED_C0]
-    passed = all(ch["passed"] for ch in checks.values())
-    return results, discrepancies, passed, None
+    findings = [{"kind": "constant-gap", "detail": detail, "computed": v,
+                 "published": PUBLISHED_C0, "gap": v - PUBLISHED_C0}
+                for detail, v in gaps if v > PUBLISHED_C0]
+    return results, _named_checks(checks), findings, None
 
 
 def _cmd_table(args):
@@ -524,7 +523,7 @@ def _cmd_table(args):
     }]
     header = "c1\\c," + ",".join("%.17g" % c for c in report.c_values)
     rows = ((c1, *row) for c1, row in zip(report.c1_values, report.cells))
-    return results, report.discrepancies, report.passed, (header, rows)
+    return results, _named_checks(report.checks), report.findings, (header, rows)
 
 
 def _cmd_mfunc(args):
@@ -537,8 +536,7 @@ def _cmd_mfunc(args):
     table = sieve_primes(max(LEDGER_PRIMES, int(max(xs))), cap=_sieve_cap(args))
     ledger = assemble_ledger(PUBLISHED_C0, table)
     results = []
-    passed = True
-    discrepancies = []
+    checks = []
     for x in xs:
         rep = empirical_checks(spec, x, args.c, ledger, table)
         results.append({
@@ -549,25 +547,18 @@ def _cmd_mfunc(args):
             "notes": rep.notes,
             "provenance": "computed",
         })
-        if not rep.passed:
-            passed = False
-            for name, ch in rep.checks.items():
-                if ch["status"] == "fail":
-                    discrepancies.append({
-                        "kind": "check-not-passed",
-                        "check_id": name,
-                        "x": x,
-                        "function": spec.description,
-                    })
+        checks += [(ch["status"] != "fail",
+                    {"check_id": name, "x": x, "function": spec.description})
+                   for name, ch in rep.checks.items()]
     rows = (r["row"].values() for r in results)
-    return results, discrepancies, passed, (STATS_CSV_HEADER, rows)
+    return results, checks, [], (STATS_CSV_HEADER, rows)
 
 
 def _cmd_charsum(args):
     if not args.q:
         raise UsageError("--q needs at least one modulus")
     results = []
-    discrepancies = []
+    checks = []
     for q in args.q:
         full, partial_max, best_t = char_sum_profile(q)
         entry = {
@@ -581,17 +572,12 @@ def _cmd_charsum(args):
             ratio = pv_ratio(q)
             entry["pv_ratio"] = ratio
             entry["pv_below_one"] = ratio < 1.0
-            if ratio >= 1.0:
-                discrepancies.append({
-                    "kind": "check-not-passed",
-                    "check_id": "pv-ratio-below-one",
-                    "q": q,
-                    "ratio": ratio,
-                })
+            checks.append((ratio < 1.0, {"check_id": "pv-ratio-below-one", "q": q,
+                                         "ratio": ratio}))
         results.append(entry)
     header = ("q", "full_period_sum", "max_abs_partial", "pv_ratio")
     rows = ([entry.get(k) for k in header] for entry in results)
-    return results, discrepancies, not discrepancies, (",".join(header), rows)
+    return results, checks, [], (",".join(header), rows)
 
 
 _HANDLERS = {
@@ -613,18 +599,19 @@ def run(argv=None) -> int:
                 f"csv output is only available for: {', '.join(sorted(_TABULAR))}"
             )
         config = _config_echo(args)
-        results, discrepancies, passed, csv = _HANDLERS[args.command](args)
+        results, checks, findings, csv = _HANDLERS[args.command](args)
     except XpvError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    failed = [{"kind": "check-not-passed", **entry} for passed, entry in checks if not passed]
     report = {
         "version": __version__,
         "command": args.command,
         "config": config,
         "stamps": STAMPS,
         "results": results,
-        "discrepancies": discrepancies,
-        "pass": passed,
+        "discrepancies": failed + findings,
+        "pass": not failed,
     }
     if args.format == "json":
         payload = json_dumps(report) + "\n"
@@ -635,11 +622,15 @@ def run(argv=None) -> int:
     else:
         payload = "\n".join(_render_text(report)) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(payload)
-    return 0 if passed else 1
+    return 1 if failed else 0
 
 
 def main() -> None:

@@ -669,12 +669,8 @@ class Table1Report:
     published: list | None
     ratios: list | None
     checks: dict
-    discrepancies: list
+    findings: list  # discrepancies that fail no check
     notes: list
-
-    @property
-    def passed(self) -> bool:
-        return all(ch["passed"] for ch in self.checks.values())
 
 
 def _published_cell(c1: float, c: float):
@@ -691,7 +687,7 @@ def _published_cell(c1: float, c: float):
 def table1_report(c1_list, c_list, delta_table: dict) -> Table1Report:
     """Reproduce the published epsilon table from the 4 pi formula with
     the published delta values as overrides, and report every law the
-    table should satisfy plus every discrepancy it actually shows.
+    table should satisfy plus every other discrepancy it shows, as findings.
     """
     c1_values = [float(v) for v in c1_list]
     c_values = [float(v) for v in c_list]
@@ -712,7 +708,7 @@ def table1_report(c1_list, c_list, delta_table: dict) -> Table1Report:
     cells = [[c1 * fac for fac in column_factors] for c1 in c1_values]
 
     checks = {}
-    discrepancies = []
+    findings = []
     notes = [
         "epsilon cells are c1 times a per-column factor, so linearity in "
         "c1 is exact by construction",
@@ -778,7 +774,7 @@ def table1_report(c1_list, c_list, delta_table: dict) -> Table1Report:
                 if r is None:
                     continue
                 if abs(r / median - 1.0) > 0.10:
-                    discrepancies.append({
+                    findings.append({
                         "kind": "published-cell-outlier",
                         "c1": c1_values[i],
                         "c": c_values[j],
@@ -796,7 +792,7 @@ def table1_report(c1_list, c_list, delta_table: dict) -> Table1Report:
             "passed": spread <= 0.02,
             "detail": f"spread {spread:.6f} over {len(flat_ok)} cells (allowed 0.02)",
         }
-        discrepancies.append({
+        findings.append({
             "kind": "global-factor",
             "factor": mean_ratio,
             "sqrt2_deviation": mean_ratio / math.sqrt(2.0) - 1.0,
@@ -805,7 +801,7 @@ def table1_report(c1_list, c_list, delta_table: dict) -> Table1Report:
         })
         for c, d in zip(c_values, deltas):
             cand = delta_table_candidate(c)
-            discrepancies.append({
+            findings.append({
                 "kind": "delta-candidate",
                 "c": c,
                 "published_delta": d,
@@ -828,6 +824,6 @@ def table1_report(c1_list, c_list, delta_table: dict) -> Table1Report:
         published=published,
         ratios=ratios,
         checks=checks,
-        discrepancies=discrepancies,
+        findings=findings,
         notes=notes,
     )

@@ -377,18 +377,13 @@ def char_sum_profile(q: int):
     return full, int(sums[t]), t + 1
 
 
-def pv_ratio(q: int, table: PrimeTable | None = None) -> float:
+def pv_ratio(q: int) -> float:
     """max over 1 <= t <= q of |S_chi(t)| divided by sqrt(q) log q."""
     if q < 3 or q % 2 == 0:
         raise DomainError(f"pv_ratio needs an odd prime q >= 3, got {q}")
     if q > CHAR_PRIME_CAP:
         raise ResourceError(f"pv_ratio capped at q <= {CHAR_PRIME_CAP:.0e}")
-    if table is not None and q <= table.limit:
-        i = table.prime_pi(q)
-        is_prime = i > 0 and int(table.primes[i - 1]) == q
-    else:
-        is_prime = _is_prime_u64(q)
-    if not is_prime:
+    if not _is_prime_u64(q):
         raise DomainError(f"pv_ratio needs prime q, got {q}")
     return char_sum_profile(q)[1] / (math.sqrt(q) * math.log(q))
 
@@ -404,12 +399,6 @@ class EmpiricalChecks:
     c: float
     checks: dict = field(default_factory=dict)
     notes: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(
-            ch["status"] in ("pass", "vacuous-pass") for ch in self.checks.values()
-        )
 
 
 def empirical_checks(

@@ -120,13 +120,11 @@ def test_criterion_03_nu_family(acceptance_lines, prime_table, capsys):
     enc3 = nu3(10 ** 6)
     nu3_ok = enc3.hi <= 4.36
     code, rep = _constants_report(capsys)
-    mismatches = [
-        d for d in rep["discrepancies"] if d["kind"] == "published-value-mismatch"
-    ]
+    failed = [d for d in rep["discrepancies"] if d["kind"] == "check-not-passed"]
     isolated = (
         code == 1
-        and all(d["check"] == "K-near-published" for d in mismatches)
-        and len(mismatches) == 1
+        and all(d["check_id"] == "K-near-published" for d in failed)
+        and len(failed) == 1
     )
     ok = nu2_ok and v1_ok and int_ok and nu3_ok and isolated
     detail = (
@@ -249,7 +247,7 @@ def test_criterion_08_exponent_table(acceptance_lines):
     lin_ok = rep.checks["linearity"]["passed"]
     law_ok = rep.checks["column-power-law"]["passed"]
     spread_ok = rep.checks["common-factor-spread"]["passed"]
-    glob = [d for d in rep.discrepancies if d["kind"] == "global-factor"]
+    glob = [d for d in rep.findings if d["kind"] == "global-factor"]
     factor_ok = len(glob) == 1 and abs(glob[0]["factor"] - 1.42) < 0.02
     ok = lin_ok and law_ok and spread_ok and factor_ok
     detail = (
@@ -278,7 +276,7 @@ def test_criterion_09_multiplicative_checks(acceptance_lines, prime_table, ledge
     odd_primes = [int(p) for p in prime_table.primes[1 : prime_table.prime_pi(1000)]]
     orth_ok = all(char_sum(q, q) == 0 for q in odd_primes)
     first_100 = [int(p) for p in prime_table.primes[1:101]]
-    pv_ok = all(pv_ratio(q, prime_table) < 1.0 for q in first_100)
+    pv_ok = all(pv_ratio(q) < 1.0 for q in first_100)
     emp_ok = True
     for spec in (constant_one(), liouville(), quadratic_character(3)):
         for x in (1e2, 1e4, 1e6):

@@ -180,6 +180,17 @@ def test_out_writes_file(tmp_path, capsys):
     assert rep["results"][0]["q"] == 7
 
 
+@pytest.mark.parametrize("where", ["missing/report.json", "."])
+def test_out_that_cannot_be_written_is_exit_two(where, tmp_path, capsys):
+    # a missing directory, then a directory: an OSError, not a traceback
+    target = tmp_path / where
+    code = run(["charsum", "--q", "7", "--out", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {target}: ")
+
+
 # ---------------------------------------------------------------------------
 # subcommand behavior
 
@@ -339,6 +350,20 @@ def test_table_subcommand_published_slice(capsys):
     assert res["ratios"][0][0] == pytest.approx(1.4187, abs=1e-3)
     factors = [d for d in rep["discrepancies"] if d["kind"] == "global-factor"]
     assert len(factors) == 1
+
+
+@pytest.mark.parametrize("paper", [[], ["--delta-paper"]])
+def test_table_failed_checks_are_check_not_passed(paper, capsys):
+    # the published c1 = 1e-20 row holds the broken cell 8.45e-14 at
+    # c = 0.99; alone, no other row outvotes it, so both ratio checks fail
+    code, out = _run(capsys, "table", "--c1", "1e-20", "--c", "0.99,0.5", *paper)
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["pass"] is False
+    kinds = [d["kind"] for d in rep["discrepancies"]]
+    assert kinds == ["check-not-passed"] * 2 + ["global-factor"] + ["delta-candidate"] * 2
+    assert [d["check_id"] for d in rep["discrepancies"][:2]] == [
+        "column-power-law", "common-factor-spread"]
 
 
 def test_table_csv(capsys):

@@ -1,5 +1,6 @@
 """Fuzzed argv: every ``xpv`` invocation ends with exit code 0, 1 or 2,
-never a traceback.
+never a traceback, and a JSON report fails exactly when it holds a
+check-not-passed entry.
 
 Each argv is drawn from small values, and about a third of them do
 work: ranges up to 1e4, rho tables to x = 30, mfunc x to 1e4, moduli q
@@ -12,6 +13,7 @@ so no example starts a large job.
 
 import contextlib
 import io
+import json
 
 import pytest
 
@@ -100,9 +102,11 @@ def _constants(draw):
 def _table(draw):
     # None leaves the list out, for the published grid; a tiny c gives a
     # delta candidate that underflows, or whose epsilon column factor
-    # 4 pi delta^-1.5 overflows
+    # 4 pi delta^-1.5 overflows; a first row of 1e-20 judges the power law
+    # on the published outlier cell at c = 0.99, so the table can fail
     c1, c = draw(_argv_slots([
-        (st.sampled_from([None, "1", "1e-5,1", "1,1e-10,1e-20", "1e-300", "1e300", "5e-324"]),
+        (st.sampled_from([None, "1", "1e-5,1", "1,1e-10,1e-20", "1e-20", "1e-20,1",
+                          "1e-300", "1e300", "5e-324"]),
          st.one_of(_UNPARSABLE, st.sampled_from([",", "1,,x"]))),
         (st.sampled_from([None, "0.99", "0.5,0.25", "0.025,0.05,0.99", "1", "1e-100"]),
          st.one_of(_UNPARSABLE, st.sampled_from(["1e-200", "1e-300", "2", "1e300", ","]))),
@@ -143,3 +147,8 @@ def test_every_argv_exits_0_1_or_2(argv, common):
         except SystemExit as exc:  # argparse refuses the argv
             code = exc.code
     assert code in (0, 1, 2), (argv, code, err.getvalue())
+    if code in (0, 1) and argv[argv.index("--format") + 1] == "json":
+        report = json.loads(out.getvalue())
+        assert report["pass"] is (code == 0), argv
+        failed = any(d["kind"] == "check-not-passed" for d in report["discrepancies"])
+        assert report["pass"] is not failed, argv

@@ -536,14 +536,14 @@ def test_table1_full_grid():
     rep = table1_report(
         list(EPSILON_TABLE_C1), list(EPSILON_TABLE_C), dict(PUBLISHED_DELTA)
     )
-    assert rep.passed
+    assert sorted(rep.checks) == ["column-power-law", "common-factor-spread", "linearity"]
     assert rep.checks["linearity"]["passed"]
     assert rep.checks["column-power-law"]["passed"]
     assert rep.checks["common-factor-spread"]["passed"]
-    outliers = [d for d in rep.discrepancies if d["kind"] == "published-cell-outlier"]
+    outliers = [d for d in rep.findings if d["kind"] == "published-cell-outlier"]
     assert len(outliers) == 1
     assert outliers[0]["published"] == 8.45e-14
-    glob = [d for d in rep.discrepancies if d["kind"] == "global-factor"]
+    glob = [d for d in rep.findings if d["kind"] == "global-factor"]
     assert len(glob) == 1
     assert glob[0]["factor"] == pytest.approx(1.415, abs=5e-3)
     assert abs(glob[0]["sqrt2_deviation"]) < 0.01

@@ -80,9 +80,11 @@ PINNED = {
         "3c426b674cecc16437b225dde0434f32c57e1a9823abf2457644634aa437ca7a",
     # runs the tail-sum tau search; c_iii_tau reads 1 since case iii is
     # taken at its proven worst point tau = 1 (was 8937088c..., with the
-    # golden section's 1.0000000000000002)
+    # golden section's 1.0000000000000002); the failed K-near-published
+    # entry's kind became check-not-passed and its key check became
+    # check_id (was 1e71365a...)
     "constants --optimize":
-        "1e71365a41adbebbb8afc8ba2c7a22f12b1cd3c886a0bc18455e01c2ae6aa9b4",
+        "4af81c89f96f57ba315461d9f24f75e943bb85d9ef255f4112f097dfae56e794",
     "table --delta-paper":
         "44e54d849b05bb8b3473f7a4e4fe96371572e8d3d381370a66c0b96c2a7a3b42",
     "mfunc --kind liouville --x 1000,100000":
@@ -107,11 +109,12 @@ PINNED = {
         "09a95b14f4f0d68c57dcdd9c0d0299552079f6f1c864beacb24c143b53d71638",
     # the constant chain without the optimizer, at the published and at
     # another C0; c_iii_tau moved to 1 as above (were 33f9650d... and
-    # c1f3caf8...)
+    # c1f3caf8...), then the failure entry moved as above (were
+    # 603871b0... and 3b8ca489...)
     "constants":
-        "603871b00cc4a25234e1c4fbb6402eb19617bd791061a6548f54b33bf5c5a180",
+        "2b42d13c0225b580149f6c921685eceab39362465adc6a4af04163fc6084cec0",
     "constants --c0 8":
-        "3b8ca489d51eb152fb54d7c1373b48811c47651852111ecb2fd35d88f5524f4a",
+        "46e3dbb3086b33f0665b9bc22c4cab56e81c57149c67e683f05550a7811aa752",
     # nu2 and nu3 on a table sieved past the ledger's prime limit
     "mfunc --kind liouville --x 1000000,1500000":
         "f76e6258933d2c7af7daeaddf04c686eb2eb04a1d7901c6338ed38474bfc820d",
