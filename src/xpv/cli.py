@@ -590,9 +590,29 @@ _HANDLERS = {
 }
 
 
+def _probe_writable(path: str) -> None:
+    """Raise OSError unless ``path`` can be opened for writing.  An
+    existing file keeps its bytes; a file the probe makes is removed."""
+    existed = os.path.lexists(path)
+    with open(path, "a"):
+        pass
+    if not existed:
+        os.remove(path)
+
+
+def _cannot_write(path: str, exc: OSError) -> int:
+    print(f"error: cannot write {path}: {exc.strerror}", file=sys.stderr)
+    return 2
+
+
 def run(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.out:  # before the work, which may take long
+        try:
+            _probe_writable(args.out)
+        except OSError as exc:
+            return _cannot_write(args.out, exc)
     try:
         if args.format == "csv" and args.command not in _TABULAR:
             raise UsageError(
@@ -626,8 +646,7 @@ def run(argv=None) -> int:
             with open(args.out, "w") as fh:
                 fh.write(payload)
         except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
-            return 2
+            return _cannot_write(args.out, exc)
     else:
         sys.stdout.write(payload)
     return 1 if failed else 0

@@ -730,25 +730,6 @@ def table1_report(c1_list, c_list, delta_table: dict) -> Table1Report:
         published = None
     ratios = None
     if published is not None:
-        # power law across columns, judged on the first requested row
-        pairs = [
-            j
-            for j in range(len(c_values) - 1)
-            if published[0][j] is not None and published[0][j + 1] is not None
-        ]
-        if pairs:
-            worst_dev = 0.0
-            for j in pairs:
-                pub_ratio = published[0][j + 1] / published[0][j]
-                law_ratio = (deltas[j] / deltas[j + 1]) ** 1.5
-                worst_dev = max(worst_dev, abs(pub_ratio / law_ratio - 1.0))
-            checks["column-power-law"] = {
-                "passed": worst_dev <= 0.02,
-                "detail": f"worst relative deviation {worst_dev:.6f} (allowed 0.02)",
-            }
-        else:
-            notes.append("power-law check needs two adjacent reference columns")
-
         ratios = [
             [
                 published[i][j] / cells[i][j]
@@ -762,6 +743,7 @@ def table1_report(c1_list, c_list, delta_table: dict) -> Table1Report:
         # should equal the same global factor; anything 10% off the
         # column median is a broken published cell.
         flat_ok = []
+        outliers = set()
         for j in range(len(c_values)):
             col = sorted(
                 ratios[i][j] for i in range(len(c1_values)) if ratios[i][j] is not None
@@ -774,6 +756,7 @@ def table1_report(c1_list, c_list, delta_table: dict) -> Table1Report:
                 if r is None:
                     continue
                 if abs(r / median - 1.0) > 0.10:
+                    outliers.add((i, j))
                     findings.append({
                         "kind": "published-cell-outlier",
                         "c1": c1_values[i],
@@ -786,6 +769,30 @@ def table1_report(c1_list, c_list, delta_table: dict) -> Table1Report:
                     })
                 else:
                     flat_ok.append(r)
+
+        # power law across columns, judged on every requested row; a pair
+        # touching an outlier cell is left out, so the verdict does not
+        # depend on the order of the rows
+        pairs = [
+            (i, j)
+            for i in range(len(c1_values))
+            for j in range(len(c_values) - 1)
+            if published[i][j] is not None and published[i][j + 1] is not None
+            and (i, j) not in outliers and (i, j + 1) not in outliers
+        ]
+        if pairs:
+            worst_dev = 0.0
+            for i, j in pairs:
+                pub_ratio = published[i][j + 1] / published[i][j]
+                law_ratio = (deltas[j] / deltas[j + 1]) ** 1.5
+                worst_dev = max(worst_dev, abs(pub_ratio / law_ratio - 1.0))
+            checks["column-power-law"] = {
+                "passed": worst_dev <= 0.02,
+                "detail": f"worst relative deviation {worst_dev:.6f} (allowed 0.02)",
+            }
+        else:
+            notes.append("power-law check needs two adjacent reference columns")
+
         mean_ratio = math.fsum(flat_ok) / len(flat_ok)
         spread = (max(flat_ok) - min(flat_ok)) / mean_ratio
         checks["common-factor-spread"] = {

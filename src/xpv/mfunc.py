@@ -24,7 +24,13 @@ from .errors import (
     ResourceError,
 )
 from .meanvalue import delta
-from .primes import PrimeTable, _is_prime_u64, mertens_sum
+from .primes import (
+    PrimeTable,
+    _is_prime_u64,
+    exact_numerator,
+    exact_scale,
+    mertens_sum,
+)
 
 STATS_X_CAP = 10 ** 8
 CHAR_COMPOSITE_CAP = 10 ** 6
@@ -202,70 +208,113 @@ class StatsRow:
         return asdict(self)
 
 
-@lru_cache(maxsize=1)
-def _hashed_signs(seed: int, table: PrimeTable) -> list:
-    """One-item list holding the random_pm1 signs hashed so far for the first
-    primes of ``table``; a larger x extends it, as a sign depends on (seed, p) only."""
-    return [np.empty(0)]
-
-
-def _prime_values_vector(spec: MultiplicativeSpec, table: PrimeTable, n_pi: int):
-    """f(p) for the first ``n_pi`` primes of ``table``."""
-    primes = table.primes[:n_pi]
+def _prime_values(spec: MultiplicativeSpec, primes: np.ndarray) -> np.ndarray:
+    """f(p) for each p of ``primes``, a run of consecutive primes of a table."""
     if spec.kind == "constant_one":
         return np.ones(primes.size)
     if spec.kind == "liouville":
         return -np.ones(primes.size)
     if spec.kind == "quadratic_character":
-        period = _chi_period(spec.q)
-        return period[np.mod(primes, spec.q)].astype(np.float64)
+        return _chi_period(spec.q)[np.mod(primes, spec.q)].astype(np.float64)
     if spec.kind == "random_pm1":
-        held = _hashed_signs(spec.seed, table)
-        if held[0].size < n_pi:
-            more = _random_signs(spec.seed, table.primes[held[0].size : n_pi].tolist())
-            held[0] = np.concatenate([held[0], more])
-            held[0].flags.writeable = False  # shared by every later x
-        return held[0][:n_pi]
+        return _random_signs(spec.seed, primes.tolist())
     fp = np.ones(primes.size)
-    if spec.prime_values:
+    if spec.prime_values and primes.size:
         keys, vals = np.array(spec.prime_values).T
-        # keys are primes and ``primes`` holds every prime up to its
-        # last, so a key inside the range sits exactly at its index
+        # ``primes`` holds every prime from its first to its last, so a
+        # key inside that range sits exactly at its index
         idx = np.searchsorted(primes, keys)
-        inside = idx < primes.size
+        inside = (keys >= primes[0]) & (idx < primes.size)
         fp[idx[inside]] = vals[inside]
     return fp
 
 
-def _values(spec: MultiplicativeSpec, n: int, primes: np.ndarray,
+def _values(spec: MultiplicativeSpec, lo: int, hi: int, primes: np.ndarray,
             fp: np.ndarray) -> np.ndarray:
-    """f(0), ..., f(n) with f(0) = 0, from the primes up to n and their
-    values ``fp``: int8 when every prime value is -1, 0 or 1, else float64.
+    """f(lo + 1), ..., f(hi) from the primes up to hi and their values
+    ``fp``: int8 when every prime value is -1, 0 or 1, else float64.
 
-    Each prime p <= sqrt(n) scales the multiples of each p**e <= n and
-    divides them out of a cofactor, which is then 1 or the one prime
-    factor above sqrt(n); a last gather applies that prime.  So f(m) is
-    the product of its prime contributions in increasing prime order.
+    Each prime p <= sqrt(hi) scales the multiples of each p**e in the
+    segment and multiplies them into ``smooth``, the part of m made of
+    such primes; m // smooth is then 1 or the one prime factor above
+    sqrt(hi), and a last gather applies that prime.  So f(m) is the
+    product of its prime contributions in increasing prime order,
+    whatever the segment: a prime factor of m above sqrt(hi) is its
+    largest and divides it once, so it comes last either way.
     """
     if spec.kind == "quadratic_character":
-        return np.resize(_chi_period(spec.q), n + 1)
+        period = _chi_period(spec.q)
+        first = (lo + 1) % spec.q  # period index of lo + 1
+        return np.tile(period, (first + hi - lo) // spec.q + 1)[first : first + hi - lo]
     exact = np.isin(fp, (-1.0, 0.0, 1.0)).all()
-    v = np.ones(n + 1, dtype=np.int8 if exact else np.float64)
-    v[0] = 0
-    rem = np.arange(n + 1, dtype=np.int32)  # n <= STATS_X_CAP < 2**31
-    k = int(np.searchsorted(primes, math.isqrt(n), side="right"))
+    v = np.ones(hi - lo, dtype=np.int8 if exact else np.float64)
+    smooth = np.ones(hi - lo, dtype=np.int32)  # divides m <= STATS_X_CAP < 2**31
+    k = int(np.searchsorted(primes, math.isqrt(hi), side="right"))
     for p, val in zip(primes[:k].tolist(), fp[:k].astype(v.dtype).tolist()):
         pe = p
-        while pe <= n:
-            rem[pe::pe] //= p
+        while pe <= hi:
+            i = -(lo + 1) % pe  # index of the first multiple of pe
+            smooth[i::pe] *= p
             if val != 1:
-                v[pe::pe] *= val
+                v[i::pe] *= val
             pe *= p
-    fval = np.ones(n + 1, dtype=v.dtype)
+    fval = np.ones(hi + 1, dtype=v.dtype)
     fval[primes[k:]] = fp[k:]
-    for i in range(0, n + 1, _BLOCK):  # blocks bound the gather's temporary
-        v[i : i + _BLOCK] *= fval[rem[i : i + _BLOCK]]
+    for i in range(0, v.size, _BLOCK):  # blocks bound the gather's temporaries
+        m = np.arange(lo + 1 + i, lo + 1 + min(i + _BLOCK, v.size), dtype=np.int32)
+        v[i : i + _BLOCK] *= fval[m // smooth[i : i + _BLOCK]]
     return v
+
+
+class _Held:
+    """f(1..top) and f(p) for the primes p <= top of one (spec, table),
+    kept for the next x.  On the int8 path, ``marks[k]`` holds the exact
+    sums of f(m) and of f(m)/m (the latter at scale 2**_SCALE) over
+    m <= k * _BLOCK, so a row reads the mark below its n and sums the
+    rest of that block.  A larger x appends the segment (top, n]; the
+    values a row reads are those it would compute alone."""
+
+    def __init__(self):
+        self.top = 0
+        self.fp = np.empty(0)
+        self.values = np.empty(0, dtype=np.int8)
+        self.marks = [(0, 0)]
+
+    def grow(self, spec: MultiplicativeSpec, table: PrimeTable, n: int) -> None:
+        n_pi = table.prime_pi(n)
+        primes = table.primes[:n_pi]
+        fp = _joined(self.fp, _prime_values(spec, primes[self.fp.size :]))
+        values = _joined(self.values, _values(spec, self.top, n, primes, fp))
+        if values.dtype == np.int8:
+            m_total, l_num = self.marks[-1]
+            for k in range(len(self.marks) - 1, n // _BLOCK):
+                f = values[k * _BLOCK : (k + 1) * _BLOCK]
+                m_total += int(f.sum(dtype=np.int64))
+                l_num += _l_numerator(f, k * _BLOCK)
+                self.marks.append((m_total, l_num))
+        for a in (fp, values):
+            a.flags.writeable = False  # shared by every later x
+        self.top, self.fp, self.values = n, fp, values
+
+
+def _joined(head: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """head then tail, as float64 if either is; no copy when head is empty."""
+    return np.concatenate([head, tail]) if head.size else tail
+
+
+@lru_cache(maxsize=1)
+def _held(spec: MultiplicativeSpec, table: PrimeTable) -> _Held:
+    return _Held()
+
+
+# every fl(1/m) and fl(2/p) with m, p <= STATS_X_CAP is a multiple of 2**-_SCALE
+_SCALE = exact_scale(STATS_X_CAP)
+
+
+def _l_numerator(f: np.ndarray, lo: int) -> int:
+    """The sum of f[i] / (lo + 1 + i), exact at scale 2**_SCALE."""
+    m = np.arange(lo + 1, lo + 1 + f.size, dtype=np.float64)
+    return exact_numerator(f / m, _SCALE)
 
 
 def _by_block(values: np.ndarray):
@@ -291,34 +340,45 @@ def check_stats_x(x: float) -> None:
 def stats(spec: MultiplicativeSpec, x: float, table: PrimeTable) -> StatsRow:
     """All the row statistics of f up to x.
 
-    When every prime value is -1, 0 or 1, M and conv_mean are exact
-    integer sums (below 2**31 at STATS_X_CAP, so they equal math.fsum);
-    otherwise they, and L always, are math.fsum of float64 terms.
+    f(1..n) comes from a one-entry memo per (spec, table): a larger x
+    extends it by one segment, a smaller x reads it, and either way the
+    row has the bits it would have alone.  When every prime value is -1,
+    0 or 1, every sum is exact in integers: M and conv_mean directly
+    (below 2**31 at STATS_X_CAP), L and u as numerators at scale
+    2**_SCALE (primes.exact_numerator), each correctly rounded as
+    math.fsum rounds.  Otherwise every sum is math.fsum of float64 terms.
     """
     check_stats_x(x)
     n = int(math.floor(x))
     if table.limit < n:
         raise PreconditionError(f"stats needs table.limit >= {n}, got {table.limit}")
+    held = _held(spec, table)
+    if held.top < n:
+        held.grow(spec, table, n)
     n_pi = table.prime_pi(n)
-    primes = table.primes[:n_pi]
-    fp = _prime_values_vector(spec, table, n_pi)
-    values = _values(spec, n, primes, fp)[1:]
-
-    l_mean = _fsum(f / m for f, m in _by_block(values)) / math.log(x)
+    fp = held.fp[:n_pi]
+    values = held.values[:n]
+    u_terms = (1.0 - fp) / table.float_primes()[:n_pi]
     # f(m) floor(x / m); at integer x this floor is exactly n // m, as n < 2**53
     conv = (f * np.floor(x / m) for f, m in _by_block(values))
     if values.dtype == np.int8:
+        k = n // _BLOCK
+        m_total, l_num = held.marks[k]
+        rest = values[k * _BLOCK :]
+        m_total += int(rest.sum(dtype=np.int64))
+        l_sum = (l_num + _l_numerator(rest, k * _BLOCK)) / (1 << _SCALE)
         # each block sums integers exactly, its partial sums being below 2**53
-        m_total = int(values.sum(dtype=np.int64))
         conv_total = sum(int(c.sum()) for c in conv)
+        u = exact_numerator(u_terms, _SCALE) / (1 << _SCALE)
     else:
         m_total = _fsum(f for f, _ in _by_block(values))
+        l_sum = _fsum(f / m for f, m in _by_block(values))
         conv_total = _fsum(conv)
-    u = math.fsum(((1.0 - fp) / table.float_primes()[:n_pi]).tolist())
+        u = math.fsum(u_terms.tolist())
     recip = mertens_sum(x, table)
     lam = 0.0 if u == 0.0 else u / recip
-    return StatsRow(x=float(x), M=m_total / x, L=l_mean, u=u, Lambda=lam,
-                    conv_mean=conv_total / x)
+    return StatsRow(x=float(x), M=m_total / x, L=l_sum / math.log(x), u=u,
+                    Lambda=lam, conv_mean=conv_total / x)
 
 
 # ---------------------------------------------------------------------------

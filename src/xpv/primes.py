@@ -519,13 +519,51 @@ def _require_table(table: PrimeTable | None, x: float, what: str) -> PrimeTable:
     return table
 
 
+def exact_scale(n: int) -> int:
+    """The least S that makes every fl(1/m), 1 <= m <= n, a multiple of
+    2**-S: 1/m >= 2**-n.bit_length(), so its ulp is at least 2**-S."""
+    return 52 + int(n).bit_length()
+
+
+_HI_BITS = 48  # the high limb of a term t, |t| <= 1, is trunc(t * 2**48)
+_LIMB_BLOCK_BITS = 14  # 2**14 terms per int64 limb sum
+# |hi| <= 2**48 and |lo| < 2**(S - 48), so a block's limb sums stay
+# below 2**63 while S - 48 + 14 <= 63: S <= 97, which exact_scale(n)
+# meets for every n < 2**45
+EXACT_SCALE_MAX = 63 + _HI_BITS - _LIMB_BLOCK_BITS
+
+
+def exact_numerator(terms: np.ndarray, scale: int) -> int:
+    """sum(terms) * 2**scale exactly, as a Python int, for float64 terms
+    with |t| <= 1 that are each an integer multiple of 2**-scale.
+
+    Each term splits into two int64 limbs, hi = trunc(t * 2**48) and
+    lo = (t * 2**48 - hi) * 2**(scale - 48), both exact integers, so
+    t * 2**scale = hi * 2**(scale - 48) + lo; the limbs are summed in
+    int64 one block at a time.  numerator / (1 << scale) is then the
+    correctly rounded sum, the value math.fsum gives.
+    """
+    if not _HI_BITS < scale <= EXACT_SCALE_MAX:
+        raise PrecisionError(
+            f"exact_numerator needs {_HI_BITS} < scale <= {EXACT_SCALE_MAX}, got {scale}")
+    shift = scale - _HI_BITS
+    hi_sum = lo_sum = 0
+    for i in range(0, terms.size, 1 << _LIMB_BLOCK_BITS):
+        lo, hi = np.modf(terms[i : i + (1 << _LIMB_BLOCK_BITS)] * 2.0 ** _HI_BITS)
+        lo *= 2.0 ** shift
+        hi_sum += int(hi.astype(np.int64).sum())
+        lo_sum += int(lo.astype(np.int64).sum())
+    return (hi_sum << shift) + lo_sum
+
+
 def mertens_sum(x: float, table: PrimeTable) -> float:
-    """Sum of 1/p over primes p <= x, exactly-rounded accumulation."""
+    """Sum of 1/p over primes p <= x, correctly rounded (an exact sum)."""
     if x < 2:
         raise DomainError(f"mertens_sum needs x >= 2, got {x}")
     _require_table(table, x, "mertens_sum")
     ps = table.float_primes()[: table.prime_pi(x)]
-    return math.fsum((1.0 / ps).tolist())
+    scale = exact_scale(math.floor(x))
+    return exact_numerator(1.0 / ps, scale) / (1 << scale)
 
 
 def prime_zeta(k: int, table: PrimeTable) -> Enclosure:

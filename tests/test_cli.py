@@ -191,6 +191,32 @@ def test_out_that_cannot_be_written_is_exit_two(where, tmp_path, capsys):
     assert captured.err.startswith(f"error: cannot write {target}: ")
 
 
+def test_out_is_checked_before_the_work(tmp_path, capsys, monkeypatch):
+    def no_sieve(*args, **kwargs):
+        raise AssertionError("sieved before --out was checked")
+
+    monkeypatch.setattr(cli, "sieve_primes", no_sieve)
+    target = tmp_path / "missing" / "r.json"
+    code = run(["verify", "--check", "pi-li-1", "--from", "2", "--to", "1e7",
+                "--out", str(target)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {target}: ")
+
+
+def test_out_keeps_its_bytes_when_the_run_is_exit_two(tmp_path, capsys):
+    # exit 2 for a reason other than --out: an existing file is left as
+    # it was, and the probe leaves no new file behind
+    kept = tmp_path / "kept.json"
+    kept.write_bytes(b"earlier report\n")
+    fresh = tmp_path / "fresh.json"
+    for target in (kept, fresh):
+        assert run(["mfunc", "--kind", "liouville", "--x", "1.5",
+                    "--out", str(target)]) == 2
+    assert "x >= 2, got 1.5" in capsys.readouterr().err
+    assert kept.read_bytes() == b"earlier report\n"
+    assert not fresh.exists()
+
+
 # ---------------------------------------------------------------------------
 # subcommand behavior
 
@@ -364,6 +390,20 @@ def test_table_failed_checks_are_check_not_passed(paper, capsys):
     assert kinds == ["check-not-passed"] * 2 + ["global-factor"] + ["delta-candidate"] * 2
     assert [d["check_id"] for d in rep["discrepancies"][:2]] == [
         "column-power-law", "common-factor-spread"]
+
+
+@pytest.mark.parametrize("paper", [[], ["--delta-paper"]])
+def test_table_verdict_does_not_depend_on_the_row_order(paper, capsys):
+    # the broken published cell sits in the c1 = 1e-20 row; the power law
+    # leaves out its pairs whichever row comes first
+    outcomes = []
+    for c1 in ("1e-20,1", "1,1e-20"):
+        code, out = _run(capsys, "table", "--c1", c1, "--c", "0.99,0.5", *paper)
+        kinds = {d["kind"] for d in json.loads(out)["discrepancies"]}
+        outcomes.append((code, kinds))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0] == (0, {"published-cell-outlier", "global-factor",
+                               "delta-candidate"})
 
 
 def test_table_csv(capsys):

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from xpv import mfunc
 from xpv.errors import DomainError, PreconditionError, ResourceError
 from xpv.mfunc import (
     STATS_CSV_HEADER,
     _chi_period,
-    _prime_values_vector,
+    _held,
+    _prime_values,
     _values,
     char_sum,
     constant_one,
@@ -203,10 +205,9 @@ def _assert_matches_reference(spec, x, table):
     row, v = _reference_stats(spec, x, table)
     # a product taken in another order moves single values by an ulp,
     # which the rounded sums seldom show, so the values are compared too
-    n_pi = table.prime_pi(x)
-    got = _values(spec, int(x), table.primes[:n_pi],
-                  _prime_values_vector(spec, table, n_pi))
-    assert np.array_equal(got.astype(np.float64), v), x
+    primes = table.primes[: table.prime_pi(x)]
+    got = _values(spec, 0, int(x), primes, _prime_values(spec, primes))
+    assert np.array_equal(got.astype(np.float64), v[1:]), x
     got = [value.hex() for value in stats(spec, x, table).as_dict().values()]
     assert got == [value.hex() for value in row], x
 
@@ -245,6 +246,61 @@ def test_stats_bits_match_reference_on_random_custom_tables(prime_table):
         _assert_matches_reference(custom(table), x, prime_table)
 
     check()
+
+
+_MEMO_SPECS = [liouville(), random_pm1(777), quadratic_character(7),
+               custom(CUSTOM_FLOAT), custom(CUSTOM_INT)]
+_REFERENCE_ROWS = {}
+
+
+def _reference_hex(spec, x, table):
+    if (spec, x) not in _REFERENCE_ROWS:
+        _REFERENCE_ROWS[spec, x] = [v.hex() for v in _reference_stats(spec, x, table)[0]]
+    return _REFERENCE_ROWS[spec, x]
+
+
+def test_stats_rows_do_not_depend_on_the_other_x(prime_table):
+    # x in any order, at and beside the _BLOCK edges, and just below an
+    # earlier, larger x: each row has the bits of the direct method
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    x = st.one_of(st.sampled_from([16383.0, 16384.0, 16385.0, 32768.5, 2.0]),
+                  st.floats(2.0, 40000.0))
+
+    @hypothesis.settings(max_examples=30, deadline=None)
+    @hypothesis.given(st.sampled_from(_MEMO_SPECS), st.lists(x, min_size=1, max_size=4))
+    def check(spec, xs):
+        for x in xs + [max(2.0, max(xs) - 1.0)]:
+            got = [v.hex() for v in stats(spec, x, prime_table).as_dict().values()]
+            assert got == _reference_hex(spec, x, prime_table), (xs, x)
+
+    check()
+
+
+@pytest.mark.parametrize("spec", _MEMO_SPECS, ids=lambda s: s.description)
+def test_stats_row_alone_equals_row_after_a_larger_x(spec, prime_table, monkeypatch):
+    segments = []
+
+    def spy(spec, lo, hi, primes, fp):
+        segments.append((lo, hi))
+        return _values(spec, lo, hi, primes, fp)
+
+    def row(x):
+        return [v.hex() for v in stats(spec, x, prime_table).as_dict().values()]
+
+    monkeypatch.setattr(mfunc, "_values", spy)
+    _held.cache_clear()
+    alone = row(16385.0)
+    row(40000.5)
+    assert row(16385.0) == alone
+    # the memo grew by one segment, (16385, 40000], and holds the values
+    # one segment to 40000 gives
+    assert segments == [(0, 16385), (16385, 40000)]
+    held = _held(spec, prime_table)
+    primes = prime_table.primes[: prime_table.prime_pi(40000)]
+    assert held.top == 40000
+    assert np.array_equal(held.values, _values(spec, 0, 40000, primes, held.fp))
+    assert np.array_equal(held.fp, _prime_values(spec, primes))
 
 
 def test_stats_csv_shape(prime_table):

@@ -85,8 +85,11 @@ PINNED = {
     # check_id (was 1e71365a...)
     "constants --optimize":
         "4af81c89f96f57ba315461d9f24f75e943bb85d9ef255f4112f097dfae56e794",
+    # column-power-law is judged on every row, leaving out the pairs that
+    # touch the outlier cell: its worst deviation went from 0.011307 to
+    # 0.015620 in the detail text (was 44e54d84...)
     "table --delta-paper":
-        "44e54d849b05bb8b3473f7a4e4fe96371572e8d3d381370a66c0b96c2a7a3b42",
+        "5eb43b9808decff71feb95dddbc6a0a0ff5e828147f5c55f455c3cc24b5d5ea7",
     "mfunc --kind liouville --x 1000,100000":
         "d4630828588f39a14563e9916ccccb480512feba20fecf62bf153eb6e75d0153",
     # every log_rho and err of the grid moved with the series (was

@@ -2,13 +2,15 @@ import dataclasses
 import hashlib
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from xpv import core, primes
+from xpv import core, mfunc, primes
 from xpv.errors import (
     DomainError,
+    PrecisionError,
     PreconditionError,
     ResourceError,
     UsageError,
@@ -16,12 +18,16 @@ from xpv.errors import (
 from xpv.primes import (
     _SEGMENT_SIZE,
     _LI_X0,
+    DEFAULT_SIEVE_CAP,
+    EXACT_SCALE_MAX,
     REGISTRY,
     _compensated_prefix,
     _li_series,
     _li_terms,
     _pi_upper,
     _sieve_flags,
+    exact_numerator,
+    exact_scale,
     least_prime_3mod4_above,
     log_integral,
     mertens_sum,
@@ -439,6 +445,46 @@ def test_mertens_sum_preconditions(prime_table):
         mertens_sum(10 ** 6 + 1, prime_table)
     # a table to floor(x) holds every prime <= x
     assert mertens_sum(10 ** 6 + 0.5, prime_table) == mertens_sum(1e6, prime_table)
+
+
+def test_exact_numerator_equals_fsum():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    # f(m)/m and (1 - f(p))/p with f in {-1, 0, 1}: the terms of L and u
+    @hypothesis.settings(max_examples=80, deadline=None)
+    @hypothesis.given(st.integers(1, 10 ** 8), st.integers(0, 2 ** 32 - 1),
+                      st.integers(1, 40000), st.sampled_from([1.0, 2.0]))
+    def check(n, seed, size, top):
+        rng = np.random.default_rng(seed)
+        m = rng.integers(1, n + 1, size).astype(np.float64)
+        terms = rng.integers(-1, 2, size) * (top / np.maximum(m, top))
+        scale = exact_scale(n)
+        got = exact_numerator(terms, scale) / (1 << scale)
+        assert got.hex() == math.fsum(terms.tolist()).hex()
+
+    check()
+
+
+def test_exact_numerator_scale_guard():
+    # every scale the program uses is inside the guard: that of stats at
+    # its cap (mfunc._SCALE) and that of mertens_sum on the largest table
+    assert mfunc._SCALE == exact_scale(mfunc.STATS_X_CAP) <= EXACT_SCALE_MAX
+    assert exact_scale(DEFAULT_SIEVE_CAP) <= EXACT_SCALE_MAX
+    m = np.arange(mfunc.STATS_X_CAP - 20000, mfunc.STATS_X_CAP + 1, dtype=np.float64)
+    terms = (-1.0) ** m / m
+    got = exact_numerator(terms, mfunc._SCALE) / (1 << mfunc._SCALE)
+    assert got.hex() == math.fsum(terms.tolist()).hex()
+    # a full block of the largest high limb, then of the largest low limb
+    # (2**49 - 1 each, a sum of 2**63 - 2**14): no int64 sum wraps
+    block = 1 << 14
+    for t in (1.0 - 2.0 ** -53, (2.0 ** 53 - 1) * 2.0 ** -EXACT_SCALE_MAX):
+        for sign in (1.0, -1.0):
+            want = Fraction(sign * t) * block * 2 ** EXACT_SCALE_MAX
+            assert want.denominator == 1
+            assert exact_numerator(np.full(block, sign * t), EXACT_SCALE_MAX) == want
+    with pytest.raises(PrecisionError):
+        exact_numerator(terms, EXACT_SCALE_MAX + 1)
 
 
 # sha256 of each prefix array on the 1e6 table, recorded from the
