@@ -77,11 +77,12 @@ class MultiplicativeSpec:
     primes.
 
     kinds: quadratic_character (Jacobi symbol mod odd squarefree q),
-    liouville (-1 at every prime), random_pm1 (a fair sign per prime,
-    derived by hashing (seed, p) so the draw is independent of
-    evaluation order), constant_one, and custom (explicit prime table;
-    primes absent from the table take the value 1, which keeps the
-    function total).
+    liouville (-1 at every prime), random_pm1 (a fair sign per prime:
+    -1 where the top bit of SplitMix64(k + p * 0x9E3779B97F4A7C15 mod
+    2**64) is set, k the 8-byte blake2b digest of str(seed) read
+    little-endian, so the draw is independent of evaluation order),
+    constant_one, and custom (explicit prime table; primes absent from
+    the table take the value 1, which keeps the function total).
     """
 
     kind: str
@@ -126,7 +127,7 @@ class MultiplicativeSpec:
         if self.kind == "quadratic_character":
             return float(jacobi(p, self.q))
         if self.kind == "random_pm1":
-            return float(_random_signs(self.seed, [p])[0])
+            return float(_random_signs(self.seed, np.array([p % 2**64], np.uint64))[0])
         return self._custom_values.get(p, 1.0)
 
     @cached_property
@@ -134,16 +135,21 @@ class MultiplicativeSpec:
         return dict(self.prime_values)
 
 
-def _random_signs(seed: int, primes) -> np.ndarray:
-    """The random_pm1 value at each int p: +1 when the first byte of
-    blake2b(f"{seed}:{p}", 8 bytes) is even, else -1."""
-    copy = hashlib.blake2b(f"{seed}:".encode(), digest_size=8).copy
-    bits = []
-    for p in primes:
-        h = copy()
-        h.update(str(p).encode())
-        bits.append(h.digest()[0] & 1)
-    return 1.0 - 2.0 * np.array(bits, dtype=np.float64)
+def _random_signs(seed: int, primes: np.ndarray) -> np.ndarray:
+    """The random_pm1 value at each p of the integer array ``primes``:
+    -1 where the top bit of SplitMix64(k + p * 0x9E3779B97F4A7C15 mod
+    2**64) is set, else +1, k the 8-byte blake2b digest of str(seed) read
+    little-endian.  That is the p-th output of a SplitMix64 stream (Steele,
+    Lea and Flood, OOPSLA 2014) started at k; uint64 arrays wrap silently."""
+    digest = hashlib.blake2b(str(seed).encode(), digest_size=8).digest()
+    z = primes.astype(np.uint64)
+    z *= 0x9E3779B97F4A7C15
+    z += int.from_bytes(digest, "little")
+    z ^= z >> 30
+    z *= 0xBF58476D1CE4E5B9
+    z ^= z >> 27
+    z *= 0x94D049BB133111EB
+    return 1.0 - 2.0 * (z >> 63)  # SplitMix64's last step, z ^= z >> 31, keeps this bit
 
 
 def quadratic_character(q: int) -> MultiplicativeSpec:
@@ -217,7 +223,7 @@ def _prime_values(spec: MultiplicativeSpec, primes: np.ndarray) -> np.ndarray:
     if spec.kind == "quadratic_character":
         return _chi_period(spec.q)[np.mod(primes, spec.q)].astype(np.float64)
     if spec.kind == "random_pm1":
-        return _random_signs(spec.seed, primes.tolist())
+        return _random_signs(spec.seed, primes)
     fp = np.ones(primes.size)
     if spec.prime_values and primes.size:
         keys, vals = np.array(spec.prime_values).T

@@ -566,42 +566,36 @@ def mertens_sum(x: float, table: PrimeTable) -> float:
     return exact_numerator(1.0 / ps, scale) / (1 << scale)
 
 
-def prime_zeta(k: int, table: PrimeTable) -> Enclosure:
-    """Enclosure of P(k) = sum over all primes of p**(-k).
-
-    Finite part over the table, tail bounded by N**(1-k)/(k-1) with
-    N = table.limit.  For p > 2**(1080/k), p**-k < 2**-1080 is far below
-    half the least subnormal, so pow gives +0: those entries are written
-    as zeros, skipping libm's slow underflow path, in a full-length array
-    that keeps np.sum's pairwise order.
-    """
-    if not isinstance(k, (int, np.integer)) or k < 2:
-        raise DomainError(f"prime_zeta needs integer k >= 2, got {k!r}")
-    k = int(k)
-    ps = table.float_primes()
-    powers = np.zeros_like(ps)
-    cut = table.prime_pi(2.0 ** (1080 / k))
-    np.power(ps[:cut], -float(k), out=powers[:cut])
-    partial = float(np.sum(powers))
-    tail = float(table.limit) ** (1 - k) / (k - 1)
-    pad = 4e-15 * partial + 5e-324 * ps.size
-    return Enclosure(partial - pad, partial + tail + pad)
-
-
 def nu2(table: PrimeTable) -> Enclosure:
-    """Enclosure of the constant sum_{k>=2} P(k)/k.
+    """Enclosure of sum_{k>=2} P(k)/k, P the prime zeta function, which
+    must bracket gamma - M.  Summed over k first it is sum_p g(1/p) with
+    g(r) = -log(1 - r) - r: one pass over the primes p <= N = table.limit.
 
-    Truncated at k = 64; the k-tail uses P(k) <= 2**(2-k), which gives a
-    geometric bound below 1e-19.  Must bracket gamma - M.
+    Tail: f(t) = g(1/t) decreases to 0 and -f'(t) = 1/(t^2 (t - 1)), so
+    by parts sum_{p>N} f(p) <= int_N^inf pi(t) (-f'(t)) dt, which
+    pi(t) < 1.25506 t / log t (Rosser and Schoenfeld, Illinois J. Math. 6,
+    1962) bounds by 1.25506 log(N/(N-1)) / log N, 9.1e-8 at N = 1e6.
+
+    Rounding, u = 2^-53: r = fl(1/p) moves g by g'(r) u r <= 2u r^2 <= u r
+    (g'(r) = r/(1 - r)); log1p, within 2 ulp, errs by 4u L <= 5.6u r; and
+    r - L is exact by Sterbenz, r <= L <= 2r.  So each of the n terms is
+    within 7u r of g(1/p), any summation order adds gamma sum|t| with
+    gamma = (n-1)u / (1 - (n-1)u), the exact sums of r and t being at most
+    their computed sums over 1 - gamma.  u is 1% large for the pad's own
+    rounding, the tail's get 1 + 16u, and both edges round outward.
     """
     if table.limit < 10 ** 6:
-        raise PreconditionError(
-            f"nu2 needs table.limit >= 1e6, got {table.limit}"
-        )
-    encs = [(prime_zeta(k, table), k) for k in range(2, 65)]
-    k_tail = (4.0 / 65.0) * 2.0 ** -64 * 2.0
-    return Enclosure(math.fsum(e.lo / k for e, k in encs),
-                     math.fsum(e.hi / k for e, k in encs) + k_tail)
+        raise PreconditionError(f"nu2 needs table.limit >= 1e6, got {table.limit}")
+    r = 1.0 / table.primes
+    neg_terms = np.log1p(np.negative(r))
+    neg_terms += r  # -g(r), exactly
+    partial, r_sum = -float(np.sum(neg_terms)), float(np.sum(r))
+    gamma = (len(table) - 1) * _LI_EPS / (1.0 - (len(table) - 1) * _LI_EPS)
+    pad = (7.0 * _LI_EPS * r_sum + gamma * partial) / (1.0 - gamma)
+    big_n = float(table.limit)
+    tail = 1.25506 * -math.log1p(-1.0 / big_n) / math.log(big_n) * (1.0 + 16.0 * _LI_EPS)
+    return Enclosure(math.nextafter(partial - pad, -math.inf),
+                     math.nextafter(partial + pad + tail, math.inf))
 
 
 def tail_power_sum_bound(alpha: float) -> float:

@@ -328,6 +328,17 @@ def test_random_signs_hashed_once_per_job(capsys, monkeypatch):
     assert sum(hashed) == 168  # pi(1000), though the command sieves to 1e6
 
 
+def test_random_jobs_of_the_benchmark_pass(capsys):
+    # the mean-value workload draws random:S with S in [1, 1e6] and
+    # expects every such job to exit 0
+    for seed in range(1, 10 ** 6 + 1, 66666):
+        code, out = _run(capsys, "mfunc", "--kind", f"random:{seed}",
+                         "--x", "1000000,1500000")
+        statuses = [c["status"] for r in json.loads(out)["results"]
+                    for c in r["checks"].values()]
+        assert code == 0 and "fail" not in statuses, (seed, statuses)
+
+
 def test_mfunc_x_checked_before_sieving(capsys, monkeypatch):
     def no_sieve(*args, **kwargs):
         raise AssertionError("sieved before --x was checked")

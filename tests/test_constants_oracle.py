@@ -7,7 +7,8 @@ mpmath = pytest.importorskip("mpmath")
 mp = mpmath.mp
 
 from xpv.meanvalue import solve_K  # noqa: E402
-from xpv.primes import nu2, prime_zeta  # noqa: E402
+from xpv.primes import nu2  # noqa: E402
+from zeta_oracle import prime_zeta  # noqa: E402
 
 
 def test_solve_K_contains_the_closed_reduction_root():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -86,6 +87,47 @@ def test_random_pm1_is_deterministic_and_seed_sensitive():
     assert va == [b.prime_value(p) for p in primes]
     assert all(v in (-1.0, 1.0) for v in va)
     assert va != [c.prime_value(p) for p in primes]
+
+
+_SIGN_SEEDS = (0, 1, 5, 777, -3, 2 ** 64 + 5)
+_MASK64 = (1 << 64) - 1
+
+
+def _splitmix_sign(seed, p):
+    """The documented random_pm1 rule in Python integers."""
+    key = int.from_bytes(hashlib.blake2b(str(seed).encode(), digest_size=8).digest(), "little")
+    z = (key + p * 0x9E3779B97F4A7C15) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return -1.0 if (z ^ (z >> 31)) >> 63 else 1.0
+
+
+@pytest.fixture(scope="module")
+def primes_to_1_5e6():
+    return sieve_primes(1_500_000).primes
+
+
+@pytest.mark.parametrize("seed", _SIGN_SEEDS)
+def test_random_signs_are_balanced(seed, primes_to_1_5e6):
+    signs = mfunc._random_signs(seed, primes_to_1_5e6)
+    assert np.isin(signs, (-1.0, 1.0)).all()
+    assert abs(signs.sum()) <= 5.0 * math.sqrt(signs.size)
+
+
+def test_random_signs_keep_seeds_past_2_64_apart(primes_to_1_5e6):
+    a = mfunc._random_signs(5, primes_to_1_5e6)
+    assert not np.array_equal(a, mfunc._random_signs(2 ** 64 + 5, primes_to_1_5e6))
+
+
+@pytest.mark.parametrize("seed", _SIGN_SEEDS)
+def test_random_prime_value_follows_the_vector_and_the_rule(seed, primes_to_1_5e6):
+    sample = np.random.default_rng(seed % 1000).choice(primes_to_1_5e6, 200, replace=False)
+    spec = random_pm1(seed)
+    want = [_splitmix_sign(seed, int(p)) for p in sample]
+    assert mfunc._random_signs(seed, sample).tolist() == want
+    assert [spec.prime_value(int(p)) for p in sample] == want
+    for p in (2 ** 63 + 29, 2 ** 64 + 13):  # past int64, and past the modulus
+        assert spec.prime_value(p) == _splitmix_sign(seed, p)
 
 
 def test_multiplicativity_on_random_coprime_pairs():

@@ -32,11 +32,11 @@ from xpv.primes import (
     log_integral,
     mertens_sum,
     nu2,
-    prime_zeta,
     sieve_primes,
     tail_power_sum_bound,
     verify_inequality,
 )
+from zeta_oracle import nu2_by_k, prime_zeta
 
 
 def _is_prime_trial(n):
@@ -540,7 +540,8 @@ def test_prime_zeta_decreasing_and_bounded(prime_table):
 
 def test_prime_zeta_bits_are_frozen(prime_table):
     # sha256 of every enclosure's float.hex for k = 2..64, recorded before
-    # the powers that round to +0 were written as zeros instead of computed
+    # the powers that round to +0 were written as zeros instead of
+    # computed; it keeps the oracle of nu2 from drifting
     h = hashlib.sha256()
     for k in range(2, 65):
         enc = prime_zeta(k, prime_table)
@@ -560,7 +561,14 @@ def test_nu2_brackets_gamma_minus_m(prime_table):
     enc = nu2(prime_table)
     assert enc.contains(0.5772156649015329 - 0.26149721284764278)
     assert enc.hi <= 0.316
-    assert enc.width < 1e-6
+    assert enc.width <= 1e-7
+
+
+def test_nu2_within_the_k_by_k_sum(prime_table):
+    # the same constant summed over k of P(k)/k, with a looser prime tail
+    enc, oracle = nu2(prime_table), nu2_by_k(prime_table)
+    assert enc.lo <= oracle.hi and oracle.lo <= enc.hi
+    assert enc.hi <= oracle.hi
 
 
 def test_nu2_needs_big_table():
