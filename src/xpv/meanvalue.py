@@ -30,7 +30,7 @@ from .constants import (
 )
 from .core import Enclosure, adaptive_simpson, bisect_root, golden_max
 from .errors import DomainError, PrecisionError, UsageError
-from .primes import PrimeTable, nu2, tail_power_sum_bound
+from .primes import PrimeTable, _LI_EPS as _U, nu2, tail_power_sum_bound
 
 # Decay scale of the oscillation kernel: every exponent in the two tail
 # series divides by 6.455 (times tau where applicable).
@@ -454,32 +454,42 @@ def integral_exp_over_square() -> Enclosure:
 
 
 def nu3(k_trunc: int) -> Enclosure:
-    """Enclosure of sqrt of the symmetric series
-    sum over integer k of log^(2+2K)(|k|+4) / ((k-1/2)^2 + 1).
-
-    The two-sided tail beyond k_trunc is bounded by an integral
-    comparison: log(u+4.5) <= A log u for u >= T-1/2 with
-    A = log(T+4)/log(T-1/2), then the incomplete-gamma style bound
-    int_a^inf t^c e^-t dt <= a^c e^-a / (1 - c/a).  The sum runs in place in
-    two buffers: log(|k| + 4)**c once per |k|, mirrored onto k < 0, then
-    divided by (k - 1/2)^2 + 1.
-    """
+    """Enclosure of sqrt of the sum over integer k of log^c(|k|+4) /
+    ((k-1/2)^2 + 1), c = 2 + 2K: the head |k| <= T = k_trunc from
+    ``_nu3_head``, and the two-sided tail beyond T by an integral
+    comparison: log(u+4.5) <= A log u for u >= T-1/2 with A =
+    log(T+4)/log(T-1/2), then int_a^inf t^c e^-t dt <= a^c e^-a / (1 - c/a),
+    padded by 1024u for its dozen roundings.  Both edges round outward."""
     if k_trunc < 10 ** 3:
         raise DomainError(f"nu3 needs k_trunc >= 1e3, got {k_trunc}")
     c = 2.0 + 2.0 * solve_K().mid
-    d = np.arange(-k_trunc, k_trunc + 1, dtype=np.float64)
-    terms = np.empty_like(d)
-    pos = np.add(d[k_trunc:], 4.0, out=terms[k_trunc:])  # |k| + 4 for k >= 0
-    np.power(np.log(pos, out=pos), c, out=pos)
-    terms[:k_trunc] = pos[:0:-1]
-    d -= 0.5
-    terms /= np.add(np.square(d, out=d), 1.0, out=d)
-    s = float(np.sum(terms))
-    pad = 1e-12 * s
+    s, pad = _nu3_head(k_trunc, c)
     a = math.log(k_trunc - 0.5)
     big_a = math.log(k_trunc + 4.0) / a
-    tail = 2.0 * big_a ** c * a ** c * math.exp(-a) / (1.0 - c / a)
-    return Enclosure(math.sqrt(s - pad), math.sqrt(s + tail + pad))
+    tail = 2.0 * big_a ** c * a ** c * math.exp(-a) / (1.0 - c / a) * (1.0 + 1024.0 * _U)
+    return Enclosure(math.nextafter(math.sqrt(s - pad), -math.inf),
+                     math.nextafter(math.sqrt(s + tail + pad), math.inf))
+
+
+def _nu3_head(k_trunc: int, c: float) -> tuple:
+    """(s, pad): the head sum over |k| <= T = k_trunc lies in s -+ pad.
+    k = 0 stands alone and each k >= 1 is paired with -k, log^c(k+4)
+    weighted by 1/((k-1/2)^2 + 1) + 1/((k+1/2)^2 + 1), 2^16 pairs a block.
+
+    Rounding, u = 2^-53, with numpy's log and pow within 4 ulp: log(k+4)
+    errs by 8u, raised to 8cu by pow, which adds 8u; (k -+ 1/2)^2 + 1
+    rounds twice at most, its reciprocal and the weight's sum once each,
+    4u; the product once.  So each of the n = T + 1 terms is within
+    E = (8c + 14)u, one u spare for second-order terms; any summation
+    order adds gamma_{n-1} = (n-1)u / (1 - (n-1)u) times their sum, at
+    most s / (1 - gamma).  u is 1% large for the rounding of s -+ pad."""
+    s = math.log(4.0) ** c / 1.25  # k = 0
+    for lo in range(1, k_trunc + 1, 1 << 16):
+        k = np.arange(lo, min(lo + (1 << 16), k_trunc + 1), dtype=np.float64)
+        w = 1.0 / ((k - 0.5) ** 2 + 1.0) + 1.0 / ((k + 0.5) ** 2 + 1.0)
+        s += float(np.sum(np.log(k + 4.0) ** c * w))
+    gamma = k_trunc * _U / (1.0 - k_trunc * _U)
+    return s, ((8.0 * c + 14.0) * _U + gamma) * s / (1.0 - gamma)
 
 
 @dataclass(frozen=True)

@@ -17,20 +17,9 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .dickman import divisor_mean_lower_bound
-from .errors import (
-    DomainError,
-    PrecisionError,
-    PreconditionError,
-    ResourceError,
-)
+from .errors import DomainError, PrecisionError, PreconditionError, ResourceError
 from .meanvalue import delta
-from .primes import (
-    PrimeTable,
-    _is_prime_u64,
-    exact_numerator,
-    exact_scale,
-    mertens_sum,
-)
+from .primes import PrimeTable, _is_prime_u64, exact_numerator, exact_scale, mertens_sum
 
 STATS_X_CAP = 10 ** 8
 CHAR_COMPOSITE_CAP = 10 ** 6
@@ -60,15 +49,30 @@ def jacobi(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-def _is_squarefree(q: int) -> bool:
+def _prime_powers(n: int):
+    """(p, e) for each prime power p^e of n >= 1, in increasing p, by
+    trial division."""
     d = 2
-    while d * d <= q:
-        if q % (d * d) == 0:
-            return False
-        while q % d == 0:
-            q //= d
-        d += 1
-    return True
+    while d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            yield d, e
+        d += 1 if d == 2 else 2
+    if n > 1:
+        yield n, 1
+
+
+def _odd_modulus_factors(q: int) -> list:
+    """The prime powers (p, e) of an odd character modulus 3 <= q <=
+    CHAR_PRIME_CAP, capped before it is factored."""
+    if q < 3 or q % 2 == 0:
+        raise DomainError(f"a character modulus must be odd and >= 3, got {q}")
+    if q > CHAR_PRIME_CAP:
+        raise ResourceError(f"character modulus capped at q <= {CHAR_PRIME_CAP:.0e}, got {q}")
+    return list(_prime_powers(q))
 
 
 @dataclass(frozen=True)
@@ -95,9 +99,7 @@ class MultiplicativeSpec:
         if self.kind not in KINDS:
             raise DomainError(f"unknown kind {self.kind!r}; known: {KINDS}")
         if self.kind == "quadratic_character":
-            if self.q is None or self.q < 3 or self.q % 2 == 0:
-                raise DomainError(f"quadratic_character needs odd q >= 3, got {self.q}")
-            if not _is_squarefree(self.q):
+            if self.q is None or any(e > 1 for _, e in _odd_modulus_factors(self.q)):
                 raise DomainError(f"quadratic_character needs squarefree q, got {self.q}")
         if self.kind == "random_pm1" and self.seed is None:
             raise DomainError("random_pm1 needs a seed")
@@ -175,25 +177,13 @@ def custom(prime_values: dict) -> MultiplicativeSpec:
 
 def f_value(spec: MultiplicativeSpec, n: int) -> float:
     """f(n) through the prime factorization (trial division)."""
-    if n == 0:
-        raise DomainError("f_value needs n >= 1, got 0")
-    if n < 0:
+    if n < 1:
         raise DomainError(f"f_value needs n >= 1, got {n}")
     if n > 10 ** 12:
         raise ResourceError(f"f_value factors by trial division only up to 1e12, got {n}")
     out = 1.0
-    m = n
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            e = 0
-            while m % d == 0:
-                m //= d
-                e += 1
-            out *= spec.prime_value(d) ** e
-        d += 1 if d == 2 else 2
-    if m > 1:
-        out *= spec.prime_value(m)
+    for p, e in _prime_powers(n):
+        out *= spec.prime_value(p) ** e
     return out
 
 
@@ -364,7 +354,7 @@ def stats(spec: MultiplicativeSpec, x: float, table: PrimeTable) -> StatsRow:
     n_pi = table.prime_pi(n)
     fp = held.fp[:n_pi]
     values = held.values[:n]
-    u_terms = (1.0 - fp) / table.float_primes()[:n_pi]
+    u_terms = (1.0 - fp) / table.primes[:n_pi]
     # f(m) floor(x / m); at integer x this floor is exactly n // m, as n < 2**53
     conv = (f * np.floor(x / m) for f, m in _by_block(values))
     if values.dtype == np.int8:
@@ -394,38 +384,47 @@ def stats(spec: MultiplicativeSpec, x: float, table: PrimeTable) -> StatsRow:
 @lru_cache(maxsize=16)
 def _chi_period(q: int) -> np.ndarray:
     """chi(n) = jacobi(n, q) for n = 0..q-1, as a read-only int8 array
-    shared by every caller."""
-    if _is_prime_u64(q):
-        if q > CHAR_PRIME_CAP:
-            raise ResourceError(f"character period capped at q <= {CHAR_PRIME_CAP:.0e}")
-        chi = np.full(q, -1, dtype=np.int8)
-        chi[0] = 0
-        squares = np.arange(1, (q + 1) // 2, dtype=np.int64)
-        np.multiply(squares, squares, out=squares)
-        chi[np.mod(squares, q, out=squares)] = 1
+    shared by every caller.  The Jacobi symbol is multiplicative in its
+    modulus, so chi is the product of (n/p)^e over the prime powers p^e
+    of q: each zeroes column 0 of the (q/p, p) view, and an odd e
+    multiplies each row by the Legendre period of p."""
+    factors = _odd_modulus_factors(q)
+    if factors == [(q, 1)]:  # one factor: no table of ones to multiply into
+        chi = _legendre_period(q)
+    elif q > CHAR_COMPOSITE_CAP:
+        raise ResourceError(f"composite modulus capped at q <= {CHAR_COMPOSITE_CAP:.0e}")
     else:
-        if q > CHAR_COMPOSITE_CAP:
-            raise ResourceError(
-                f"composite character period capped at q <= {CHAR_COMPOSITE_CAP:.0e}"
-            )
-        chi = np.array([jacobi(a, q) for a in range(q)], dtype=np.int8)
+        chi = np.ones(q, dtype=np.int8)
+        for p, e in factors:
+            rows = chi.reshape(q // p, p)
+            rows[:, 0] = 0
+            if e % 2:
+                rows *= _legendre_period(p)
     chi.flags.writeable = False
     return chi
 
 
-def char_sum(q: int, t: int) -> int:
-    """Partial character sum: sum of jacobi(n, q) for 1 <= n <= t.
+def _legendre_period(p: int) -> np.ndarray:
+    """(n/p) for n = 0..p-1, p an odd prime: 0 at 0, 1 at the squares of
+    1..(p-1)/2 mod p, made 2^20 (8 MB) at a time, and -1 elsewhere."""
+    chi = np.full(p, -1, dtype=np.int8)
+    chi[0] = 0
+    half = (p + 1) // 2
+    for lo in range(1, half, 1 << 20):
+        squares = np.arange(lo, min(lo + (1 << 20), half), dtype=np.int64)
+        np.multiply(squares, squares, out=squares)
+        chi[np.mod(squares, p, out=squares)] = 1
+    return chi
 
-    Exact integer; the full-period sum tiles, so t may exceed q.
-    """
-    if q < 3 or q % 2 == 0:
-        raise DomainError(f"char_sum needs odd q >= 3, got {q}")
+
+def char_sum(q: int, t: int) -> int:
+    """Partial character sum: sum of jacobi(n, q) for 1 <= n <= t, an exact
+    integer; the full-period sum tiles, so t may exceed q."""
     if t < 0:
         raise DomainError(f"char_sum needs t >= 0, got {t}")
     chi = _chi_period(q)
-    full = int(chi.sum())
     whole, rest = divmod(int(t), q)
-    return whole * full + int(chi[1 : rest + 1].sum())
+    return whole * int(chi.sum()) + int(chi[1 : rest + 1].sum())
 
 
 @lru_cache(maxsize=1)
@@ -433,8 +432,6 @@ def char_sum_profile(q: int):
     """(full-period sum, max |S(t)|, its first argmax t) over 1 <= t < q,
     S(t) = char_sum(q, t), from one int32 partial-sum pass (|S| < q); the
     last q is cached, so a charsum row and its pv_ratio share the pass."""
-    if q < 3 or q % 2 == 0:
-        raise DomainError(f"char_sum_profile needs odd q >= 3, got {q}")
     sums = _chi_period(q)[1:].astype(np.int32)
     np.cumsum(sums, out=sums)  # in place: with dtype= it keeps a cast copy
     full = int(sums[-1])  # chi(0) = 0
@@ -444,12 +441,8 @@ def char_sum_profile(q: int):
 
 
 def pv_ratio(q: int) -> float:
-    """max over 1 <= t <= q of |S_chi(t)| divided by sqrt(q) log q."""
-    if q < 3 or q % 2 == 0:
-        raise DomainError(f"pv_ratio needs an odd prime q >= 3, got {q}")
-    if q > CHAR_PRIME_CAP:
-        raise ResourceError(f"pv_ratio capped at q <= {CHAR_PRIME_CAP:.0e}")
-    if not _is_prime_u64(q):
+    """max over 1 <= t <= q of |S_chi(t)| / (sqrt(q) log q), q an odd prime."""
+    if _odd_modulus_factors(q) != [(q, 1)]:
         raise DomainError(f"pv_ratio needs prime q, got {q}")
     return char_sum_profile(q)[1] / (math.sqrt(q) * math.log(q))
 

@@ -100,14 +100,16 @@ def _compensated_prefix(terms: np.ndarray) -> np.ndarray:
 
 class PrimeTable:
     """All primes up to ``limit``, immutable once built, plus the prefix
-    sums the sweep engine needs (built lazily by ``_compensated_prefix``)."""
+    sums the sweep engine needs (built lazily by ``_compensated_prefix``).
+    Float work divides by and takes logs of the int64 primes directly:
+    numpy casts each exactly, as it is below 2**53, so no float copy is
+    kept."""
 
     def __init__(self, limit: int, primes: np.ndarray):
         self.limit = int(limit)
         self.primes = primes
         self._recip_prefix = None
         self._log2_prefix = None
-        self._float_primes = None
 
     def __len__(self) -> int:
         return int(self.primes.size)
@@ -119,22 +121,16 @@ class PrimeTable:
             return len(self)
         return int(np.searchsorted(self.primes, math.floor(max(x, 0)), side="right"))
 
-    def float_primes(self) -> np.ndarray:
-        if self._float_primes is None:
-            self._float_primes = self.primes.astype(np.float64)
-        return self._float_primes
-
     def recip_prefix(self) -> np.ndarray:
         """R[k] = sum of 1/p over the first k primes, R[0] = 0."""
         if self._recip_prefix is None:
-            self._recip_prefix = _compensated_prefix(1.0 / self.float_primes())
+            self._recip_prefix = _compensated_prefix(1.0 / self.primes)
         return self._recip_prefix
 
     def log2_prefix(self) -> np.ndarray:
         """L[k] = sum of log(p)^2/p over the first k primes, L[0] = 0."""
         if self._log2_prefix is None:
-            ps = self.float_primes()
-            self._log2_prefix = _compensated_prefix(np.log(ps) ** 2 / ps)
+            self._log2_prefix = _compensated_prefix(np.log(self.primes) ** 2 / self.primes)
         return self._log2_prefix
 
 
@@ -561,9 +557,8 @@ def mertens_sum(x: float, table: PrimeTable) -> float:
     if x < 2:
         raise DomainError(f"mertens_sum needs x >= 2, got {x}")
     _require_table(table, x, "mertens_sum")
-    ps = table.float_primes()[: table.prime_pi(x)]
     scale = exact_scale(math.floor(x))
-    return exact_numerator(1.0 / ps, scale) / (1 << scale)
+    return exact_numerator(1.0 / table.primes[: table.prime_pi(x)], scale) / (1 << scale)
 
 
 def nu2(table: PrimeTable) -> Enclosure:

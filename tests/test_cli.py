@@ -480,6 +480,7 @@ def test_text_format(capsys):
     "mfunc --kind liouville --x 2e8",
     "charsum --q 10000019",
     "charsum --q 1000001",
+    "mfunc --kind qchar:1000000000000000003 --x 100",
     "dickman --xmax 5000",
     "verify --check pi-li-1 --from 2 --to 2e9",
     "dickman --xmax 10 --exponent-check 6,1e300,1.0,buchstab",

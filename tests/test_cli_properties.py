@@ -78,8 +78,8 @@ def _mfunc(draw):
     kind, x, extra, c = draw(_argv_slots([
         (st.sampled_from(["liouville", "one", "qchar:3", "qchar:15", "random:5", "random",
                           "custom:2=0.5,3=-1"]),
-         st.sampled_from(["qchar:", "qchar:9", "custom:4=1", "custom:2=2", "custom:2=nan",
-                          "custom:", "random:x", "nope"])),
+         st.sampled_from(["qchar:", "qchar:9", "qchar:1000000000000000003", "custom:4=1",
+                          "custom:2=2", "custom:2=nan", "custom:", "random:x", "nope"])),
         (st.sampled_from(["2", "100", "1000.5", "1e4"]),
          st.one_of(_UNPARSABLE, st.sampled_from(["1", "0.5", "2e8", "1e300"]))),
         (st.sampled_from(["", ",2", ",1e4"]), st.sampled_from([",2e8", ",nan", ",,"])),

@@ -6,7 +6,7 @@ import pytest
 mpmath = pytest.importorskip("mpmath")
 mp = mpmath.mp
 
-from xpv.meanvalue import solve_K  # noqa: E402
+from xpv.meanvalue import _nu3_head, solve_K  # noqa: E402
 from xpv.primes import nu2  # noqa: E402
 from zeta_oracle import prime_zeta  # noqa: E402
 
@@ -36,3 +36,15 @@ def test_nu2_contains_gamma_minus_mertens(prime_table):
         want = mp.euler - mp.mertens
     enc = nu2(prime_table)
     assert enc.lo <= want <= enc.hi
+
+
+def test_nu3_head_contains_the_30_digit_sum():
+    # the float head with its rounding pad against the same 2001 terms at
+    # 30 digits, with the same exponent c
+    c = 2.0 + 2.0 * solve_K().mid
+    s, pad = _nu3_head(10 ** 3, c)
+    with mp.workdps(30):
+        want = mp.fsum(mp.log(abs(k) + 4) ** mp.mpf(c) / ((k - mp.mpf(0.5)) ** 2 + 1)
+                       for k in range(-10 ** 3, 10 ** 3 + 1))
+    assert s - pad <= want <= s + pad
+    assert pad < 1e-12 * s

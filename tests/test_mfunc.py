@@ -10,6 +10,7 @@ from xpv.mfunc import (
     STATS_CSV_HEADER,
     _chi_period,
     _held,
+    _odd_modulus_factors,
     _prime_values,
     _values,
     char_sum,
@@ -233,7 +234,7 @@ def _reference_stats(spec, x, table):
     m_mean = math.fsum(values) / x
     l_mean = math.fsum(values / np.arange(1, n + 1, dtype=np.float64)) / math.log(x)
     u = math.fsum((1.0 - fv) / float(p) for p, fv in zip(primes, fp))
-    recip = math.fsum(1.0 / p for p in table.float_primes()[: table.prime_pi(x)])
+    recip = math.fsum(1.0 / p for p in table.primes.astype(np.float64)[: table.prime_pi(x)])
     lam = 0.0 if u == 0.0 else u / recip
     if x == float(n):
         counts = n // np.arange(1, n + 1, dtype=np.int64)
@@ -382,6 +383,37 @@ def test_char_sum_full_period_vanishes_for_odd_primes(prime_table):
 def test_char_sum_squarefree_composite():
     assert char_sum(15, 15) == 0
     assert char_sum(21, 21) == 0
+
+
+def test_chi_period_is_the_jacobi_symbol():
+    # every odd modulus below 1000: primes, prime powers (9, 27, 243, 625,
+    # 729) and composites that are not squarefree (45, 63, 99)
+    for q in range(3, 1000, 2):
+        assert _chi_period(q).tolist() == [jacobi(a, q) for a in range(q)], q
+    rng = np.random.default_rng(22)
+    for q in (255255, 999999):  # 3*5*7*11*13*17 and 3^3*7*11*13*37
+        chi = _chi_period(q)
+        for a in rng.integers(0, q, 3000).tolist():
+            assert chi[a] == jacobi(a, q), (q, a)
+
+
+def test_modulus_is_capped_before_it_is_factored():
+    assert _odd_modulus_factors(999999) == [(3, 3), (7, 1), (11, 1), (13, 1), (37, 1)]
+    assert _odd_modulus_factors(9999991) == [(9999991, 1)]
+    assert _odd_modulus_factors(3 ** 14) == [(3, 14)]
+    for q in (1, 2, 4, 0, -3):
+        with pytest.raises(DomainError):
+            _odd_modulus_factors(q)
+    # a trial division of 10^18 + 3 would not finish
+    for q in (10 ** 7 + 19, 10 ** 18 + 3):
+        with pytest.raises(ResourceError):
+            _odd_modulus_factors(q)
+        with pytest.raises(ResourceError):
+            quadratic_character(q)
+        with pytest.raises(ResourceError):
+            pv_ratio(q)
+    with pytest.raises(ResourceError):
+        _chi_period(1000001)  # 101 * 9901: the composite cap
 
 
 def test_pv_ratio_values():

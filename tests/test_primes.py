@@ -271,7 +271,7 @@ def test_li_series_bits_are_frozen():
 def test_li_series_value_depends_on_x_alone(prime_table):
     # more than two blocks of distinct primes, and each listed twice: an
     # x gets the same bits wherever, and however often, it is listed
-    xs = prime_table.float_primes()[: 2 * _BLOCK + 100]
+    xs = prime_table.primes.astype(np.float64)[: 2 * _BLOCK + 100]
     acc, half = _li(xs)
     acc2, half2 = _li(np.repeat(xs, 2))
     assert np.array_equal(acc2, np.repeat(acc, 2))
@@ -313,7 +313,7 @@ def test_li_series_error_model_against_mpmath(prime_table):
     acc, half = _li(xs)
     # primes on both sides of the old block boundaries, evaluated as a
     # step sweep lists them
-    ps = prime_table.float_primes()[: 3 * _BLOCK + 3]
+    ps = prime_table.primes.astype(np.float64)[: 3 * _BLOCK + 3]
     near = [i + d for i in (_BLOCK, 2 * _BLOCK, 3 * _BLOCK)
             for d in (-2, -1, 0, 1, 2)]
     pacc, phalf = _li(np.repeat(ps, 2))
@@ -368,7 +368,7 @@ def test_li_against_mpmath(prime_table):
     series' own."""
     mp = pytest.importorskip("mpmath")
     rng = np.random.default_rng(2016)
-    ps = prime_table.float_primes()
+    ps = prime_table.primes.astype(np.float64)
     small = rng.choice(ps[ps > 2.0], 1000, replace=False)
     large = [least_prime_3mod4_above(x)
              for x in np.exp(rng.uniform(np.log(1e6), np.log(1e8), 1000))]
@@ -506,7 +506,7 @@ def test_prefix_bits_are_frozen(prime_table, name):
 
 @pytest.mark.parametrize("name", sorted(PREFIX_DIGESTS))
 def test_prefix_within_one_ulp_of_fsum(prime_table, name):
-    ps = prime_table.float_primes()
+    ps = prime_table.primes.astype(np.float64)
     terms = 1.0 / ps if name == "recip_prefix" else np.log(ps) ** 2 / ps
     prefix = getattr(prime_table, name)()
     rng = np.random.default_rng(8)

@@ -21,7 +21,7 @@ def prime_zeta(k: int, table) -> Enclosure:
     if not isinstance(k, (int, np.integer)) or k < 2:
         raise DomainError(f"prime_zeta needs integer k >= 2, got {k!r}")
     k = int(k)
-    ps = table.float_primes()
+    ps = table.primes.astype(np.float64)
     powers = np.zeros_like(ps)
     cut = table.prime_pi(2.0 ** (1080 / k))
     np.power(ps[:cut], -float(k), out=powers[:cut])
