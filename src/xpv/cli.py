@@ -38,7 +38,7 @@ from .constants import (
     PUBLISHED_NU3_BOUND,
     PUBLISHED_V1,
 )
-from .core import DEFAULT_ETA, geometric_grid
+from .core import DEFAULT_ETA
 from .dickman import (
     build_rho_table,
     max_exponent,
@@ -85,9 +85,6 @@ STAMPS = [
     "asymptotic lower-order terms are dropped wherever the source "
     "estimates include them",
 ]
-
-_TABULAR = {"dickman", "table", "mfunc", "charsum"}
-
 
 # ---------------------------------------------------------------------------
 # deterministic serialization
@@ -202,77 +199,62 @@ def _int_list(text: str):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    common.add_argument("--out", default=None, help="write the report to a file")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--sieve-limit", type=int, default=None,
-                        help="override the sieve cap (or set XPV_SIEVE_LIMIT)")
-    common.add_argument("--safety-margin", type=_non_negative, default=DEFAULT_ETA,
+    def report(*formats):
+        p = argparse.ArgumentParser(add_help=False)
+        p.add_argument("--format", choices=formats, default="json")
+        p.add_argument("--out", default=None, help="write the report to a file")
+        return p
+
+    plain, tabular = report("json", "text"), report("json", "csv", "text")
+    margin = argparse.ArgumentParser(add_help=False)
+    margin.add_argument("--safety-margin", type=_non_negative, default=DEFAULT_ETA,
                         help="relative threshold separating pass from indeterminate")
 
     parser = argparse.ArgumentParser(prog="xpv")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=[plain, margin],
                        help="sweep one registered inequality over a range")
     p.add_argument("--check", required=True)
     p.add_argument("--from", dest="x_from", type=_positive, required=True)
     p.add_argument("--to", dest="x_to", type=_positive, required=True)
-    p.add_argument("--partitions", type=int, default=1)
+    p.add_argument("--sieve-limit", type=int, default=DEFAULT_SIEVE_CAP,
+                   help="the largest number a step check may sieve to")
 
-    p = sub.add_parser("dickman", parents=[common],
+    p = sub.add_parser("dickman", parents=[tabular, margin],
                        help="build the log-rho table and run exponent checks")
     p.add_argument("--xmax", type=_positive, required=True)
     p.add_argument("--step", type=_positive, default=2.0 ** -10)
     p.add_argument("--exponent-check", action="append", default=[],
                    metavar="LO,HI,E,SOURCE")
 
-    p = sub.add_parser("constants", parents=[common],
+    p = sub.add_parser("constants", parents=[plain],
                        help="assemble the constant ledger and case bounds")
     p.add_argument("--c0", type=_positive, default=PUBLISHED_C0)
     p.add_argument("--optimize", action="store_true")
 
-    p = sub.add_parser("table", parents=[common],
+    p = sub.add_parser("table", parents=[tabular],
                        help="reproduce the published exponent table")
     p.add_argument("--c1", type=_float_list, default=None)
     p.add_argument("--c", type=_float_list, default=None)
     p.add_argument("--delta-paper", action="store_true", dest="delta_published",
                    help="use the published delta values as overrides")
 
-    p = sub.add_parser("mfunc", parents=[common],
+    p = sub.add_parser("mfunc", parents=[tabular],
                        help="statistics and empirical checks for one function")
     p.add_argument("--kind", required=True)
     p.add_argument("--x", type=_float_list, required=True)
     p.add_argument("--c", type=_pv_constant, default=0.5)
 
-    p = sub.add_parser("charsum", parents=[common],
+    p = sub.add_parser("charsum", parents=[tabular],
                        help="quadratic character sums")
     p.add_argument("--q", type=_int_list, required=True)
     p.add_argument("--pv-ratio", action="store_true", dest="pv")
     return parser
 
 
-def _sieve_cap(args) -> int:
-    if args.sieve_limit is not None:
-        return int(args.sieve_limit)
-    env = os.environ.get("XPV_SIEVE_LIMIT")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise UsageError(f"XPV_SIEVE_LIMIT must be an integer, got {env!r}")
-    return DEFAULT_SIEVE_CAP
-
-
-def _config_echo(args) -> dict:
-    out = {k: v for k, v in vars(args).items() if k != "command"}
-    out["sieve_cap"] = _sieve_cap(args)
-    return out
-
-
-def _parse_kind(text: str, seed: int) -> MultiplicativeSpec:
+def _parse_kind(text: str) -> MultiplicativeSpec:
     def number(kind, tok):
         try:
             return kind(tok)
@@ -289,7 +271,9 @@ def _parse_kind(text: str, seed: int) -> MultiplicativeSpec:
             raise UsageError("qchar needs a modulus, e.g. qchar:3")
         return quadratic_character(number(int, rest))
     if head in ("random", "random_pm1"):
-        return random_pm1(number(int, rest) if rest else seed)
+        if not rest:
+            raise UsageError("random needs a seed, e.g. random:5")
+        return random_pm1(number(int, rest))
     if head == "custom":
         if not rest:
             raise UsageError("custom needs prime=value pairs, e.g. custom:2=0.5,3=-1")
@@ -335,17 +319,10 @@ def _named_checks(checks: dict) -> list:
 
 def _cmd_verify(args):
     cd = check_def(args.check)
-    # --partitions is checked and echoed, but the one chunked sweep gives
-    # the same results for every accepted value
-    most = max(1, sum(xs.size for xs, _ in geometric_grid(args.x_from, args.x_to)))
-    if not 1 <= args.partitions <= most:
-        raise UsageError(
-            f"--partitions must lie in [1, {most}], the number of points of "
-            f"the 2^(1/128) geometric grid on the range"
-        )
+    cd.check_range(args.x_from, args.x_to)  # before the sieve, which may be large
     table = None
     if cd.states.needs_table:
-        table = sieve_primes(int(math.ceil(args.x_to)), cap=_sieve_cap(args))
+        table = sieve_primes(int(math.ceil(args.x_to)), cap=args.sieve_limit)
         if cd.states.prefix is not None:
             # the prime sums are table work: build them before the sweep,
             # so they stay out of the sweep's own time
@@ -400,7 +377,7 @@ def _cmd_dickman(args):
 
 
 def _cmd_constants(args):
-    ledger = assemble_ledger(args.c0, sieve_primes(LEDGER_PRIMES, cap=_sieve_cap(args)))
+    ledger = assemble_ledger(args.c0, sieve_primes(LEDGER_PRIMES))
     k_enc, nu2_enc, nu3_enc = ledger.K_enclosure, ledger.nu2_enclosure, ledger.nu3_enclosure
     f = PeriodicF.build()
     cb = case_bounds(ErrorParams(PUBLISHED_BEST_C, 0, PUBLISHED_EPS, PUBLISHED_K2), f)
@@ -527,13 +504,13 @@ def _cmd_table(args):
 
 
 def _cmd_mfunc(args):
-    spec = _parse_kind(args.kind, args.seed)
+    spec = _parse_kind(args.kind)
     xs = args.x
     if not xs:
         raise UsageError("--x needs at least one value")
     for x in xs:
         check_stats_x(x)
-    table = sieve_primes(max(LEDGER_PRIMES, int(max(xs))), cap=_sieve_cap(args))
+    table = sieve_primes(max(LEDGER_PRIMES, int(max(xs))))
     ledger = assemble_ledger(PUBLISHED_C0, table)
     results = []
     checks = []
@@ -614,11 +591,6 @@ def run(argv=None) -> int:
         except OSError as exc:
             return _cannot_write(args.out, exc)
     try:
-        if args.format == "csv" and args.command not in _TABULAR:
-            raise UsageError(
-                f"csv output is only available for: {', '.join(sorted(_TABULAR))}"
-            )
-        config = _config_echo(args)
         results, checks, findings, csv = _HANDLERS[args.command](args)
     except XpvError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -627,7 +599,7 @@ def run(argv=None) -> int:
     report = {
         "version": __version__,
         "command": args.command,
-        "config": config,
+        "config": {k: v for k, v in vars(args).items() if k != "command"},
         "stamps": STAMPS,
         "results": results,
         "discrepancies": failed + findings,

@@ -79,7 +79,9 @@ def margins_verdict(margins, scales, eta: float = DEFAULT_ETA) -> str:
     """Vectorized verdict over a sweep: fail if any point fails, else
     indeterminate if any point is too close to call, else pass."""
     margins = np.asarray(margins)
-    thresholds = eta * np.abs(np.asarray(scales))
+    # a threshold past the float range reads inf, as in classify
+    with np.errstate(over="ignore"):
+        thresholds = eta * np.abs(np.asarray(scales))
     ok = (margins == 0.0) | (margins >= thresholds)
     bad = (margins <= -thresholds) & (margins != 0.0)
     if bad.any():

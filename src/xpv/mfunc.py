@@ -67,12 +67,17 @@ def _prime_powers(n: int):
 
 def _odd_modulus_factors(q: int) -> list:
     """The prime powers (p, e) of an odd character modulus 3 <= q <=
-    CHAR_PRIME_CAP, capped before it is factored."""
+    CHAR_PRIME_CAP, capped before it is factored; a composite q is
+    capped at CHAR_COMPOSITE_CAP, decided from its factors."""
     if q < 3 or q % 2 == 0:
         raise DomainError(f"a character modulus must be odd and >= 3, got {q}")
     if q > CHAR_PRIME_CAP:
         raise ResourceError(f"character modulus capped at q <= {CHAR_PRIME_CAP:.0e}, got {q}")
-    return list(_prime_powers(q))
+    factors = list(_prime_powers(q))
+    if q > CHAR_COMPOSITE_CAP and factors != [(q, 1)]:
+        raise ResourceError(
+            f"composite modulus capped at q <= {CHAR_COMPOSITE_CAP:.0e}, got {q}")
+    return factors
 
 
 @dataclass(frozen=True)
@@ -391,8 +396,6 @@ def _chi_period(q: int) -> np.ndarray:
     factors = _odd_modulus_factors(q)
     if factors == [(q, 1)]:  # one factor: no table of ones to multiply into
         chi = _legendre_period(q)
-    elif q > CHAR_COMPOSITE_CAP:
-        raise ResourceError(f"composite modulus capped at q <= {CHAR_COMPOSITE_CAP:.0e}")
     else:
         chi = np.ones(q, dtype=np.int8)
         for p, e in factors:
@@ -453,9 +456,7 @@ def pv_ratio(q: int) -> float:
 
 @dataclass
 class EmpiricalChecks:
-    spec_description: str
     row: StatsRow
-    c: float
     checks: dict = field(default_factory=dict)
     notes: list = field(default_factory=list)
 
@@ -472,12 +473,7 @@ def empirical_checks(
     lower-order terms are dropped throughout and stamped below.
     """
     row = stats(spec, x, table)
-    out = EmpiricalChecks(
-        spec_description=spec.description,
-        row=row,
-        c=c,
-        notes=["asymptotic lower-order terms dropped in every bound"],
-    )
+    out = EmpiricalChecks(row, notes=["asymptotic lower-order terms dropped in every bound"])
 
     rhs = ledger.final * math.exp(-ledger.K * row.u)
     abs_m = abs(row.M)

@@ -678,6 +678,20 @@ class CheckDef:
     stationary: tuple = ()
     crossover: bool = False
 
+    def check_range(self, x_lo: float, x_hi: float) -> None:
+        """Raise UsageError for an empty range or a non-finite bound, and
+        PreconditionError when the range leaves the stated validity (the
+        message names the valid range)."""
+        if not (x_lo <= x_hi):
+            raise UsageError(f"empty range [{x_lo}, {x_hi}]")
+        if not (math.isfinite(x_lo) and math.isfinite(x_hi)):
+            raise UsageError(f"range [{x_lo}, {x_hi}] must be finite")
+        if not self.valid(x_lo, x_hi):
+            raise PreconditionError(
+                f"check {self.check_id!r} is valid for {self.validity}; "
+                f"requested range [{x_lo}, {x_hi}] lies outside it"
+            )
+
 
 def _compare(rhs, lhs=None, upper=True):
     """Margins of lhs <= rhs (``upper``) or lhs >= rhs, scaled by rhs.
@@ -824,20 +838,11 @@ def verify_inequality(
     that x and its state alone, li included, so neither the chunking nor
     x_hi moves a bit.
 
-    Raises UsageError for an unknown check id, an empty range or a
-    non-finite bound, and PreconditionError when the range leaves the
-    check's stated validity interval (the message names the valid range).
+    Raises UsageError for an unknown check id, and whatever
+    ``CheckDef.check_range`` raises for the range.
     """
     cd = check_def(check_id)
-    if not (x_lo <= x_hi):
-        raise UsageError(f"empty range [{x_lo}, {x_hi}]")
-    if not (math.isfinite(x_lo) and math.isfinite(x_hi)):
-        raise UsageError(f"range [{x_lo}, {x_hi}] must be finite")
-    if not cd.valid(x_lo, x_hi):
-        raise PreconditionError(
-            f"check {check_id!r} is valid for {cd.validity}; "
-            f"requested range [{x_lo}, {x_hi}] lies outside it"
-        )
+    cd.check_range(x_lo, x_hi)
     if cd.states.needs_table:
         _require_table(table, x_hi, check_id)
     extra = [x for x in cd.stationary if x_lo < x <= x_hi]

@@ -16,6 +16,7 @@ import time
 import numpy as np
 import pytest
 
+from xpv import core
 from xpv.cli import run
 from xpv.dickman import build_rho_table, rho_log, verify_rho_exponent
 from xpv.meanvalue import (
@@ -296,25 +297,21 @@ def test_criterion_09_multiplicative_checks(acceptance_lines, prime_table, ledge
     _record(acceptance_lines, 9, ok, detail)
 
 
-def test_criterion_10_determinism(acceptance_lines, capsys):
+def test_criterion_10_determinism(acceptance_lines, capsys, monkeypatch):
     argv = ["verify", "--check", "mertens-remainder", "--from", "2",
-            "--to", "100000", "--partitions", "4"]
+            "--to", "100000"]
     assert run(list(argv)) == 0
     first = capsys.readouterr().out
     assert run(list(argv)) == 0
     second = capsys.readouterr().out
     bytes_ok = first == second
-    assert run(argv[:-2]) == 0
-    single = json.loads(capsys.readouterr().out)["results"][0]
-    split = json.loads(first)["results"][0]
-    merge_ok = (
-        single["worst_margin"] == split["worst_margin"]
-        and single["arg_min"] == split["arg_min"]
-        and single["verdict"] == split["verdict"]
-    )
-    ok = bytes_ok and merge_ok
+    # 19185 states: the 9591 primes in one chunk of 2^16 states, or in 19 of 2^10
+    monkeypatch.setattr(core, "_SWEEP_CHUNK", 1 << 10)
+    assert run(list(argv)) == 0
+    split_ok = capsys.readouterr().out == first
+    ok = bytes_ok and split_ok
     detail = (
-        "identical argv gives byte-identical JSON: %s; partitioned sweep "
-        "agrees with single-threaded worst point: %s" % (bytes_ok, merge_ok)
+        "identical argv gives byte-identical JSON: %s; the sweep in chunks of "
+        "2^10 states gives the report of one chunk: %s" % (bytes_ok, split_ok)
     )
     _record(acceptance_lines, 10, ok, detail)

@@ -66,15 +66,34 @@ def test_exit_one_on_failed_check(capsys):
     assert rep["discrepancies"][0]["kind"] == "check-not-passed"
 
 
-def test_exit_two_on_usage(capsys, monkeypatch):
+def _exit_code(argv):
+    try:
+        return run(argv)
+    except SystemExit as exc:  # argparse refuses the argv
+        return exc.code
+
+
+def test_exit_two_on_usage(capsys):
     assert run(["verify", "--check", "nope", "--from", "2", "--to", "3"]) == 2
     assert run(["verify", "--check", "pnt-lower", "--from", "2", "--to", "9"]) == 2
-    assert run(["constants", "--format", "csv"]) == 2
+    assert _exit_code(["constants", "--format", "csv"]) == 2
     # refused before the table is allocated
     assert run(["dickman", "--xmax", "1e9"]) == 2
-    monkeypatch.setenv("XPV_SIEVE_LIMIT", "abc")
-    assert run(["charsum", "--q", "7"]) == 2
+    # an option the subcommand does not take
+    assert _exit_code(["charsum", "--q", "7", "--seed", "3"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    "verify --check pnt-lower --from 59 --to 1e5",
+    "charsum --q 7",
+])
+def test_report_depends_on_its_argv_alone(argv, capsys, monkeypatch):
+    monkeypatch.delenv("XPV_SIEVE_LIMIT", raising=False)
+    plain = _run(capsys, *argv.split())
+    for value in ("abc", "1000"):
+        monkeypatch.setenv("XPV_SIEVE_LIMIT", value)
+        assert _run(capsys, *argv.split()) == plain, value
 
 
 @pytest.mark.parametrize("argv", [
@@ -107,23 +126,6 @@ def test_li_checks_at_the_top_of_the_float_range(check, capsys):
 def test_bad_exponent_check_numbers_are_exit_two(capsys):
     for spec in ("1,inf,1.15,table", "1,8,x,table", "0,8,1.15,table"):
         assert run(["dickman", "--xmax", "8", "--exponent-check", spec]) == 2
-    capsys.readouterr()
-
-
-def test_partitions_capped_before_splitting(capsys):
-    start = time.perf_counter()
-    code = run(["verify", "--check", "pi-li-1", "--from", "2", "--to", "1e5",
-                "--partitions", "100000000"])
-    assert code == 2
-    assert time.perf_counter() - start < 1.0
-    assert "--partitions" in capsys.readouterr().err
-    assert run(["verify", "--check", "tail-power", "--from", "0.5", "--to", "1",
-                "--partitions", "0"]) == 2
-    # the cap is the geometric grid on the range: 2^(j/128) for
-    # j = -128..0 on [0.5, 1], 129 points
-    for parts, code in ((129, 0), (130, 2)):
-        assert run(["verify", "--check", "tail-power", "--from", "0.5", "--to", "1",
-                    "--partitions", str(parts)]) == code
     capsys.readouterr()
 
 
@@ -162,13 +164,12 @@ def test_schema_keys(capsys):
 
 def test_config_echo_includes_flags(capsys):
     _, out = _run(capsys, "verify", "--check", "tail-power",
-                  "--from", "0.5", "--to", "1", "--partitions", "1",
-                  "--safety-margin", "1e-9")
+                  "--from", "0.5", "--to", "1", "--safety-margin", "1e-9")
     rep = json.loads(out)
     cfg = rep["config"]
     assert cfg["check"] == "tail-power"
     assert cfg["x_from"] == 0.5 and cfg["x_to"] == 1
-    assert cfg["sieve_cap"] == 10 ** 9
+    assert cfg["sieve_limit"] == 10 ** 9
 
 
 def test_out_writes_file(tmp_path, capsys):
@@ -219,16 +220,6 @@ def test_out_keeps_its_bytes_when_the_run_is_exit_two(tmp_path, capsys):
 
 # ---------------------------------------------------------------------------
 # subcommand behavior
-
-
-def test_verify_partitions_match_single(capsys):
-    # pi-li-2 on [2, 100] has negative margins at 3 of its 50 states
-    for check, to, parts in (("mertens-remainder", "20000", "5"),
-                             ("pi-li-2", "100", "4")):
-        base = ["verify", "--check", check, "--from", "2", "--to", to]
-        _, single = _run(capsys, *base)
-        _, split = _run(capsys, *base, "--partitions", parts)
-        assert json.loads(split)["results"] == json.loads(single)["results"]
 
 
 def test_dickman_csv_grid(capsys):
@@ -370,7 +361,7 @@ def test_mfunc_c_checked_before_sieving(capsys, monkeypatch):
 def test_mfunc_kind_parsing(capsys):
     assert run(["mfunc", "--kind", "qchar", "--x", "100"]) == 2
     assert run(["mfunc", "--kind", "martian", "--x", "100"]) == 2
-    for kind in ("qchar:abc", "custom:2=x", "custom:x=1", "random:abc",
+    for kind in ("qchar:abc", "custom:2=x", "custom:x=1", "random", "random:abc",
                  "custom:4=0.5", "custom:1=0.5", "custom:2=0.5,2=-1"):
         assert run(["mfunc", "--kind", kind, "--x", "100"]) == 2
     code, out = _run(capsys, "mfunc", "--kind", "random:9", "--x", "100")
@@ -459,16 +450,6 @@ def test_sieve_limit_flag_blocks_large_builds(capsys):
     capsys.readouterr()
 
 
-def test_sieve_limit_env(monkeypatch, capsys):
-    monkeypatch.setenv("XPV_SIEVE_LIMIT", "1000")
-    code = run(["verify", "--check", "pnt-lower", "--from", "59", "--to", "100000"])
-    assert code == 2
-    monkeypatch.setenv("XPV_SIEVE_LIMIT", "200000")
-    code = run(["verify", "--check", "pnt-lower", "--from", "59", "--to", "100000"])
-    assert code == 0
-    capsys.readouterr()
-
-
 def test_text_format(capsys):
     code, out = _run(capsys, "charsum", "--q", "7", "--format", "text")
     assert code == 0
@@ -481,8 +462,11 @@ def test_text_format(capsys):
     "charsum --q 10000019",
     "charsum --q 1000001",
     "mfunc --kind qchar:1000000000000000003 --x 100",
+    "mfunc --kind qchar:1000001 --x 1e8",
     "dickman --xmax 5000",
     "verify --check pi-li-1 --from 2 --to 2e9",
+    "verify --check log2p-plain --from 2 --to 1e8",
+    "verify --check pnt-lower --from 2 --to 1e9",
     "dickman --xmax 10 --exponent-check 6,1e300,1.0,buchstab",
     "dickman --xmax 10 --exponent-check 6,5000,1.0,buchstab",
 ])

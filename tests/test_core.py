@@ -66,6 +66,13 @@ def test_margins_verdict_exact_zero_passes():
     assert margins_verdict([0.0, -1.0], [0.0, 1.0]) == "fail"
 
 
+def test_margins_verdict_threshold_past_the_float_range():
+    # eta * |scale| = 1e600 reads inf without a warning, as classify's does
+    for margin, want in ((1e300, "indeterminate"), (-1e300, "indeterminate"), (0.0, "pass")):
+        assert classify(margin, 1e300, eta=1e300) == want
+        assert margins_verdict([margin], [1e300], eta=1e300) == want
+
+
 def test_adaptive_simpson_polynomial_exact():
     val, err = adaptive_simpson(lambda t: t ** 3, 0.0, 2.0, 1e-12)
     assert val == pytest.approx(4.0, abs=1e-12)

@@ -400,7 +400,7 @@ def test_chi_period_is_the_jacobi_symbol():
 def test_modulus_is_capped_before_it_is_factored():
     assert _odd_modulus_factors(999999) == [(3, 3), (7, 1), (11, 1), (13, 1), (37, 1)]
     assert _odd_modulus_factors(9999991) == [(9999991, 1)]
-    assert _odd_modulus_factors(3 ** 14) == [(3, 14)]
+    assert _odd_modulus_factors(3 ** 12) == [(3, 12)]
     for q in (1, 2, 4, 0, -3):
         with pytest.raises(DomainError):
             _odd_modulus_factors(q)
@@ -412,8 +412,12 @@ def test_modulus_is_capped_before_it_is_factored():
             quadratic_character(q)
         with pytest.raises(ResourceError):
             pv_ratio(q)
-    with pytest.raises(ResourceError):
-        _chi_period(1000001)  # 101 * 9901: the composite cap
+    # the composite cap, decided from the factors: 101 * 9901, and 3^13,
+    # which is not squarefree either
+    for q in (1000001, 3 ** 13):
+        for refused in (_odd_modulus_factors, _chi_period, quadratic_character, pv_ratio):
+            with pytest.raises(ResourceError):
+                refused(q)
 
 
 def test_pv_ratio_values():
