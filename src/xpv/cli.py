@@ -173,6 +173,14 @@ def _positive(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    """A _positive number that is a whole number, such as 1e9."""
+    value = _positive(text)
+    if value != int(value):
+        raise argparse.ArgumentTypeError(f"must be a whole number, got {text!r}")
+    return int(value)
+
+
 def _non_negative(text: str) -> float:
     """Zero, or else a _positive number."""
     value = _number(text)
@@ -219,7 +227,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", required=True)
     p.add_argument("--from", dest="x_from", type=_positive, required=True)
     p.add_argument("--to", dest="x_to", type=_positive, required=True)
-    p.add_argument("--sieve-limit", type=int, default=DEFAULT_SIEVE_CAP,
+    p.add_argument("--sieve-limit", type=_positive_int, default=DEFAULT_SIEVE_CAP,
                    help="the largest number a step check may sieve to")
 
     p = sub.add_parser("dickman", parents=[tabular, margin],

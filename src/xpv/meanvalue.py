@@ -195,11 +195,38 @@ def tail_sum_small(c: float, k1: int) -> float:
     return float(_tss_grid(np.array([float(c)]), k1)[0])
 
 
+def _sum_prefixes(n: int):
+    """The prefix lengths, longest first, whose np.sum is a left operand of
+    numpy 2's pairwise np.sum over n contiguous float64 (a test guards it)."""
+    while n > 128:
+        n = n // 2 - n // 2 % 8
+        yield n
+
+
+def _tail_integral(a, b, t0):
+    """The integral of exp(-sqrt(a + b t)) over t >= t0, with u = sqrt(a + b t0)."""
+    u = np.sqrt(a + b * t0)
+    return 2.0 / b * (u + 1.0) * np.exp(-u)
+
+
 def _tsl_at(eps: float, k2: int, tau: float, two_pi_ks: np.ndarray,
             buf: np.ndarray) -> float:
+    """The series at tau with the bits of np.sum over all k2 + 1 terms, from
+    the shortest prefix m of ``_sum_prefixes`` whose tail bound B (the
+    integral from m - 1/2, with ``_tsl_upper``'s slack, which also covers
+    the integral's own underflow) is below ulp(f(0))/4: the full sum adds
+    each dropped right part R <= B to the prefix sum L >= f(0), and
+    B < ulp(L)/2 with numpy's f(0) a few ulps off libm's, so L + R rounds to L."""
     base = (1.0 + eps) * math.log(tau + 3.0) ** 2
-    # terms exp(-sqrt(base + 2 pi k / (DECAY_SCALE tau))), k = 0..k2, in buf
-    np.divide(two_pi_ks, DECAY_SCALE * tau, out=buf)
+    b = TWO_PI / (DECAY_SCALE * tau)
+    limit, m = math.ulp(math.exp(-math.sqrt(base))) / 4.0, k2 + 1
+    for half in _sum_prefixes(m):
+        if not _tail_integral(base, b, half - 0.5) * (1.0 + 1e-9) + 1e-300 < limit:
+            break  # a NaN bound stops here too
+        m = half
+    # terms exp(-sqrt(base + 2 pi k / (DECAY_SCALE tau))), k = 0..m-1, in buf
+    buf = buf[:m]
+    np.divide(two_pi_ks[:m], DECAY_SCALE * tau, out=buf)
     np.add(base, buf, out=buf)
     np.sqrt(buf, out=buf)
     np.negative(buf, out=buf)
@@ -217,10 +244,9 @@ def _tsl_upper(eps: float, k2: int, s: np.ndarray) -> np.ndarray:
     """An upper bound on ``_tsl_at`` at tau = e^s for each s of ``s``, with
     no per-k work.  The terms f(k) = exp(-sqrt(a + b k)), a = (1 + eps)
     log^2(tau + 3), b = 2 pi / (DECAY_SCALE tau), are convex and decreasing
-    in k, so f(k) is at most the integral of f over [k - 1/2, k + 1/2], and
-    the sum over k = 1..k2 is at most min((2/b)(u + 1), k2) e^-u with
-    u = sqrt(a + b/2): the closed form (2/b)(u + 1)e^-u of the integral from
-    1/2 to infinity, or k2 f(1/2).  Neither subtracts, so nothing cancels.
+    in k, so f(k) is at most the integral of f over [k - 1/2, k + 1/2]: the
+    sum over k = 1..k2 is at most ``_tail_integral`` from 1/2, (2/b)(u + 1)
+    e^-u, and at most k2 f(1/2).  Neither subtracts, so nothing cancels.
     f(0) and the tail term are added as ``_tsl_at`` has them.
 
     Rounding: every argument x = sqrt(...) of an exp, here and in
@@ -235,12 +261,11 @@ def _tsl_upper(eps: float, k2: int, s: np.ndarray) -> np.ndarray:
     tau = np.exp(s)
     a = (1.0 + eps) * np.log(tau + 3.0) ** 2
     b = TWO_PI / (DECAY_SCALE * tau)
-    u = np.sqrt(a + 0.5 * b)
     last = np.exp(-np.sqrt(a + b * k2))
     tail_factor = (np.sqrt(DECAY_SCALE * tau) * np.sqrt(TWO_PI * k2 + tau * DECAY_SCALE * a)
                    + DECAY_SCALE * tau) / math.pi
-    total = (np.exp(-np.sqrt(a)) + np.minimum(2.0 / b * (u + 1.0), k2) * np.exp(-u)
-             + last * tail_factor)
+    total = (np.exp(-np.sqrt(a)) + last * tail_factor
+             + np.minimum(_tail_integral(a, b, 0.5), k2 * np.exp(-np.sqrt(a + 0.5 * b))))
     return total * (1.0 + 1e-9) + 1e-300
 
 
@@ -250,7 +275,8 @@ def tail_sum_large(eps: float, k2: int) -> float:
     (endpoints included) whose points win only if larger.  A sampled max,
     not a certified sup.  A grid point runs the series only where
     ``_tsl_upper`` is not below the running max: a skipped point cannot
-    win, so the result has the bits of the full scan."""
+    win, so the result has the bits of the full scan, as each series has
+    those of the sum of all its terms (``_tsl_at``)."""
     if not 0 < eps < math.inf:
         raise DomainError(f"tail_sum_large needs finite eps > 0, got {eps}")
     if k2 < 0:

@@ -450,6 +450,23 @@ def test_sieve_limit_flag_blocks_large_builds(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("check,lo,hi", [("li-lower", "2", "100"), ("tail-power", "0.001", "1"),
+                                         ("pnt-lower", "59", "1000")])
+@pytest.mark.parametrize("limit", ["-1", "0", "1.5", "nan"])
+def test_sieve_limit_must_be_a_positive_whole_number(capsys, check, lo, hi, limit):
+    # the grid checks read no limit, yet refuse a bad one like the step checks
+    argv = ["verify", "--check", check, "--from", lo, "--to", hi, "--sieve-limit", limit]
+    assert _exit_code(argv) == 2
+    assert "--sieve-limit" in capsys.readouterr().err
+
+
+def test_sieve_limit_reads_a_number_as_to_does(capsys):
+    code, out = _run(capsys, "verify", "--check", "pnt-lower", "--from", "59", "--to", "1e3",
+                     "--sieve-limit", "1e3")
+    assert code == 0
+    assert json.loads(out)["config"]["sieve_limit"] == 1000
+
+
 def test_text_format(capsys):
     code, out = _run(capsys, "charsum", "--q", "7", "--format", "text")
     assert code == 0

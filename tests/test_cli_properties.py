@@ -46,14 +46,16 @@ def _verify(draw):
     # past the sieve cap is refused before a step check's sieve; a grid
     # check would sweep such a range, so it gets only unparsable ones
     huge = ["2e9", "1e300"] if REGISTRY[check].states.needs_table else ["abc"]
-    # as is a sieve limit under the range; a grid check reads no limit
-    small = ["1", "-1", "1e3", "x"] if REGISTRY[check].states.needs_table else ["1e3", "x"]
+    # as is a sieve limit under the range; a grid check reads no limit,
+    # but the parser refuses one that is not a positive whole number
+    bad_limit = ["-1", "0", "1.5", "nan", "x"]
+    small = ["1"] + bad_limit if REGISTRY[check].states.needs_table else bad_limit
     check, lo, hi, eta, limit = draw(_argv_slots([
         (st.just(check), st.just("nope")),
         (st.just(repr(lo)), st.one_of(_UNPARSABLE, st.just("1e300"))),
         (st.just(repr(hi)), st.one_of(_UNPARSABLE, st.sampled_from(huge))),
         (st.sampled_from(["1e-9", "0", "0.5", "1e300"]), _UNPARSABLE),
-        (st.sampled_from(["1000000000", "20000"]), st.sampled_from(small)),
+        (st.sampled_from(["1000000000", "1e9", "20000"]), st.sampled_from(small)),
     ]))
     return ["verify", "--check", check, "--from", lo, "--to", hi,
             "--safety-margin", eta, "--sieve-limit", limit]

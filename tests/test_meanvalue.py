@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from tail_oracle import tsl_full
 from xpv import meanvalue
 from xpv.constants import (
     EPSILON_TABLE_C,
@@ -179,6 +180,12 @@ def test_tsl_bits_are_frozen():
         (1.0, 7): "0x1.54aeb6fa09208p+1",
         (2.0, 1000): "0x1.5703e3de2e5c2p+0",
         (0.05, 20000): "0x1.f16f846db9370p+4",
+        # the optimizer's k2, recorded from the sum over all k2 + 1 terms
+        (0.5, 10 ** 5): "0x1.2d3455abd4c79p+2",
+        (3.61, 10 ** 5): "0x1.51f1ff042ac12p-1",
+        (0.5, 300000): "0x1.2d3455abd4c7bp+2",
+        (0.5, 10 ** 6): "0x1.2d3455abd4c79p+2",
+        (3.61, 10 ** 6): "0x1.51f1ff042ac0fp-1",
     }
     for (eps, k2), want in frozen.items():
         assert tail_sum_large(eps, k2).hex() == want, (eps, k2)
@@ -191,7 +198,7 @@ def test_tsl_upper_bounds_the_series_at_every_grid_point(k2):
     buf = np.empty_like(two_pi_ks)
     for eps in ((0.01, 3.61, 12.0) if k2 < 1000 else (3.61,)):
         upper = meanvalue._tsl_upper(eps, k2, s)
-        exact = np.array([meanvalue._tsl_at(eps, k2, math.exp(x), two_pi_ks, buf)
+        exact = np.array([tsl_full(eps, k2, math.exp(x), two_pi_ks, buf)
                           for x in s.tolist()])
         assert np.all(upper >= exact), (eps, k2, s[np.argmin(upper - exact)])
 
@@ -208,6 +215,24 @@ def test_tsl_runs_the_series_at_few_grid_points(monkeypatch):
     assert tail_sum_large(3.61, 300000).hex() == "0x1.51f1ff042ac13p-1"
     # 83 golden-section points, then 1000 grid points before the pruning
     assert len(calls) <= 90, len(calls)
+
+
+def test_tsl_sums_few_terms(monkeypatch):
+    class CountingSum:
+        terms = 0
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def sum(self, a):
+            self.terms += a.size
+            return np.sum(a)
+
+    counting = CountingSum()
+    monkeypatch.setattr(meanvalue, "np", counting)
+    assert tail_sum_large(3.61, 300000).hex() == "0x1.51f1ff042ac13p-1"
+    # the full series would pass 84 x 300001 terms, 25.2 million
+    assert 0 < counting.terms < 3 * 10 ** 6, counting.terms
 
 
 def test_tss_dominates_truncated_series():
