@@ -47,6 +47,7 @@ TAIL_COEFF = 0.1522
 TWO_PI = 2.0 * math.pi
 
 LEDGER_PRIMES = 10 ** 6  # the prime limit of nu2 in assemble_ledger
+LEDGER_NU3_TERMS = 2000  # the head length T of nu3 in assemble_ledger
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +57,7 @@ LEDGER_PRIMES = 10 ** 6  # the prime limit of nu2 in assemble_ledger
 @lru_cache(maxsize=4)
 def _abs_cos_mean(k: float):
     """(mean, err_bound) of |cos t - k| over one period, split at the kinks so
-    each quadrature piece is smooth.  Cached: solve_K and build check one K."""
+    each quadrature piece is smooth.  Cached, as PeriodicF.build checks one K."""
     theta = math.acos(k)
 
     def above(t):
@@ -75,9 +76,15 @@ def _abs_cos_mean(k: float):
 def solve_K() -> Enclosure:
     """The root K of: mean of |cos t - K| over a period equals 1 - K.
 
-    Bisection on the closed reduction (2/pi)(sin theta - K theta) = 1 - 2K,
-    theta = arccos K; the quadrature mean at the midpoint must match 1 - K
-    to 1e-10 plus its error bound, or a PrecisionError is raised.
+    Bisection on the closed reduction h(k) = (2/pi)(sin theta - k theta)
+    - (1 - 2k), theta = arccos k, padded by 1e-11 each side.  h' = 2 -
+    2 theta/pi > 0, so the one root lies in the enclosure when the computed
+    h is below -B at its lower end and above B at its upper end, else a
+    PrecisionError.  B = 32u (u = 2^-53) bounds h's float error on [0.2,
+    0.45], with acos and sin within 2 ulp (4u relative): theta errs by 5.5u,
+    sin theta by 6.5u, k theta by 3u, their difference by 10u, its product
+    with 2/pi by 8.1u and 1 - 2k by 0.3u; the last subtraction is exact.
+    |h| is about 1.2e-11 at the padded ends.
     """
 
     def h(k):
@@ -85,12 +92,9 @@ def solve_K() -> Enclosure:
         return (2.0 / math.pi) * (math.sin(theta) - k * theta) - (1.0 - 2.0 * k)
 
     lo, hi = bisect_root(h, 0.2, 0.45, tol=1e-11)
-    # h's rounding moves the root by far less than the pad: h' > 1.2 here
     enc = Enclosure(lo - 1e-11, hi + 1e-11)
-    k = enc.mid
-    mean, err = _abs_cos_mean(k)
-    if abs(mean - (1.0 - k)) > 1e-10 + err:
-        raise PrecisionError(f"solve_K cross-check: quadrature mean {mean} vs {1.0 - k}")
+    if not (h(enc.lo) < -32.0 * _U and h(enc.hi) > 32.0 * _U):
+        raise PrecisionError(f"solve_K: h does not change sign across {enc}")
     return enc
 
 
@@ -256,7 +260,9 @@ def _tsl_upper(eps: float, k2: int, s: np.ndarray) -> np.ndarray:
     is subnormal, under 1e-311 for all k2 + 1 < 2^40 terms together; the
     pairwise sum of positive terms adds under 1e-14 relative.  The relative
     slack 1e-9 and the absolute 1e-300 cover both sides, two orders over;
-    the raw bound was seen at most 4e-15 below ``_tsl_at``.
+    the raw bound was seen at most 4e-15 below ``_tsl_at``.  Where sqrt(a)
+    >= 746, every exp argument in both is below -745.2, so every term and
+    the series are exactly 0, and so is the bound.
     """
     tau = np.exp(s)
     a = (1.0 + eps) * np.log(tau + 3.0) ** 2
@@ -266,7 +272,7 @@ def _tsl_upper(eps: float, k2: int, s: np.ndarray) -> np.ndarray:
                    + DECAY_SCALE * tau) / math.pi
     total = (np.exp(-np.sqrt(a)) + last * tail_factor
              + np.minimum(_tail_integral(a, b, 0.5), k2 * np.exp(-np.sqrt(a + 0.5 * b))))
-    return total * (1.0 + 1e-9) + 1e-300
+    return np.where(np.sqrt(a) >= 746.0, 0.0, total * (1.0 + 1e-9) + 1e-300)
 
 
 def tail_sum_large(eps: float, k2: int) -> float:
@@ -274,9 +280,9 @@ def tail_sum_large(eps: float, k2: int) -> float:
     log tau in [0, 30]: a golden section, then a thousand-point grid
     (endpoints included) whose points win only if larger.  A sampled max,
     not a certified sup.  A grid point runs the series only where
-    ``_tsl_upper`` is not below the running max: a skipped point cannot
-    win, so the result has the bits of the full scan, as each series has
-    those of the sum of all its terms (``_tsl_at``)."""
+    ``_tsl_upper`` is above the running max: a skipped point cannot win
+    (on a tie max keeps the running max), so the result has the bits of
+    the full scan, as each series has those of its full sum (``_tsl_at``)."""
     if not 0 < eps < math.inf:
         raise DomainError(f"tail_sum_large needs finite eps > 0, got {eps}")
     if k2 < 0:
@@ -293,7 +299,7 @@ def tail_sum_large(eps: float, k2: int) -> float:
     best = golden_max(g, 0.0, 30.0)[1]
     grid = np.linspace(0.0, 30.0, 1000)
     for s, upper in zip(grid.tolist(), _tsl_upper(eps, k2, grid).tolist()):
-        if not upper < best:  # NaN runs the series, as max(best, *grid) would
+        if not upper <= best:  # NaN runs the series, as max(best, *grid) would
             best = max(best, g(s))
     return best
 
@@ -480,21 +486,64 @@ def integral_exp_over_square() -> Enclosure:
 
 
 def nu3(k_trunc: int) -> Enclosure:
-    """Enclosure of sqrt of the sum over integer k of log^c(|k|+4) /
-    ((k-1/2)^2 + 1), c = 2 + 2K: the head |k| <= T = k_trunc from
-    ``_nu3_head``, and the two-sided tail beyond T by an integral
-    comparison: log(u+4.5) <= A log u for u >= T-1/2 with A =
-    log(T+4)/log(T-1/2), then int_a^inf t^c e^-t dt <= a^c e^-a / (1 - c/a),
-    padded by 1024u for its dozen roundings.  Both edges round outward."""
+    """Enclosure of sqrt of s(c), the sum over integer k of log^c(|k|+4) /
+    ((k-1/2)^2 + 1), over c = 2 + 2K for all K in ``solve_K()``.  Terms grow
+    with c (log(|k|+4) > 1), so the ends are s at c from K.lo rounded down
+    and from K.hi rounded up: the head |k| <= T = k_trunc (``_nu3_head``)
+    plus the tail (``_nu3_tail``), padded, the square root rounded outward."""
     if k_trunc < 10 ** 3:
         raise DomainError(f"nu3 needs k_trunc >= 1e3, got {k_trunc}")
-    c = 2.0 + 2.0 * solve_K().mid
-    s, pad = _nu3_head(k_trunc, c)
-    a = math.log(k_trunc - 0.5)
-    big_a = math.log(k_trunc + 4.0) / a
-    tail = 2.0 * big_a ** c * a ** c * math.exp(-a) / (1.0 - c / a) * (1.0 + 1024.0 * _U)
-    return Enclosure(math.nextafter(math.sqrt(s - pad), -math.inf),
-                     math.nextafter(math.sqrt(s + tail + pad), math.inf))
+    ends = []
+    for k, side in ((solve_K().lo, -math.inf), (solve_K().hi, math.inf)):
+        c = math.nextafter(2.0 + 2.0 * k, side)
+        (s, pad), (tail, tail_pad) = _nu3_head(k_trunc, c), _nu3_tail(k_trunc, c)
+        s += tail + math.copysign(pad + tail_pad, side)
+        ends.append(math.nextafter(math.sqrt(s), side))
+    return Enclosure(*ends)
+
+
+def _nu3_tail(k_trunc: int, c: float) -> tuple:
+    """(v, pad): the sum over k > T = k_trunc of g(k) = log^c(k+4) w(k), w(t)
+    = 1/((t-1/2)^2 + 1) + 1/((t+1/2)^2 + 1) (k paired with -k), lies in
+    v -+ pad, for T >= 1e3 and 2 <= c < 3.  Euler-Maclaurin gives I - g(T)/2
+    - g'(T)/12 + R, I the integral of g over t >= T, |R| <= (sqrt 3/216)
+    times the integral of |g'''|.  By Leibniz, with |(1/(1+x^2))^(j)| <=
+    (j+1)!/x^(j+2) and |(L^c)^(j)| <= (j-1)! c L^(c-1)/t^j, L = log(t+4):
+    |g'''| <= (48 + 52c/L) L^c/(t-1/2)^5 <= 71 L^c/(t-1/2)^5, and L^c/(t-1/2)
+    decreases, so |R| <= 0.19 L(T)^c/(T-1/2)^4.
+
+    I in s = log t: 16-point Gauss-Legendre (Golub-Welsch) on 17 panels of
+    length l = 2 from log T.  F(s) = e^s g(e^s) is analytic for |Im s| <= d
+    = 1.5, with |F| <= M(r) = 2r (log(r+4) + d^2/(2 log r))^c / ((r-1/2)^2
+    - 1), r = e^(Re s), so Cauchy's estimate in the Gauss error term bounds a
+    panel from a by l^33 (16!)^4 M(e^(a-d)) / (33 (32!)^2 d^32).  Past the
+    panels, from t0, g <= 2 log^c(t+4)/(t-1/2)^2 and the decrease of
+    log(t+4)/log(t-1/2) give at most 2 log^c(t0+4) e^-b/(1 - c/b), b =
+    log(t0-1/2), by the incomplete gamma bound; doubled for its roundings.
+    F's roundings (45u each), the nodes and weights (1e-14), the float panel
+    ends and the sums stay under 1e-13 relative: the 1e-12 pad covers them."""
+    n, d, width, panels = 16, 1.5, 2.0, 17
+    j = np.arange(1.0, n)
+    beta = j / np.sqrt(4.0 * j * j - 1.0)
+    x, vec = np.linalg.eigh(np.diag(beta, 1) + np.diag(beta, -1))
+    starts = math.log(k_trunc) + width * np.arange(panels)
+    t = np.exp(starts[:, None] + 0.5 * width * (1.0 + x))
+    w = 1.0 / ((t - 0.5) ** 2 + 1.0) + 1.0 / ((t + 0.5) ** 2 + 1.0)
+    quad = width * float(np.sum(vec[0] ** 2 * t * np.log(t + 4.0) ** c * w))
+    r = np.exp(starts - d)
+    big_m = 2.0 * r * (np.log(r + 4.0) + d * d / (2.0 * np.log(r))) ** c / ((r - 0.5) ** 2 - 1.0)
+    gauss = (width ** (2 * n + 1) * math.factorial(n) ** 4
+             / ((2 * n + 1) * math.factorial(2 * n) ** 2 * d ** (2 * n)))
+    t0 = math.exp(float(starts[-1]) + width)
+    b = math.log(t0 - 0.5)
+    far = 2.0 * math.log(t0 + 4.0) ** c * math.exp(-b) / (1.0 - c / b)
+    big_l, ys = math.log(k_trunc + 4.0), (k_trunc - 0.5, k_trunc + 0.5)
+    g = big_l ** c * sum(1.0 / (y * y + 1.0) for y in ys)
+    dg = (c * g / (big_l * (k_trunc + 4.0))
+          - 2.0 * big_l ** c * sum(y / (y * y + 1.0) ** 2 for y in ys))
+    pad = (gauss * float(np.sum(big_m)) + 2.0 * far + 0.19 * big_l ** c / (k_trunc - 0.5) ** 4
+           + 1e-12 * (quad + g / 2.0 - dg / 12.0))
+    return quad - g / 2.0 - dg / 12.0, pad
 
 
 def _nu3_head(k_trunc: int, c: float) -> tuple:
@@ -521,7 +570,8 @@ def _nu3_head(k_trunc: int, c: float) -> tuple:
 @dataclass(frozen=True)
 class ConstantLedger:
     """The assembled constant chain, every value tagged with where it came
-    from; K, nu2 and nu3 are read off their enclosures, which ``as_dict`` omits."""
+    from; K (the midpoint), nu2 and nu3 (upper ends; nu3's holds over all of
+    K's enclosure) are read off their enclosures, which ``as_dict`` omits."""
 
     K_enclosure: Enclosure
     C0: float
@@ -560,7 +610,7 @@ def assemble_ledger(C0: float, table: PrimeTable) -> ConstantLedger:
         raise DomainError(f"assemble_ledger needs C0 > 0, got {C0}")
     if table.limit > LEDGER_PRIMES:
         table = PrimeTable(LEDGER_PRIMES, table.primes[: table.prime_pi(LEDGER_PRIMES)])
-    k_enc, nu2_enc, nu3_enc = solve_K(), nu2(table), nu3(10 ** 6)
+    k_enc, nu2_enc, nu3_enc = solve_K(), nu2(table), nu3(LEDGER_NU3_TERMS)
     k, nu1 = k_enc.mid, tail_power_sum_bound(1.0)
     big_c = C0 + nu1 + nu2_enc.hi + k * (MERTENS_M + 1.0)
     try:

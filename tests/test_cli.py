@@ -295,12 +295,20 @@ def test_constants_evaluates_each_ledger_input_once(capsys, monkeypatch):
 
 
 def test_constants_runs_the_mean_quadrature_once(capsys):
-    # solve_K's cross-check and PeriodicF.build's mean check share one K
+    # PeriodicF.build's mean check is the only quadrature; solve_K runs none
     meanvalue.solve_K.cache_clear()
     meanvalue._abs_cos_mean.cache_clear()
     _run(capsys, "constants")
     info = meanvalue._abs_cos_mean.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+    assert (info.misses, info.hits) == (1, 0)
+
+
+def test_mfunc_runs_no_mean_quadrature(capsys):
+    meanvalue.solve_K.cache_clear()
+    meanvalue._abs_cos_mean.cache_clear()
+    assert _run(capsys, "mfunc", "--kind", "liouville", "--x", "1000")[0] == 0
+    info = meanvalue._abs_cos_mean.cache_info()
+    assert (info.misses, info.hits) == (0, 0)
 
 
 def test_random_signs_hashed_once_per_job(capsys, monkeypatch):

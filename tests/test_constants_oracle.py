@@ -6,21 +6,41 @@ import pytest
 mpmath = pytest.importorskip("mpmath")
 mp = mpmath.mp
 
-from xpv.meanvalue import _nu3_head, solve_K  # noqa: E402
+from xpv.meanvalue import (  # noqa: E402
+    LEDGER_NU3_TERMS,
+    _abs_cos_mean,
+    _nu3_head,
+    nu3,
+    solve_K,
+)
 from xpv.primes import nu2  # noqa: E402
 from zeta_oracle import prime_zeta  # noqa: E402
 
 
+def _h(k):
+    # the closed reduction (2/pi)(sin theta - K theta) - (1 - 2K), theta = arccos K
+    return 2 / mp.pi * (mp.sin(mp.acos(k)) - k * mp.acos(k)) - (1 - 2 * k)
+
+
 def test_solve_K_contains_the_closed_reduction_root():
-    # (2/pi)(sin theta - K theta) = 1 - 2K with theta = arccos K
     with mp.workdps(30):
-        root = mp.findroot(
-            lambda k: 2 / mp.pi * (mp.sin(mp.acos(k)) - k * mp.acos(k)) - (1 - 2 * k),
-            mp.mpf("0.33"),
-        )
+        root = mp.findroot(_h, mp.mpf("0.33"))
         assert abs(root - mp.mpf("0.32867416290854")) < 1e-14
     enc = solve_K()
     assert enc.lo <= root <= enc.hi
+
+
+def test_h_changes_sign_across_solve_K():
+    enc = solve_K()
+    with mp.workdps(30):
+        assert _h(mp.mpf(enc.lo)) < -1e-12 and _h(mp.mpf(enc.hi)) > 1e-12
+
+
+def test_the_mean_quadrature_matches_one_minus_K():
+    # the cross-check solve_K ran on every job before its sign certificate
+    k = solve_K().mid
+    mean, err = _abs_cos_mean(k)
+    assert abs(mean - (1.0 - k)) <= 1e-10 + err
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 8, 16, 64])
@@ -48,3 +68,35 @@ def test_nu3_head_contains_the_30_digit_sum():
                        for k in range(-10 ** 3, 10 ** 3 + 1))
     assert s - pad <= want <= s + pad
     assert pad < 1e-12 * s
+
+
+def _nu3_series(k, head=10 ** 4):
+    """sqrt of the series at c = 2 + 2k: the head |k| <= 10^4 summed term by
+    term, and the tail past it by Euler-Maclaurin through g''' with mp.quad
+    and mp.diff; the next term is below 1e-25 there."""
+    c = 2 + 2 * mp.mpf(k)
+
+    def g(t):  # the terms at t and -t
+        return mp.log(t + 4) ** c * (1 / ((t - 0.5) ** 2 + 1) + 1 / ((t + 0.5) ** 2 + 1))
+
+    s = mp.log(4) ** c / mp.mpf(1.25) + mp.fsum(g(t) for t in range(1, head + 1))
+    tail = (mp.quad(g, [head, 10 * head, 10 ** 3 * head, mp.inf])
+            - g(head) / 2 - mp.diff(g, head) / 12 + mp.diff(g, head, 3) / 720)
+    return mp.sqrt(s + tail)
+
+
+@pytest.fixture(scope="module")
+def nu3_at_the_ends_of_K():
+    enc = solve_K()
+    with mp.workdps(30):
+        return [_nu3_series(k) for k in (enc.lo, enc.hi)]
+
+
+@pytest.mark.parametrize("k_trunc", [10 ** 3, LEDGER_NU3_TERMS, 10 ** 6])
+def test_nu3_contains_the_series_at_both_ends_of_K(nu3_at_the_ends_of_K, k_trunc):
+    enc = nu3(k_trunc)
+    assert enc.width <= 1e-9
+    for want in nu3_at_the_ends_of_K:
+        assert enc.lo <= want <= enc.hi
+    # below the upper end of the integral-comparison tail at K's midpoint
+    assert enc.hi < 4.337872503543039

@@ -65,22 +65,30 @@ def test_solve_K_bits_are_frozen():
     assert (enc.lo.hex(), enc.hi.hex()) == ("0x1.508ff5b2c0d1dp-2", "0x1.508ff5b338c7dp-2")
 
 
-def test_solve_K_runs_the_quadrature_once(monkeypatch):
-    # the closed reduction is bisected; the quadrature checks the root once
-    calls = []
-    real = meanvalue._abs_cos_mean
+def test_solve_K_runs_no_quadrature(monkeypatch):
+    # the closed reduction is bisected and its signs certify the root; the
+    # quadrature cross-check lives in test_constants_oracle
+    def quadrature(*args):
+        raise AssertionError("solve_K ran a quadrature")
 
-    def counted(k):
-        calls.append(k)
-        return real(k)
-
-    monkeypatch.setattr(meanvalue, "_abs_cos_mean", counted)
+    monkeypatch.setattr(meanvalue, "_abs_cos_mean", quadrature)
+    monkeypatch.setattr(meanvalue, "adaptive_simpson", quadrature)
     solve_K.cache_clear()
     try:
-        enc = solve_K()
+        assert solve_K().width < 1e-10
     finally:
         solve_K.cache_clear()
-    assert calls == [enc.mid]
+
+
+def test_solve_K_refuses_an_enclosure_without_a_sign_change(monkeypatch):
+    # h < 0 at both ends of a bracket 1e-11 around 0.3, below the root
+    monkeypatch.setattr(meanvalue, "bisect_root", lambda *args, **kw: (0.3, 0.3))
+    solve_K.cache_clear()
+    try:
+        with pytest.raises(PrecisionError, match="sign"):
+            solve_K()
+    finally:
+        solve_K.cache_clear()
 
 
 def test_periodic_f_closed_forms(periodic_f):
@@ -212,9 +220,12 @@ def test_tsl_runs_the_series_at_few_grid_points(monkeypatch):
 
     tsl_at = meanvalue._tsl_at
     monkeypatch.setattr(meanvalue, "_tsl_at", counted)
-    assert tail_sum_large(3.61, 300000).hex() == "0x1.51f1ff042ac13p-1"
-    # 83 golden-section points, then 1000 grid points before the pruning
-    assert len(calls) <= 90, len(calls)
+    # at eps = 1e200 every term underflows to 0, and so does the bound
+    for eps, k2, want in ((3.61, 300000, "0x1.51f1ff042ac13p-1"), (1e200, 10 ** 5, "0x0.0p+0")):
+        calls.clear()
+        assert tail_sum_large(eps, k2).hex() == want
+        # 83 golden-section points, then 1000 grid points before the pruning
+        assert len(calls) <= 90, (eps, len(calls))
 
 
 def test_tsl_sums_few_terms(monkeypatch):
@@ -431,25 +442,27 @@ def test_integral_window():
 
 
 def test_nu3_values_and_nesting():
+    # each enclosure holds the series over all of K's enclosure, so they
+    # share its spread (about 1e-10) and overlap, whatever the head length
     small = nu3(10 ** 3)
     big = nu3(10 ** 6)
     assert big.hi <= 4.36
-    assert small.lo <= big.lo and big.hi <= small.hi + 1e-12
-    assert big.contains(4.33786)
-    assert big.width < 1e-3
+    assert max(small.lo, big.lo) <= min(small.hi, big.hi)
+    assert big.contains(4.3378671481) and small.contains(4.3378671481)
+    assert 5e-11 < small.width < big.width < 1e-9
     with pytest.raises(DomainError):
         nu3(999)
 
 
 def test_nu3_bits_are_frozen():
-    # float.hex recorded when k and -k were first paired and the pad
-    # became a stated rounding bound (were 0x1.11df3931bfcb9p+2,
-    # 0x1.15fb4013d9539p+2 and 0x1.159ab01bed086p+2, 0x1.159fb3fdf9972p+2
-    # with a flat 1e-12 pad)
+    # float.hex recorded when the series came to be enclosed over K's
+    # enclosure with an Euler-Maclaurin tail (were 0x1.11df3931c0509p+2,
+    # 0x1.15fb4013d8d10p+2 and 0x1.159ab01baac74p+2, 0x1.159fb3fe3bd70p+2
+    # at K's midpoint with the integral-comparison tail)
     got = [(e.lo.hex(), e.hi.hex()) for e in (nu3(10 ** 3), nu3(10 ** 6))]
     assert got == [
-        ("0x1.11df3931c0509p+2", "0x1.15fb4013d8d10p+2"),
-        ("0x1.159ab01baac74p+2", "0x1.159fb3fe3bd70p+2"),
+        ("0x1.159f9d87d2e6fp+2", "0x1.159f9d87f155fp+2"),
+        ("0x1.159f9d87912c6p+2", "0x1.159f9d8833119p+2"),
     ]
 
 
