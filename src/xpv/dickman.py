@@ -211,20 +211,6 @@ def _buchstab_vec(xs: np.ndarray) -> np.ndarray:
     ) - 2.0 * logx
 
 
-def buchstab_lower_log(x: float) -> float:
-    """Log of the Buchstab-style closed-form lower bound for rho(x).
-
-    delta is the almost-optimal window 1/(log x + 1 + log x / x); the
-    precondition delta < 1/3 is checked, not assumed.
-    """
-    if x < 6:
-        raise DomainError(f"buchstab_lower_log needs x >= 6, got {x}")
-    delta = 1.0 / (math.log(x) + 1.0 + math.log(x) / x)
-    if delta >= 1.0 / 3.0:
-        raise DomainError(f"window delta = {delta} >= 1/3 at x = {x}")
-    return float(_buchstab_vec(np.array([x]))[0])
-
-
 def verify_rho_exponent(
     x_lo: float,
     x_hi: float,
@@ -291,36 +277,6 @@ def max_exponent(table: RhoLogTable, x_lo: float, x_hi: float) -> float:
     if not exponents:
         raise PreconditionError(f"range [{x_lo}, {x_hi}] holds no grid point above 1")
     return max(exponents)
-
-
-def integral_identity_residual(table: RhoLogTable, x: float):
-    """Residual of x*rho(x) = integral of rho over [x-1, x], from the
-    table in ratio space (divided by rho(x)) by composite Simpson.
-
-    x must be a grid point with x >= 2.  Returns (residual, allowance);
-    the identity holds when residual <= allowance: 10 x times the window's
-    largest tabulated error plus twice |Boole - Simpson| on the same
-    nodes, an estimate (not a bound) of Simpson's remainder from two rule
-    orders.  Not Boole itself: where a derivative of rho jumps, at the
-    integer node inside the window, Boole panels lose their order, while
-    Simpson is exact for a second-derivative jump at a panel midpoint.
-    """
-    h = table.step
-    pos = (x - 1.0) / h
-    if not pos.is_integer() or x < 2.0:
-        raise PreconditionError(f"x = {x} must be a grid point with x >= 2")
-    j = int(pos)
-    m = int(round(1.0 / h))
-    w = np.exp(table.log_values[j - m : j + 1] - table.log_values[j])
-    ends = w[0] + w[-1]
-    odd = float(np.sum(w[1:-1:2]))
-    simpson = h / 3.0 * (ends + 4.0 * odd + 2.0 * float(np.sum(w[2:-1:2])))
-    boole = 2.0 * h / 45.0 * (7.0 * ends + 32.0 * odd + 12.0 * float(np.sum(w[2:-1:4]))
-                              + 14.0 * float(np.sum(w[4:-1:4])))
-    residual = abs(x - simpson)
-    allowance = (10.0 * float(table.err[j - m : j + 1].max()) * x
-                 + 2.0 * abs(boole - simpson))
-    return residual, allowance
 
 
 def divisor_mean_lower_bound(x: float, u: float) -> float:

@@ -1,11 +1,10 @@
 """The halfplane-average constant K, the |cos t - K| error apparatus,
 tail-series suprema, the four case constants with their grid optimizer,
-the assembled constant ledger, and the headline delta/epsilon formulas
-with the published-table reproduction report.
+the assembled constant ledger, the headline delta formula, and the
+reproduction report of the published epsilon table.
 
-Astronomically small or large quantities (delta, epsilon without an
-override) are carried as natural logs end to end; only the presentation
-layer renders log10.
+delta, astronomically small, is carried as a natural log end to end;
+only the presentation layer renders log10.
 """
 
 from __future__ import annotations
@@ -54,24 +53,6 @@ LEDGER_NU3_TERMS = 2000  # the head length T of nu3 in assemble_ledger
 # the constant K and the periodic weight
 
 
-@lru_cache(maxsize=4)
-def _abs_cos_mean(k: float):
-    """(mean, err_bound) of |cos t - k| over one period, split at the kinks so
-    each quadrature piece is smooth.  Cached, as PeriodicF.build checks one K."""
-    theta = math.acos(k)
-
-    def above(t):
-        return math.cos(t) - k
-
-    def below(t):
-        return k - math.cos(t)
-
-    v1, e1 = adaptive_simpson(above, 0.0, theta, 1e-14)
-    v2, e2 = adaptive_simpson(below, theta, TWO_PI - theta, 1e-14)
-    v3, e3 = adaptive_simpson(above, TWO_PI - theta, TWO_PI, 1e-14)
-    return (v1 + v2 + v3) / TWO_PI, (e1 + e2 + e3) / TWO_PI
-
-
 @lru_cache(maxsize=1)
 def solve_K() -> Enclosure:
     """The root K of: mean of |cos t - K| over a period equals 1 - K.
@@ -101,8 +82,14 @@ def solve_K() -> Enclosure:
 @dataclass(frozen=True)
 class PeriodicF:
     """The weight f(t) = |cos t - K| with its mean, sup, and total
-    variation over a period.  Construction verifies all three
-    numerically; the stored fields are the closed forms."""
+    variation over a period, as closed forms at K = ``solve_K().mid``.
+
+    The mean 1 - K is K's defining equation: h(k) is exactly the mean of
+    |cos t - k| minus (1 - k), and ``solve_K`` certifies the sign change
+    of h.  For every k in [0, 1) the sup is 1 + k, at t = pi, and the
+    variation is 4: f falls by 1 - k to 0 at arccos k, rises by 1 + k to
+    t = pi, and mirrors both on [pi, 2 pi].
+    """
 
     K: float
     mean: float
@@ -110,33 +97,8 @@ class PeriodicF:
     variation: float
 
     @classmethod
-    def build(cls, K: float | None = None) -> "PeriodicF":
-        k = solve_K().mid if K is None else float(K)
-
-        def f(t):
-            return abs(math.cos(t) - k)
-
-        mean_q, mean_err = _abs_cos_mean(k)
-        if abs(mean_q - (1.0 - k)) > 1e-8 + mean_err:
-            raise PrecisionError(
-                f"periodic mean check failed: quadrature {mean_q} vs {1.0 - k}"
-            )
-        ts = np.linspace(0.0, TWO_PI, 10001)
-        vals = np.abs(np.cos(ts) - k)
-        i = int(np.argmax(vals))
-        a = ts[max(i - 2, 0)]
-        b = ts[min(i + 2, ts.size - 1)]
-        _, sup_ref = golden_max(f, float(a), float(b))
-        sup_grid = max(float(vals[i]), sup_ref)
-        if abs(sup_grid - (1.0 + k)) > 1e-6:
-            raise PrecisionError(
-                f"periodic sup check failed: grid {sup_grid} vs {1.0 + k}"
-            )
-        theta = math.acos(k)
-        knots = [0.0, theta, math.pi, TWO_PI - theta, TWO_PI]
-        var = sum(abs(f(knots[j + 1]) - f(knots[j])) for j in range(4))
-        if abs(var - 4.0) > 1e-8:
-            raise PrecisionError(f"periodic variation check failed: {var}")
+    def build(cls) -> "PeriodicF":
+        k = solve_K().mid
         return cls(K=k, mean=1.0 - k, sup=1.0 + k, variation=4.0)
 
 
@@ -326,15 +288,6 @@ def _error_bound_large_at(eps: float, f: PeriodicF, tau: float, tsl: float) -> f
     ) * f.variation + SUP_COEFF / log_w * f.sup
 
 
-def error_bound_large(params: ErrorParams, f: PeriodicF, tau: float) -> float:
-    """Long-range error bound at a given tau >= 1; each term decreases
-    in tau, so tau = 1 is the worst case."""
-    if tau < 1:
-        raise DomainError(f"error_bound_large needs tau >= 1, got {tau}")
-    tsl = tail_sum_large(params.eps, params.k2)
-    return _error_bound_large_at(params.eps, f, tau, tsl)
-
-
 def _case_i(c: float, f: PeriodicF) -> float:
     return (1.0 - f.K) * (MERTENS_M + 1.0) + (1.0 + 1e-8) * c * c / 4.0
 
@@ -348,7 +301,7 @@ def _case_iv(eps: float, f: PeriodicF) -> float:
 
 def _case_iii_sup(eps: float, k2: int, f: PeriodicF):
     """(sup, maximizer) over tau >= 1 of the long-range case constant.
-    Every term decreases in tau (see ``error_bound_large``, and
+    Every term decreases in tau (those of ``_error_bound_large_at``, and
     1/log^4(tau + 3)), so the sup is the value at tau = 1."""
     w = (1.0 + eps) * DECAY_SCALE
     sup = (
@@ -702,43 +655,6 @@ def delta_table_candidate(c: float, big_constant: float = PUBLISHED_FINAL) -> fl
         raise DomainError(f"delta_table_candidate needs 0 < c <= 1, got {c}")
     k = solve_K().mid
     return 0.2 * (c / big_constant) ** (1.0 / (2.0 * k))
-
-
-@dataclass(frozen=True)
-class EpsilonValue:
-    value: float
-    log: float
-
-    @property
-    def log10(self) -> float:
-        return self.log / math.log(10.0)
-
-
-def epsilon_exponent(c1: float, c: float,
-                     delta_override: float | None = None) -> EpsilonValue:
-    """The exponent bound 4 pi c1 / delta^(3/2), o(1) dropped.
-
-    With delta_override the value is finite and computed directly in
-    floats (value = c1 times a factor depending only on the override),
-    keeping scaling in c1 exact; without it, delta(c) underflows and
-    only the log output is meaningful (value overflows to inf).
-    """
-    if c1 <= 0:
-        raise DomainError(f"epsilon_exponent needs c1 > 0, got {c1}")
-    if not (0.0 < c <= 1.0):
-        raise DomainError(f"epsilon_exponent needs 0 < c <= 1, got {c}")
-    if delta_override is not None:
-        if not (0.0 < delta_override <= 2.0 / 7.0):
-            raise DomainError(
-                f"delta_override must lie in (0, 2/7], got {delta_override}"
-            )
-        factor = 4.0 * math.pi * delta_override ** -1.5
-        value = c1 * factor
-        return EpsilonValue(value=value, log=math.log(value))
-    log_d = delta(c).log
-    log_e = math.log(4.0 * math.pi) + math.log(c1) - 1.5 * log_d
-    value = math.inf if log_e > 709.0 else math.exp(log_e)
-    return EpsilonValue(value=value, log=log_e)
 
 
 # ---------------------------------------------------------------------------

@@ -229,24 +229,6 @@ def _is_prime_u64(n: int) -> bool:
     return True
 
 
-def least_prime_3mod4_above(x: float) -> int:
-    """Least prime l > x with l congruent to 3 mod 4.
-
-    Also checks (not assumes) the Breusch consequence l <= 2x for x >= 7.
-    """
-    if x < 1:
-        raise DomainError(f"least_prime_3mod4_above needs x >= 1, got {x}")
-    if x >= 2 ** 62:
-        raise ResourceError("argument exceeds 64-bit primality range")
-    n = int(math.floor(x)) + 1
-    n += (3 - n) % 4
-    while not _is_prime_u64(n):
-        n += 4
-    if x >= 7 and n > 2 * x:
-        raise PrecisionError(f"prime 3 mod 4 after {x} exceeded 2x: {n}")
-    return n
-
-
 # ---------------------------------------------------------------------------
 # the logarithmic integral
 

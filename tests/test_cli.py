@@ -294,21 +294,35 @@ def test_constants_evaluates_each_ledger_input_once(capsys, monkeypatch):
     assert counts == {"nu2": 1, "nu3": 1}
 
 
-def test_constants_runs_the_mean_quadrature_once(capsys):
-    # PeriodicF.build's mean check is the only quadrature; solve_K runs none
-    meanvalue.solve_K.cache_clear()
-    meanvalue._abs_cos_mean.cache_clear()
-    _run(capsys, "constants")
-    info = meanvalue._abs_cos_mean.cache_info()
-    assert (info.misses, info.hits) == (1, 0)
+def _meanvalue_quadratures(capsys, monkeypatch, *argv):
+    """(calls, integrand evaluations) of ``core.adaptive_simpson`` through
+    ``meanvalue`` in one job."""
+    evals = []
+    real = meanvalue.adaptive_simpson
+
+    def counted(f, *args):
+        evals.append(0)
+        n = len(evals) - 1
+
+        def g(t):
+            evals[n] += 1
+            return f(t)
+
+        return real(g, *args)
+
+    monkeypatch.setattr(meanvalue, "adaptive_simpson", counted)
+    _run(capsys, *argv)
+    return len(evals), sum(evals)
 
 
-def test_mfunc_runs_no_mean_quadrature(capsys):
-    meanvalue.solve_K.cache_clear()
-    meanvalue._abs_cos_mean.cache_clear()
-    assert _run(capsys, "mfunc", "--kind", "liouville", "--x", "1000")[0] == 0
-    info = meanvalue._abs_cos_mean.cache_info()
-    assert (info.misses, info.hits) == (0, 0)
+def test_constants_runs_one_quadrature(capsys, monkeypatch):
+    # integral_exp_over_square's: K and the weight's fields are closed forms
+    assert _meanvalue_quadratures(capsys, monkeypatch, "constants") == (1, 1025)
+
+
+def test_mfunc_runs_no_mean_quadrature(capsys, monkeypatch):
+    argv = ("mfunc", "--kind", "liouville", "--x", "1000")
+    assert _meanvalue_quadratures(capsys, monkeypatch, *argv) == (0, 0)
 
 
 def test_random_signs_hashed_once_per_job(capsys, monkeypatch):

@@ -8,7 +8,6 @@ mp = mpmath.mp
 
 from xpv.meanvalue import (  # noqa: E402
     LEDGER_NU3_TERMS,
-    _abs_cos_mean,
     _nu3_head,
     nu3,
     solve_K,
@@ -37,10 +36,16 @@ def test_h_changes_sign_across_solve_K():
 
 
 def test_the_mean_quadrature_matches_one_minus_K():
-    # the cross-check solve_K ran on every job before its sign certificate
-    k = solve_K().mid
-    mean, err = _abs_cos_mean(k)
-    assert abs(mean - (1.0 - k)) <= 1e-10 + err
+    # h is exactly the mean of |cos t - k| minus (1 - k), so the sign
+    # certificate of solve_K is a certificate of K's integral definition:
+    # at both ends of K, the mean by mp.quad, split at the kinks, is 1 - k + h(k)
+    enc = solve_K()
+    with mp.workdps(30):
+        for k in (mp.mpf(enc.lo), mp.mpf(enc.hi)):
+            theta = mp.acos(k)
+            mean = mp.quad(lambda t: abs(mp.cos(t) - k),
+                           [0, theta, 2 * mp.pi - theta, 2 * mp.pi]) / (2 * mp.pi)
+            assert abs(mean - (1 - k + _h(k))) < 1e-25
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 8, 16, 64])

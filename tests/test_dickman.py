@@ -7,13 +7,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from rho_identity import integral_identity_residual
 from xpv import core
 from xpv.cli import json_dumps, run
 from xpv.dickman import (
-    buchstab_lower_log,
+    _buchstab_vec,
     build_rho_table,
     divisor_mean_lower_bound,
-    integral_identity_residual,
     max_exponent,
     rho_log,
     verify_rho_exponent,
@@ -126,18 +126,28 @@ def test_table_cross_step_agreement(rho_table):
 
 
 def test_buchstab_floor_values():
-    # delta stays under 1/3 once x >= 6
-    with pytest.raises(DomainError):
-        buchstab_lower_log(5.9)
-    v = buchstab_lower_log(130.0)
+    v = _buchstab_vec(np.array([130.0]))[0]
     assert v == pytest.approx(-894.29158882669, rel=1e-10)
+
+
+def test_buchstab_window_stays_below_one_third():
+    # the bound needs its window delta = 1/D, D = log x + 1 + log x / x, below
+    # 1/3.  D' = (x + 1 - log x)/x^2 > 0 since log x < x + 1, so delta falls
+    # in x and its value at x = 6, the buchstab source's least x, bounds it
+    def window(x):
+        return 1.0 / (np.log(x) + 1.0 + np.log(x) / x)
+
+    assert window(6.0) == pytest.approx(0.3236, abs=1e-4)
+    assert window(6.0) < 1.0 / 3.0
+    d = window(np.geomspace(6.0, 1e6, 10 ** 6))
+    assert np.all(d < 1.0 / 3.0) and np.all(np.diff(d) < 0.0)
 
 
 def test_buchstab_stays_below_table(rho_table):
     xs = np.arange(6.0, 130.0 + 1e-9, 0.25)
-    for x in xs:
-        enc = rho_log(float(x), rho_table)
-        assert buchstab_lower_log(float(x)) <= enc.lo + 1e-12
+    lower = _buchstab_vec(xs)
+    for x, v in zip(xs, lower):
+        assert v <= rho_log(float(x), rho_table).lo + 1e-12
 
 
 def test_exponent_sweep_table_source(rho_table):

@@ -29,8 +29,6 @@ from xpv.meanvalue import (
     case_bounds,
     delta,
     delta_table_candidate,
-    epsilon_exponent,
-    error_bound_large,
     error_bound_small,
     integral_exp_over_square,
     nu3,
@@ -71,7 +69,6 @@ def test_solve_K_runs_no_quadrature(monkeypatch):
     def quadrature(*args):
         raise AssertionError("solve_K ran a quadrature")
 
-    monkeypatch.setattr(meanvalue, "_abs_cos_mean", quadrature)
     monkeypatch.setattr(meanvalue, "adaptive_simpson", quadrature)
     solve_K.cache_clear()
     try:
@@ -288,13 +285,6 @@ def test_error_bound_small_reference(periodic_f):
         math.pi / (2.0 * p.c) + TAIL_COEFF * tail_sum_small(p.c, p.k1)
     ) * periodic_f.variation + (SUP_COEFF / p.c) * periodic_f.sup
     assert got == want
-
-
-def test_error_bound_large_needs_tau_geq_one(periodic_f):
-    p = ErrorParams(c=2.67, k1=0, eps=3.61, k2=1000)
-    with pytest.raises(DomainError):
-        error_bound_large(p, periodic_f, 0.5)
-    assert error_bound_large(p, periodic_f, 1.0) > 0.0
 
 
 def test_case_bounds_reference_point(periodic_f):
@@ -546,32 +536,12 @@ def test_delta_candidate_close_to_published():
         assert 0.97 < cand / pub < 0.99
 
 
-def test_epsilon_linearity_exact():
-    d = PUBLISHED_DELTA[0.99]
-    base = epsilon_exponent(1.0, 0.99, delta_override=d).value
-    for lam in (2.0, 10.0, 1e5):
-        assert epsilon_exponent(lam, 0.99, delta_override=d).value == lam * base
-
-
 def test_epsilon_override_reference():
-    e = epsilon_exponent(1.0, 0.99, delta_override=PUBLISHED_DELTA[0.99])
-    assert e.value == pytest.approx(6.449454251627669e15, rel=1e-12)
-    assert 9.15e15 / e.value == pytest.approx(1.4187, abs=1e-3)
-
-
-def test_epsilon_without_override_underflows_to_log():
-    e = epsilon_exponent(1.0, 0.99)
-    assert e.value == math.inf
-    assert e.log > 709.0
-
-
-def test_epsilon_validation():
-    with pytest.raises(DomainError):
-        epsilon_exponent(0.0, 0.99)
-    with pytest.raises(DomainError):
-        epsilon_exponent(1.0, 0.0)
-    with pytest.raises(DomainError):
-        epsilon_exponent(1.0, 0.99, delta_override=0.5)  # above 2/7
+    # the table's one epsilon formula, c1 * 4 pi delta^(-3/2), bit for bit
+    d = PUBLISHED_DELTA[0.99]
+    rep = table1_report([1.0], [0.99], {0.99: d})
+    assert rep.cells[0][0] == 4.0 * math.pi * d ** -1.5
+    assert rep.cells[0][0] == pytest.approx(6.449454251627669e15, rel=1e-12)
 
 
 def test_table1_full_grid():

@@ -28,7 +28,6 @@ from xpv.primes import (
     _sieve_flags,
     exact_numerator,
     exact_scale,
-    least_prime_3mod4_above,
     log_integral,
     mertens_sum,
     nu2,
@@ -181,19 +180,6 @@ def test_prime_pi_integer_key_matches_the_float_search(prime_table):
     finally:
         tracemalloc.stop()
     assert peak < 0.1 * 2 ** 20, peak
-
-
-def test_least_prime_3mod4():
-    # strictly above the argument
-    assert least_prime_3mod4_above(1) == 3
-    assert least_prime_3mod4_above(3) == 7
-    assert least_prime_3mod4_above(4) == 7
-    assert least_prime_3mod4_above(8) == 11
-    p = least_prime_3mod4_above(10 ** 12)
-    assert p % 4 == 3 and p >= 10 ** 12
-    assert p <= 2 * 10 ** 12
-    with pytest.raises(DomainError):
-        least_prime_3mod4_above(0)
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +347,13 @@ def _anchor_neighbours():
     return xs
 
 
+def _next_prime_3mod4(x):
+    n = int(x) + 1 + (2 - int(x)) % 4  # the least n > x with n = 3 mod 4
+    while not primes._is_prime_u64(n):
+        n += 4
+    return n
+
+
 def test_li_against_mpmath(prime_table):
     """li(x) lies within ``_li``'s value +- half-width, by mpmath at 40
     digits, around X0, around anchors, at a seeded sample of 2000 primes
@@ -370,7 +363,7 @@ def test_li_against_mpmath(prime_table):
     rng = np.random.default_rng(2016)
     ps = prime_table.primes.astype(np.float64)
     small = rng.choice(ps[ps > 2.0], 1000, replace=False)
-    large = [least_prime_3mod4_above(x)
+    large = [_next_prime_3mod4(x)
              for x in np.exp(rng.uniform(np.log(1e6), np.log(1e8), 1000))]
     xs = np.array([np.nextafter(_LI_X0, 0.0), _LI_X0, np.nextafter(_LI_X0, np.inf),
                    *_anchor_neighbours(), *small, *large, 1e9])
