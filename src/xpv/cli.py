@@ -520,10 +520,13 @@ def _cmd_mfunc(args):
         check_stats_x(x)
     table = sieve_primes(max(LEDGER_PRIMES, int(max(xs))))
     ledger = assemble_ledger(PUBLISHED_C0, table)
+    # largest x first, so the values memo grows once; the report keeps argv order
+    reps = {x: empirical_checks(spec, x, args.c, ledger, table)
+            for x in sorted(set(xs), reverse=True)}
     results = []
     checks = []
     for x in xs:
-        rep = empirical_checks(spec, x, args.c, ledger, table)
+        rep = reps[x]
         results.append({
             "x": x,
             "function": spec.description,

@@ -184,6 +184,8 @@ def _tsl_at(eps: float, k2: int, tau: float, two_pi_ks: np.ndarray,
     each dropped right part R <= B to the prefix sum L >= f(0), and
     B < ulp(L)/2 with numpy's f(0) a few ulps off libm's, so L + R rounds to L."""
     base = (1.0 + eps) * math.log(tau + 3.0) ** 2
+    if math.sqrt(base) >= 746.0:
+        return 0.0  # every term and the tail term underflow to 0, as in _tsl_upper
     b = TWO_PI / (DECAY_SCALE * tau)
     limit, m = math.ulp(math.exp(-math.sqrt(base))) / 4.0, k2 + 1
     for half in _sum_prefixes(m):
@@ -455,6 +457,19 @@ def nu3(k_trunc: int) -> Enclosure:
     return Enclosure(*ends)
 
 
+# 16-point Gauss-Legendre on [-1, 1], weights halved, as Golub-Welsch by np.linalg.eigh gave them
+_GL_NODES = (
+    -0.9894009349916495, -0.9445750230732327, -0.8656312023878319, -0.7554044083550033,
+    -0.6178762444026443, -0.4580167776572275, -0.2816035507792588, -0.0950125098376372,
+    0.09501250983763725, 0.28160355077925897, 0.4580167776572271, 0.617876244402644,
+    0.7554044083550031, 0.8656312023878318, 0.9445750230732326, 0.9894009349916498)
+_GL_WEIGHTS = (
+    0.013576229705877282, 0.03112676196932351, 0.04757925584124631, 0.06231448562776711,
+    0.07479799440828819, 0.08457825969750139, 0.0913017075224623, 0.09472530522753414,
+    0.09472530522753445, 0.09130170752246193, 0.08457825969750142, 0.0747979944082887,
+    0.06231448562776742, 0.047579255841246226, 0.03112676196932403, 0.013576229705877196)
+
+
 def _nu3_tail(k_trunc: int, c: float) -> tuple:
     """(v, pad): the sum over k > T = k_trunc of g(k) = log^c(k+4) w(k), w(t)
     = 1/((t-1/2)^2 + 1) + 1/((t+1/2)^2 + 1) (k paired with -k), lies in
@@ -476,13 +491,10 @@ def _nu3_tail(k_trunc: int, c: float) -> tuple:
     F's roundings (45u each), the nodes and weights (1e-14), the float panel
     ends and the sums stay under 1e-13 relative: the 1e-12 pad covers them."""
     n, d, width, panels = 16, 1.5, 2.0, 17
-    j = np.arange(1.0, n)
-    beta = j / np.sqrt(4.0 * j * j - 1.0)
-    x, vec = np.linalg.eigh(np.diag(beta, 1) + np.diag(beta, -1))
     starts = math.log(k_trunc) + width * np.arange(panels)
-    t = np.exp(starts[:, None] + 0.5 * width * (1.0 + x))
+    t = np.exp(starts[:, None] + 0.5 * width * (1.0 + np.array(_GL_NODES)))
     w = 1.0 / ((t - 0.5) ** 2 + 1.0) + 1.0 / ((t + 0.5) ** 2 + 1.0)
-    quad = width * float(np.sum(vec[0] ** 2 * t * np.log(t + 4.0) ** c * w))
+    quad = width * float(np.sum(np.array(_GL_WEIGHTS) * t * np.log(t + 4.0) ** c * w))
     r = np.exp(starts - d)
     big_m = 2.0 * r * (np.log(r + 4.0) + d * d / (2.0 * np.log(r))) ** c / ((r - 0.5) ** 2 - 1.0)
     gauss = (width ** (2 * n + 1) * math.factorial(n) ** 4

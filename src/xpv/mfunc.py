@@ -19,7 +19,7 @@ import numpy as np
 from .dickman import divisor_mean_lower_bound
 from .errors import DomainError, PrecisionError, PreconditionError, ResourceError
 from .meanvalue import delta
-from .primes import PrimeTable, _is_prime_u64, exact_numerator, exact_scale, mertens_sum
+from .primes import PrimeTable, _is_prime_u64, exact_scale, mertens_sum, recip_numerator
 
 STATS_X_CAP = 10 ** 8
 CHAR_COMPOSITE_CAP = 10 ** 6
@@ -235,13 +235,13 @@ def _values(spec: MultiplicativeSpec, lo: int, hi: int, primes: np.ndarray,
     """f(lo + 1), ..., f(hi) from the primes up to hi and their values
     ``fp``: int8 when every prime value is -1, 0 or 1, else float64.
 
-    Each prime p <= sqrt(hi) scales the multiples of each p**e in the
-    segment and multiplies them into ``smooth``, the part of m made of
-    such primes; m // smooth is then 1 or the one prime factor above
-    sqrt(hi), and a last gather applies that prime.  So f(m) is the
-    product of its prime contributions in increasing prime order,
-    whatever the segment: a prime factor of m above sqrt(hi) is its
-    largest and divides it once, so it comes last either way.
+    Each prime p <= r = isqrt(hi) with f(p) != 1 scales the multiples of
+    each p**e in the segment.  Then each prime Q > r scales its multiples
+    jQ, one cofactor j at a time: the Q of one j are a run of the table,
+    and two searchsorted calls find every run.  As j <= hi // (r + 1) <= r,
+    Q is the largest prime factor of jQ and divides it once, so f(m) is
+    the product of its prime contributions in increasing prime order,
+    whatever the segment.
     """
     if spec.kind == "quadratic_character":
         period = _chi_period(spec.q)
@@ -249,21 +249,19 @@ def _values(spec: MultiplicativeSpec, lo: int, hi: int, primes: np.ndarray,
         return np.tile(period, (first + hi - lo) // spec.q + 1)[first : first + hi - lo]
     exact = np.isin(fp, (-1.0, 0.0, 1.0)).all()
     v = np.ones(hi - lo, dtype=np.int8 if exact else np.float64)
-    smooth = np.ones(hi - lo, dtype=np.int32)  # divides m <= STATS_X_CAP < 2**31
-    k = int(np.searchsorted(primes, math.isqrt(hi), side="right"))
+    r = math.isqrt(hi)
+    k = int(np.searchsorted(primes, r, side="right"))
     for p, val in zip(primes[:k].tolist(), fp[:k].astype(v.dtype).tolist()):
         pe = p
-        while pe <= hi:
-            i = -(lo + 1) % pe  # index of the first multiple of pe
-            smooth[i::pe] *= p
-            if val != 1:
-                v[i::pe] *= val
+        while pe <= hi and val != 1:
+            v[-(lo + 1) % pe :: pe] *= val  # from the first multiple of pe
             pe *= p
-    fval = np.ones(hi + 1, dtype=v.dtype)
-    fval[primes[k:]] = fp[k:]
-    for i in range(0, v.size, _BLOCK):  # blocks bound the gather's temporaries
-        m = np.arange(lo + 1 + i, lo + 1 + min(i + _BLOCK, v.size), dtype=np.int32)
-        v[i : i + _BLOCK] *= fval[m // smooth[i : i + _BLOCK]]
+    big, f_big = primes[k:], fp[k:].astype(v.dtype)
+    cofactors = np.arange(1, hi // (r + 1) + 1)
+    runs = zip(cofactors.tolist(), np.searchsorted(big, lo // cofactors, side="right").tolist(),
+               np.searchsorted(big, hi // cofactors, side="right").tolist())
+    for j, a, b in runs:
+        v[big[a:b] * j - (lo + 1)] *= f_big[a:b]
     return v
 
 
@@ -297,6 +295,18 @@ class _Held:
             a.flags.writeable = False  # shared by every later x
         self.top, self.fp, self.values = n, fp, values
 
+    def partial_sums(self, v: np.ndarray) -> np.ndarray:
+        """F(v) = f(1) + ... + f(v) at each v, 1 <= v <= top, of a descending
+        array (int8 path): v's block mark plus an int32 cumsum in the block."""
+        out = np.empty(v.size, dtype=np.int64)
+        blocks = (v - 1) // _BLOCK
+        edges = [0, *(np.flatnonzero(np.diff(blocks)) + 1).tolist(), v.size]
+        for a, b in zip(edges, edges[1:]):
+            start = int(blocks[a]) * _BLOCK
+            run = np.cumsum(self.values[start : v[a]], dtype=np.int32)
+            out[a:b] = run[v[a:b] - start - 1] + self.marks[start // _BLOCK][0]
+        return out
+
 
 def _joined(head: np.ndarray, tail: np.ndarray) -> np.ndarray:
     """head then tail, as float64 if either is; no copy when head is empty."""
@@ -314,8 +324,7 @@ _SCALE = exact_scale(STATS_X_CAP)
 
 def _l_numerator(f: np.ndarray, lo: int) -> int:
     """The sum of f[i] / (lo + 1 + i), exact at scale 2**_SCALE."""
-    m = np.arange(lo + 1, lo + 1 + f.size, dtype=np.float64)
-    return exact_numerator(f / m, _SCALE)
+    return recip_numerator(np.arange(lo + 1, lo + 1 + f.size, dtype=np.float64), _SCALE, f)
 
 
 def _by_block(values: np.ndarray):
@@ -344,10 +353,15 @@ def stats(spec: MultiplicativeSpec, x: float, table: PrimeTable) -> StatsRow:
     f(1..n) comes from a one-entry memo per (spec, table): a larger x
     extends it by one segment, a smaller x reads it, and either way the
     row has the bits it would have alone.  When every prime value is -1,
-    0 or 1, every sum is exact in integers: M and conv_mean directly
-    (below 2**31 at STATS_X_CAP), L and u as numerators at scale
-    2**_SCALE (primes.exact_numerator), each correctly rounded as
-    math.fsum rounds.  Otherwise every sum is math.fsum of float64 terms.
+    0 or 1, every sum is exact in integers and so equals math.fsum of the
+    float terms: M directly; L and u as numerators at scale 2**_SCALE
+    (primes.recip_numerator; fl(c/p) = c fl(1/p) for c = 1 - f(p) in
+    {0, 1, 2}); conv by the hyperbola, sum_{m<=n} f(m) floor(n/m) =
+    sum_{m<=s} f(m) floor(n/m) + sum_{j<=s} F(floor(n/j)) - s F(s), F the
+    partial sums of f and s = isqrt(n).  That is the float sum of f(m)
+    floor(fl(x/m)): y = (q + 1) m, q = floor(n/m), is an integer <= 2x <
+    2**53 above the float x, so x <= y (1 - 2**-53) and x/m lies over half
+    an ulp below q + 1.  Otherwise every sum is math.fsum of the terms.
     """
     check_stats_x(x)
     n = int(math.floor(x))
@@ -359,23 +373,20 @@ def stats(spec: MultiplicativeSpec, x: float, table: PrimeTable) -> StatsRow:
     n_pi = table.prime_pi(n)
     fp = held.fp[:n_pi]
     values = held.values[:n]
-    u_terms = (1.0 - fp) / table.primes[:n_pi]
-    # f(m) floor(x / m); at integer x this floor is exactly n // m, as n < 2**53
-    conv = (f * np.floor(x / m) for f, m in _by_block(values))
     if values.dtype == np.int8:
-        k = n // _BLOCK
-        m_total, l_num = held.marks[k]
-        rest = values[k * _BLOCK :]
-        m_total += int(rest.sum(dtype=np.int64))
-        l_sum = (l_num + _l_numerator(rest, k * _BLOCK)) / (1 << _SCALE)
-        # each block sums integers exactly, its partial sums being below 2**53
-        conv_total = sum(int(c.sum()) for c in conv)
-        u = exact_numerator(u_terms, _SCALE) / (1 << _SCALE)
+        k, s = n // _BLOCK, math.isqrt(n)
+        quotients = n // np.arange(1, s + 1)
+        big_f = held.partial_sums(quotients)
+        m_total = int(big_f[0])
+        l_sum = (held.marks[k][1] + _l_numerator(values[k * _BLOCK :], k * _BLOCK)) / (1 << _SCALE)
+        conv_total = (int(np.dot(values[:s], quotients)) + int(big_f.sum())
+                      - s * int(values[:s].sum(dtype=np.int64)))
+        u = recip_numerator(table.primes[:n_pi], _SCALE, (1 - fp).astype(np.int8)) / (1 << _SCALE)
     else:
         m_total = _fsum(f for f, _ in _by_block(values))
         l_sum = _fsum(f / m for f, m in _by_block(values))
-        conv_total = _fsum(conv)
-        u = math.fsum(u_terms.tolist())
+        conv_total = _fsum(f * np.floor(x / m) for f, m in _by_block(values))
+        u = math.fsum(((1.0 - fp) / table.primes[:n_pi]).tolist())
     recip = mertens_sum(x, table)
     lam = 0.0 if u == 0.0 else u / recip
     return StatsRow(x=float(x), M=m_total / x, L=l_sum / math.log(x), u=u,

@@ -503,35 +503,38 @@ def exact_scale(n: int) -> int:
     return 52 + int(n).bit_length()
 
 
-_HI_BITS = 48  # the high limb of a term t, |t| <= 1, is trunc(t * 2**48)
-_LIMB_BLOCK_BITS = 14  # 2**14 terms per int64 limb sum
-# |hi| <= 2**48 and |lo| < 2**(S - 48), so a block's limb sums stay
-# below 2**63 while S - 48 + 14 <= 63: S <= 97, which exact_scale(n)
-# meets for every n < 2**45
-EXACT_SCALE_MAX = 63 + _HI_BITS - _LIMB_BLOCK_BITS
+_ROW = 1 << 9  # each term is below 2**54 in size, so a row of 2**9 sums below 2**63
 
 
-def exact_numerator(terms: np.ndarray, scale: int) -> int:
-    """sum(terms) * 2**scale exactly, as a Python int, for float64 terms
-    with |t| <= 1 that are each an integer multiple of 2**-scale.
+def recip_numerator(m: np.ndarray, scale: int, c: np.ndarray | None = None) -> int:
+    """sum(c[i] * fl(1 / m[i])) * 2**scale exactly, as a Python int, for
+    ascending integers 1 <= m[i] < 2**53 with scale >= exact_scale(m[-1])
+    and integers |c[i]| <= 2 (every c[i] = 1 when c is None).
 
-    Each term splits into two int64 limbs, hi = trunc(t * 2**48) and
-    lo = (t * 2**48 - hi) * 2**(scale - 48), both exact integers, so
-    t * 2**scale = hi * 2**(scale - 48) + lo; the limbs are summed in
-    int64 one block at a time.  numerator / (1 << scale) is then the
-    correctly rounded sum, the value math.fsum gives.
+    fl(1/m) is its 53-bit mantissa, implicit bit included, times
+    2**(exponent - 1075), both read from its bits; every fl(1/m) with m in
+    (2**(k-1), 2**k] has exponent -k, so each binade of m has one shift,
+    exponent - 1075 + scale >= 0.  A binade's terms are summed in int64
+    rows of at most _ROW, and the row sums are shifted and added as Python
+    ints.  numerator / (1 << scale) is then the correctly rounded sum, the
+    value math.fsum gives.
     """
-    if not _HI_BITS < scale <= EXACT_SCALE_MAX:
-        raise PrecisionError(
-            f"exact_numerator needs {_HI_BITS} < scale <= {EXACT_SCALE_MAX}, got {scale}")
-    shift = scale - _HI_BITS
-    hi_sum = lo_sum = 0
-    for i in range(0, terms.size, 1 << _LIMB_BLOCK_BITS):
-        lo, hi = np.modf(terms[i : i + (1 << _LIMB_BLOCK_BITS)] * 2.0 ** _HI_BITS)
-        lo *= 2.0 ** shift
-        hi_sum += int(hi.astype(np.int64).sum())
-        lo_sum += int(lo.astype(np.int64).sum())
-    return (hi_sum << shift) + lo_sum
+    if not m.size:
+        return 0
+    if scale < exact_scale(int(m[-1])):
+        raise PrecisionError(f"recip_numerator needs scale >= exact_scale(m[-1]), got {scale}")
+    bits = np.divide(1.0, m).view(np.int64)
+    starts = np.searchsorted(m, 1 << np.arange(int(m[-1]).bit_length()), side="right")
+    edges = sorted({0, m.size, *starts.tolist()})
+    shifts = ((bits[edges[:-1]] >> 52) - 1075 + scale).tolist()
+    bits &= (1 << 52) - 1
+    bits |= 1 << 52
+    if c is not None:
+        bits *= c
+    total = 0
+    for a, b, shift in zip(edges, edges[1:], shifts):
+        total += sum(np.add.reduceat(bits[a:b], np.arange(0, b - a, _ROW)).tolist()) << shift
+    return total
 
 
 def mertens_sum(x: float, table: PrimeTable) -> float:
@@ -540,7 +543,7 @@ def mertens_sum(x: float, table: PrimeTable) -> float:
         raise DomainError(f"mertens_sum needs x >= 2, got {x}")
     _require_table(table, x, "mertens_sum")
     scale = exact_scale(math.floor(x))
-    return exact_numerator(1.0 / table.primes[: table.prime_pi(x)], scale) / (1 << scale)
+    return recip_numerator(table.primes[: table.prime_pi(x)], scale) / (1 << scale)
 
 
 def nu2(table: PrimeTable) -> Enclosure:

@@ -264,6 +264,29 @@ def test_mfunc_row_does_not_depend_on_other_x(capsys):
     assert rows[0] == rows[1]
 
 
+def test_mfunc_rows_keep_argv_order_and_grow_the_memo_once(capsys, monkeypatch):
+    def results(xs):
+        code, out = _run(capsys, "mfunc", "--kind", "liouville", "--x", xs)
+        assert code == 0
+        return [json_dumps(r) for r in json.loads(out)["results"]]
+
+    alone = {xs: results(xs)[0] for xs in ("1000", "1e5")}
+    segments = []
+    real = mfunc._values
+
+    def spy(spec, lo, hi, primes, fp):
+        segments.append((lo, hi))
+        return real(spec, lo, hi, primes, fp)
+
+    monkeypatch.setattr(mfunc, "_values", spy)
+    for xs in ("1e5,1000,1e5", "1000,1e5,1000"):
+        segments.clear()
+        mfunc._held.cache_clear()
+        assert results(xs) == [alone[x] for x in xs.split(",")]
+        # the largest x runs first, so one segment serves every row
+        assert segments == [(0, 100000)], xs
+
+
 def test_mfunc_ledger_reads_only_the_primes_to_its_limit(capsys, monkeypatch, ledger):
     # mfunc sieves to its largest x; the ledger it builds from that table
     # is the ledger of a table sieved to exactly 1e6

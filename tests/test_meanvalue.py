@@ -217,26 +217,33 @@ def test_tsl_runs_the_series_at_few_grid_points(monkeypatch):
 
     tsl_at = meanvalue._tsl_at
     monkeypatch.setattr(meanvalue, "_tsl_at", counted)
+    counting = _CountingSum()
+    monkeypatch.setattr(meanvalue, "np", counting)
     # at eps = 1e200 every term underflows to 0, and so does the bound
     for eps, k2, want in ((3.61, 300000, "0x1.51f1ff042ac13p-1"), (1e200, 10 ** 5, "0x0.0p+0")):
         calls.clear()
+        counting.terms = 0
         assert tail_sum_large(eps, k2).hex() == want
         # 83 golden-section points, then 1000 grid points before the pruning
         assert len(calls) <= 90, (eps, len(calls))
+    # and no series sums a term: sqrt(base) >= 746 at every tau
+    assert counting.terms == 0
+
+
+class _CountingSum:
+    """numpy with a count of the terms passed to np.sum."""
+    terms = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def sum(self, a):
+        self.terms += a.size
+        return np.sum(a)
 
 
 def test_tsl_sums_few_terms(monkeypatch):
-    class CountingSum:
-        terms = 0
-
-        def __getattr__(self, name):
-            return getattr(np, name)
-
-        def sum(self, a):
-            self.terms += a.size
-            return np.sum(a)
-
-    counting = CountingSum()
+    counting = _CountingSum()
     monkeypatch.setattr(meanvalue, "np", counting)
     assert tail_sum_large(3.61, 300000).hex() == "0x1.51f1ff042ac13p-1"
     # the full series would pass 84 x 300001 terms, 25.2 million
@@ -454,6 +461,18 @@ def test_nu3_bits_are_frozen():
         ("0x1.159f9d87d2e6fp+2", "0x1.159f9d87f155fp+2"),
         ("0x1.159f9d87912c6p+2", "0x1.159f9d8833119p+2"),
     ]
+
+
+def test_gauss_legendre_literals():
+    # the stored nodes and weights are the 16-point rule on [-1, 1], with
+    # weights halved, and symmetric to rounding
+    nodes, weights = np.array(meanvalue._GL_NODES), np.array(meanvalue._GL_WEIGHTS)
+    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(16)
+    assert np.max(np.abs(nodes - ref_nodes)) <= 1e-15
+    assert np.max(np.abs(2.0 * weights - ref_weights)) <= 1e-15
+    assert np.max(np.abs(nodes + nodes[::-1])) <= 1e-15
+    assert np.max(np.abs(weights - weights[::-1])) <= 1e-15
+    assert np.all(np.diff(nodes) > 0) and abs(math.fsum(weights) - 1.0) <= 1e-14
 
 
 def test_nu3_peak_memory():

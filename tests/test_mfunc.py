@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -344,6 +345,56 @@ def test_stats_row_alone_equals_row_after_a_larger_x(spec, prime_table, monkeypa
     assert held.top == 40000
     assert np.array_equal(held.values, _values(spec, 0, 40000, primes, held.fp))
     assert np.array_equal(held.fp, _prime_values(spec, primes))
+
+
+@pytest.mark.parametrize("spec", [liouville(), random_pm1(777), custom(CUSTOM_INT)],
+                         ids=["liouville", "random", "custom-int"])
+def test_conv_by_the_hyperbola_equals_the_direct_sum(spec, prime_table):
+    # integer x, and x just below a multiple k m, where x/m is nearest
+    # to rounding up to k
+    xs = [2.0, 3.0, 16384.0, 16385.0, 99991.0, 1e5]
+    xs += [math.nextafter(float(k * m), 0.0) for k, m in ((3, 4099), (7, 7), (2, 49999), (41, 2))]
+    for x in xs:
+        n = int(x)
+        primes = prime_table.primes[: prime_table.prime_pi(n)]
+        f = _values(spec, 0, n, primes, _prime_values(spec, primes)).astype(np.int64)
+        m = np.arange(1, n + 1)
+        exact = int(f @ (n // m))
+        assert exact == int(f @ np.floor(x / m.astype(np.float64)).astype(np.int64)), x
+        assert stats(spec, x, prime_table).conv_mean == exact / x, x
+
+
+@pytest.mark.parametrize("spec", [liouville(), random_pm1(5), custom(CUSTOM_FLOAT),
+                                  custom({2: 0.25, 3: -1 / 3, 71: 0.5, 73: -0.1})],
+                         ids=["liouville", "random", "custom-float", "custom-float-73"])
+def test_values_match_f_value_on_segments(spec, prime_table):
+    # segments (lo, hi] that start below sqrt(hi), and some above it
+    rng = np.random.default_rng(2028)
+    for _ in range(12):
+        hi = int(rng.integers(4, 5000))
+        lo = int(rng.integers(0, 2 * math.isqrt(hi)))
+        lo = min(lo, hi - 1)
+        primes = prime_table.primes[: prime_table.prime_pi(hi)]
+        got = _values(spec, lo, hi, primes, _prime_values(spec, primes))
+        want = np.array([f_value(spec, m) for m in range(lo + 1, hi + 1)])
+        if got.dtype == np.int8:
+            assert np.array_equal(got, want), (lo, hi)
+        else:  # f_value raises each p to its power; _values multiplies
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0, err_msg=f"{lo}, {hi}")
+
+
+@pytest.mark.parametrize("spec", [liouville(), random_pm1(5)], ids=["liouville", "random"])
+def test_stats_memory_is_a_few_bytes_per_integer(spec, prime_table):
+    # the int8 values (1 MB at 1e6) and arrays of length pi(x) or a block,
+    # but no int32 or float64 array of length x
+    _held.cache_clear()
+    tracemalloc.start()
+    try:
+        stats(spec, 1e6, prime_table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20, peak
 
 
 def test_stats_csv_shape(prime_table):

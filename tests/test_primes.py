@@ -19,18 +19,17 @@ from xpv.primes import (
     _SEGMENT_SIZE,
     _LI_X0,
     DEFAULT_SIEVE_CAP,
-    EXACT_SCALE_MAX,
     REGISTRY,
     _compensated_prefix,
     _li_series,
     _li_terms,
     _pi_upper,
     _sieve_flags,
-    exact_numerator,
     exact_scale,
     log_integral,
     mertens_sum,
     nu2,
+    recip_numerator,
     sieve_primes,
     tail_power_sum_bound,
     verify_inequality,
@@ -440,44 +439,61 @@ def test_mertens_sum_preconditions(prime_table):
     assert mertens_sum(10 ** 6 + 0.5, prime_table) == mertens_sum(1e6, prime_table)
 
 
-def test_exact_numerator_equals_fsum():
+def test_recip_numerator_equals_fsum():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
-    # f(m)/m and (1 - f(p))/p with f in {-1, 0, 1}: the terms of L and u
+    # c/m with c = f(m) in {-1, 0, 1} and c = 1 - f(p) in {0, 1, 2}: the
+    # terms of L and u, each equal to c fl(1/m)
     @hypothesis.settings(max_examples=80, deadline=None)
     @hypothesis.given(st.integers(1, 10 ** 8), st.integers(0, 2 ** 32 - 1),
-                      st.integers(1, 40000), st.sampled_from([1.0, 2.0]))
-    def check(n, seed, size, top):
+                      st.integers(1, 40000))
+    def check(n, seed, size):
         rng = np.random.default_rng(seed)
-        m = rng.integers(1, n + 1, size).astype(np.float64)
-        terms = rng.integers(-1, 2, size) * (top / np.maximum(m, top))
+        m = np.sort(rng.integers(1, n + 1, size))
+        c = rng.integers(-2, 3, size).astype(np.int8)
         scale = exact_scale(n)
-        got = exact_numerator(terms, scale) / (1 << scale)
-        assert got.hex() == math.fsum(terms.tolist()).hex()
+        got = recip_numerator(m, scale, c) / (1 << scale)
+        assert got.hex() == math.fsum((c / m).tolist()).hex()
 
     check()
 
 
-def test_exact_numerator_scale_guard():
-    # every scale the program uses is inside the guard: that of stats at
-    # its cap (mfunc._SCALE) and that of mertens_sum on the largest table
-    assert mfunc._SCALE == exact_scale(mfunc.STATS_X_CAP) <= EXACT_SCALE_MAX
-    assert exact_scale(DEFAULT_SIEVE_CAP) <= EXACT_SCALE_MAX
-    m = np.arange(mfunc.STATS_X_CAP - 20000, mfunc.STATS_X_CAP + 1, dtype=np.float64)
-    terms = (-1.0) ** m / m
-    got = exact_numerator(terms, mfunc._SCALE) / (1 << mfunc._SCALE)
-    assert got.hex() == math.fsum(terms.tolist()).hex()
-    # a full block of the largest high limb, then of the largest low limb
-    # (2**49 - 1 each, a sum of 2**63 - 2**14): no int64 sum wraps
-    block = 1 << 14
-    for t in (1.0 - 2.0 ** -53, (2.0 ** 53 - 1) * 2.0 ** -EXACT_SCALE_MAX):
-        for sign in (1.0, -1.0):
-            want = Fraction(sign * t) * block * 2 ** EXACT_SCALE_MAX
-            assert want.denominator == 1
-            assert exact_numerator(np.full(block, sign * t), EXACT_SCALE_MAX) == want
+def _recip_oracle(m, c, scale):
+    return sum(int(ci) * Fraction(1.0 / int(mi)) for mi, ci in zip(m, c)) * 2 ** scale
+
+
+def test_recip_numerator_against_fractions():
+    rng = np.random.default_rng(28)
+    for _ in range(20):  # random ascending m up to 1e8
+        m = np.sort(rng.integers(1, 10 ** 8 + 1, int(rng.integers(1, 3000))))
+        c = rng.integers(-2, 3, m.size).astype(np.int8)
+        scale = exact_scale(int(m[-1])) + int(rng.integers(0, 3))
+        assert recip_numerator(m, scale, c) == _recip_oracle(m, c, scale)
+    # every m at and beside a power of two, where fl(1/m) changes binade
+    m = np.array(sorted({max(1, 2 ** k + d) for k in range(41) for d in (-1, 0, 1)}))
+    c = rng.integers(-2, 3, m.size).astype(np.int8)
+    assert recip_numerator(m, exact_scale(2 ** 40 + 1), c) == _recip_oracle(m, c, 93)
+    assert recip_numerator(m, 93) == _recip_oracle(m, np.ones(m.size), 93)
+    assert recip_numerator(m[:0], 60) == 0
+
+
+def test_recip_numerator_scale_guard():
+    # the scale of stats covers every m up to its cap
+    assert mfunc._SCALE == exact_scale(mfunc.STATS_X_CAP)
+    m = np.arange(mfunc.STATS_X_CAP - 20000, mfunc.STATS_X_CAP + 1)
+    c = np.where(m % 2 == 0, 1, -1).astype(np.int8)
+    got = recip_numerator(m, mfunc._SCALE, c) / (1 << mfunc._SCALE)
+    assert got.hex() == math.fsum((c / m).tolist()).hex()
+    # fl(1/(2**40 + 1)) has mantissa 2**53 - 2**13, so full int64 rows of
+    # c = +-2 sum to 2**63 - 2**23, next to the wrap
+    assert (1.0 / (2 ** 40 + 1)).hex() == "0x1.fffffffffe000p-41"
+    m = np.full(3 * 512 + 7, 2 ** 40 + 1)
+    for sign in (2, -2):
+        c = np.full(m.size, sign, dtype=np.int8)
+        assert recip_numerator(m, 93, c) == _recip_oracle(m, c, 93)
     with pytest.raises(PrecisionError):
-        exact_numerator(terms, EXACT_SCALE_MAX + 1)
+        recip_numerator(m, 92)
 
 
 # sha256 of each prefix array on the 1e6 table, recorded from the
