@@ -22,7 +22,10 @@ from .errors import PrecisionError, UsageError
 # that float noise can never flip a verdict.
 DEFAULT_ETA = 1e-9
 
-_SWEEP_CHUNK = 1 << 16  # states per chunk of every sweep
+# States per chunk of every sweep.  A chunk's float temporaries are then at
+# most 128 KiB, which glibc serves again from the heap; at 2^16 states they
+# are 256-512 KiB, mapped and faulted in anew on every chunk.
+_SWEEP_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -185,11 +188,16 @@ class SweepSummary:
                                   self.verdict, notes)
 
 
-def runs(lo: int, hi: int, width: int = 1):
-    """lo..hi-1 as ``np.arange`` chunks of ``_SWEEP_CHUNK`` states, ``width`` per index."""
+def spans(lo: int, hi: int, width: int = 1):
+    """lo..hi-1 as (a, b) runs a..b-1 of ``_SWEEP_CHUNK`` states, ``width`` per index."""
     step = _SWEEP_CHUNK // width
     for a in range(lo, hi, step):
-        yield np.arange(a, min(a + step, hi))
+        yield a, min(a + step, hi)
+
+
+def runs(lo: int, hi: int, width: int = 1):
+    """``spans`` as ``np.arange`` chunks."""
+    return (np.arange(a, b) for a, b in spans(lo, hi, width))
 
 
 def sweep(chunks, margins, eta: float = DEFAULT_ETA) -> SweepSummary:

@@ -127,25 +127,32 @@ class ErrorParams:
 _TSS_TAUS = (1.0,) + tuple(i / 10.0 for i in range(1, 10))
 
 
-def _tss_grid(cs: np.ndarray, k1: int) -> np.ndarray:
-    """tail_sum_small at each c of ``cs`` for one k1 and each tau of _TSS_TAUS
-    (1, where the sup sits, then the monotonicity samples): one (c, tau, k)
-    array summed over its contiguous k axis, np.sum's order on one unpadded
-    row.  ``last`` uses libm's exp, as numpy's may round differently."""
+def _tss_grid(cs: np.ndarray, k1s) -> np.ndarray:
+    """tail_sum_small at each c of ``cs`` (rows) and k1 of ``k1s`` (columns),
+    checked at each tau of _TSS_TAUS (1, where the sup sits, then the
+    monotonicity samples).  One (c, tau, k) table of the terms up to the
+    largest k1; each k1 sums its first k1 + 1 along the contiguous k axis,
+    np.sum's order on one row.  ``last`` uses libm's exp at tau = 1, as
+    numpy's may round differently; the samples take numpy's, whose ulp is
+    far inside their 1e-12 slack."""
     scales = DECAY_SCALE * np.array(_TSS_TAUS)
-    x = (cs[:, None, None] + TWO_PI * np.arange(k1 + 1.0)) / scales[:, None]
-    sums = np.exp(-np.sqrt(x)).sum(axis=-1)
-    ends = -np.sqrt((cs[:, None] + TWO_PI * k1) / scales)
-    last = np.array(list(map(math.exp, ends.ravel().tolist()))).reshape(ends.shape)
-    tail_factor = (math.sqrt(DECAY_SCALE) * np.sqrt(TWO_PI * k1 + cs)
-                   + DECAY_SCALE) / math.pi
-    vals = sums + last * tail_factor[:, None]
-    bad = np.argwhere(vals[:, 1:] > vals[:, :1] * (1.0 + 1e-12))
-    if bad.size:
-        i, j = bad[0].tolist()
-        raise PrecisionError(f"tail_sum_small monotonicity violated at c={cs[i]}, "
-                             f"k1={k1}, tau={_TSS_TAUS[j + 1]}")
-    return vals[:, 0]
+    x = (cs[:, None, None] + TWO_PI * np.arange(max(k1s) + 1.0)) / scales[:, None]
+    terms = np.exp(-np.sqrt(x))
+    out = np.empty((cs.size, len(k1s)))
+    for j, k1 in enumerate(k1s):
+        ends = -np.sqrt((cs[:, None] + TWO_PI * k1) / scales)
+        last = np.exp(ends)
+        last[:, 0] = list(map(math.exp, ends[:, 0].tolist()))
+        tail_factor = (math.sqrt(DECAY_SCALE) * np.sqrt(TWO_PI * k1 + cs)
+                       + DECAY_SCALE) / math.pi
+        vals = terms[:, :, : k1 + 1].sum(axis=-1) + last * tail_factor[:, None]
+        bad = np.argwhere(vals[:, 1:] > vals[:, :1] * (1.0 + 1e-12))
+        if bad.size:
+            i, t = bad[0].tolist()
+            raise PrecisionError(f"tail_sum_small monotonicity violated at c={cs[i]}, "
+                                 f"k1={k1}, tau={_TSS_TAUS[t + 1]}")
+        out[:, j] = vals[:, 0]
+    return out
 
 
 def tail_sum_small(c: float, k1: int) -> float:
@@ -154,11 +161,12 @@ def tail_sum_small(c: float, k1: int) -> float:
 
     Every summand and the tail term increase in tau, so the sup sits at
     tau = 1; that monotonicity is asserted by sampling, not assumed.  One
-    row of the kernel the optimizer runs on its c grid, so both share bits.
+    cell of the kernel the optimizer runs on its (c, k1) grid, so both
+    share bits.
     """
     if not 1 <= c < math.inf or k1 < 0:
         raise DomainError(f"tail_sum_small needs finite c >= 1 and k1 >= 0, got {c}, {k1}")
-    return float(_tss_grid(np.array([float(c)]), k1)[0])
+    return float(_tss_grid(np.array([float(c)]), [k1])[0, 0])
 
 
 def _sum_prefixes(n: int):
@@ -357,10 +365,9 @@ DEFAULT_K2_GRID = (10 ** 3, 10 ** 4, 10 ** 5, 3 * 10 ** 5, 10 ** 6)
 
 
 def _c_ii_grid(c_grid, k1_grid, f: PeriodicF) -> np.ndarray:
-    """c_ii at every (c, k1) of the grids, one tail-sum kernel per k1."""
+    """c_ii at every (c, k1) of the grids, from one tail-sum table."""
     cs = np.array(c_grid, dtype=np.float64)[:, None]
-    tss = np.stack([_tss_grid(cs[:, 0], k1) for k1 in k1_grid], axis=1)
-    return _case_i(cs, f) + _small_bound(cs, tss, f)
+    return _case_i(cs, f) + _small_bound(cs, _tss_grid(cs[:, 0], k1_grid), f)
 
 
 def optimize_C0(c_grid, k1_grid, eps_grid, k2_grid, f: PeriodicF | None = None):
@@ -373,7 +380,7 @@ def optimize_C0(c_grid, k1_grid, eps_grid, k2_grid, f: PeriodicF | None = None):
     which is then provably part of the lexicographically smallest
     argmin.  The trivial-range constant grows with eps, which prunes the
     remaining eps values once it passes both min A and the best G seen.
-    A is one array over the grid, one tail-sum kernel per k1, with the
+    A is one array over the grid, from one tail-sum table, with the
     bits of case_bounds' c_ii at each point.
     """
     c_grid = sorted({float(c) for c in c_grid})

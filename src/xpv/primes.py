@@ -46,7 +46,7 @@ from .core import (
     anchored_grid,
     bisect_root,
     geometric_grid,
-    runs,
+    spans,
     sweep,
 )
 from .errors import (
@@ -79,22 +79,38 @@ def _sieve_flags(limit: int) -> np.ndarray:
     return flags
 
 
-def _compensated_prefix(terms: np.ndarray) -> np.ndarray:
-    """Running sums s of ``terms``, with a leading 0, each plus the running
-    sum of the exact TwoSum errors (s[i-1] - (s[i] - b)) + (t[i] - b),
-    b = s[i] - s[i-1], as in Sum2 of Ogita, Rump and Oishi (SIAM J. Sci.
-    Comput. 26, 2005).  About three arrays of ``terms``' size are live."""
-    out = np.empty(terms.size + 1)
-    out[0] = 0.0
-    prev, cur = out[:-1], out[1:]
-    np.cumsum(terms, out=cur)
-    b = cur - prev
-    err = cur - b
-    np.subtract(prev, err, out=err)
-    np.subtract(terms, b, out=b)
-    err += b
-    np.cumsum(err, out=err)
-    cur += err
+_PREFIX_CHUNK = 1 << 13  # primes per prefix chunk: 64 KiB arrays, reused from the heap
+
+
+def _compensated_prefix(primes: np.ndarray, term: Callable) -> np.ndarray:
+    """Running sums s of the terms ``term(primes)``, with a leading 0, each
+    plus the running sum of the exact TwoSum errors (s[i-1] - (s[i] - b))
+    + (t[i] - b), b = s[i] - s[i-1], as in Sum2 of Ogita, Rump and Oishi
+    (SIAM J. Sci. Comput. 26, 2005).
+
+    ``term`` maps a chunk of ``_PREFIX_CHUNK`` primes to a new float array,
+    which is overwritten.  Both cumsums run on from the last s and the last
+    error sum, prepended to the chunk, so each entry has the bits of the
+    whole-array sums; besides the output two chunk-sized arrays are live."""
+    out = np.empty(primes.size + 1)
+    out[0] = s_last = e_last = 0.0
+    for a in range(0, primes.size, _PREFIX_CHUNK):
+        t = term(primes[a : a + _PREFIX_CHUNK])
+        e = np.concatenate(([s_last], t))
+        s = out[a : a + e.size]
+        done = s[0]  # entry a, finished by the chunk before
+        np.cumsum(e, out=s)
+        prev, cur = s[:-1], s[1:]
+        err = np.subtract(cur, prev, out=e[1:])  # b
+        t -= err
+        np.subtract(cur, err, out=err)
+        np.subtract(prev, err, out=err)
+        err += t
+        e[0] = e_last
+        np.cumsum(e, out=e)
+        s_last, e_last, s[0] = s[-1], e[-1], done
+        cur += err
+        del t, e, err  # before the next chunk's terms exist
     return out
 
 
@@ -124,13 +140,13 @@ class PrimeTable:
     def recip_prefix(self) -> np.ndarray:
         """R[k] = sum of 1/p over the first k primes, R[0] = 0."""
         if self._recip_prefix is None:
-            self._recip_prefix = _compensated_prefix(1.0 / self.primes)
+            self._recip_prefix = _compensated_prefix(self.primes, lambda p: 1.0 / p)
         return self._recip_prefix
 
     def log2_prefix(self) -> np.ndarray:
         """L[k] = sum of log(p)^2/p over the first k primes, L[0] = 0."""
         if self._log2_prefix is None:
-            self._log2_prefix = _compensated_prefix(np.log(self.primes) ** 2 / self.primes)
+            self._log2_prefix = _compensated_prefix(self.primes, lambda p: np.log(p) ** 2 / p)
         return self._log2_prefix
 
 
@@ -603,13 +619,13 @@ _GAP_NOTE = (
 class States:
     """A family of evaluation states.
 
-    ``build(x_lo, x_hi, table, extra)`` yields (xs, state) chunks: the x
-    of each evaluation and what the margin function reads there, one
-    ``core.sweep`` chunk at a time.  Step states read a prime table,
-    list the extra points last and carry the gap note into every report;
-    their state is pi, or with a ``prefix`` (table -> prefix-sum array)
-    the prime sum at pi, of shape (2, n) over the n primes of a chunk and
-    one per x elsewhere.  Grid states carry the grid index j, or None
+    ``build(x_lo, x_hi, table, extra, prefix)`` yields (xs, state) chunks:
+    the x of each evaluation and what the margin function reads there, one
+    ``core.sweep`` chunk at a time.  Step states read a prime table, list
+    the extra points last and carry the gap note into every report; their
+    state is pi, or with a ``prefix`` (table -> the prefix-sum array build
+    gets) the prime sum at pi, of shape (2, n) over the n primes of a chunk
+    and one per x elsewhere.  Grid states carry the grid index j, or None
     for the endpoints off the grid; no grid check has extra points.
     """
 
@@ -619,20 +635,25 @@ class States:
     prefix: Callable | None = None
 
 
-def _step_states(x_lo: float, x_hi: float, table: PrimeTable, extra):
-    """Evaluation states for step-function sweeps, as (xs, pis) chunks.
+def _step_states(x_lo: float, x_hi: float, table: PrimeTable, extra, prefix=None):
+    """Evaluation states for step-function sweeps, as (xs, state) chunks.
 
     The primes p in (x_lo, x_hi] come in runs of indices i, one x per
     prime, with pis of shape (2, n): row 0 the left limit pi(p) - 1 = i
-    and row 1 the inclusive state pi(p) = i + 1.  x_lo comes first, and
-    x_hi and each extra x last, each with its inclusive state alone.
+    and row 1 the inclusive state pi(p) = i + 1, or ``prefix`` at them:
+    one view, strides (8, 8), of the n + 1 values at i = a..b, no copy.
+    x_lo comes first, and x_hi and each extra x last, each with its
+    inclusive state alone.
     """
+    at = (lambda i: i) if prefix is None else prefix.__getitem__
     i_lo, i_hi = table.prime_pi(x_lo), table.prime_pi(x_hi)
-    yield np.array([x_lo], dtype=float), np.array([i_lo])
-    for i in runs(i_lo, i_hi, width=2):
-        yield table.primes[i].astype(np.float64), np.stack((i, i + 1))
+    yield np.array([x_lo], dtype=float), at(np.array([i_lo]))
+    for a, b in spans(i_lo, i_hi, width=2):
+        run = np.arange(a, b + 1) if prefix is None else prefix[a : b + 1]
+        yield table.primes[a:b].astype(np.float64), np.lib.stride_tricks.as_strided(
+            run, (2, b - a), run.strides * 2, writeable=False)
     ends = [x_hi, *extra]
-    yield np.array(ends, dtype=float), np.array([table.prime_pi(x) for x in ends])
+    yield np.array(ends, dtype=float), at(np.array([table.prime_pi(x) for x in ends]))
 
 
 PI_STATES = States(_step_states, True, _GAP_NOTE)
@@ -694,25 +715,19 @@ def _compare(rhs, lhs=None, upper=True):
     return margins
 
 
-def _worse(first, second):
-    """At each state, the worse of two margins, with its scale."""
-
-    def margins(xs, state):
-        (m1, s1), (m2, s2) = first(xs, state), second(xs, state)
-        take_first = m1 <= m2
-        return np.where(take_first, m1, m2), np.where(take_first, s1, s2)
-
-    return margins
+def _mertens_bracket(xs, sums):
+    """Margins of loglog x + LO <= S <= loglog x + HI: at each state the
+    worse side, the lower on a tie, scaled by its bound; loglog x once."""
+    L = np.log(np.log(xs))
+    lo, hi = L + MERTENS_BRACKET_LO, np.add(L, MERTENS_BRACKET_HI, out=L)
+    m1, m2 = sums - lo, hi - sums
+    take_first = m1 <= m2
+    return np.where(take_first, m1, m2), np.where(take_first, lo, hi)
 
 
 def _rs(c):
     """The bound x/log x (1 + c/(2 log x))."""
     return lambda xs, u, *_: xs / u * (1.0 + c / (2.0 * u))
-
-
-def _loglog(c):
-    """The bound loglog x + c."""
-    return lambda xs, u, *_: np.log(u) + c
 
 
 _LI2, _LI2_HALF = _li(np.array([2.0]))
@@ -782,8 +797,7 @@ REGISTRY = {
             stationary=(math.exp(math.sqrt(2.0)),),
         ),
         CheckDef("mertens-bracket", "x >= 2", lambda a, b: a >= 2.0, RECIP_SUMS,
-                 _worse(_compare(_loglog(MERTENS_BRACKET_LO), upper=False),
-                        _compare(_loglog(MERTENS_BRACKET_HI)))),
+                 _mertens_bracket),
         CheckDef("mertens-mprime-coarse", "x >= 2", lambda a, b: a >= 2.0, RECIP_SUMS,
                  _compare(lambda *_: MPRIME_COARSE_BOUND, _mertens_dev)),
         CheckDef("log2p-plain", "1 < x < 355991", lambda a, b: 1.0 < a and b < 355991.0,
@@ -832,11 +846,7 @@ def verify_inequality(
         _require_table(table, x_hi, check_id)
     extra = [x for x in cd.stationary if x_lo < x <= x_hi]
     prefix = None if cd.states.prefix is None else cd.states.prefix(table)
-
-    def margins(xs, state):
-        return cd.margins(xs, state if prefix is None else prefix[state])
-
-    summary = sweep(cd.states.build(x_lo, x_hi, table, extra), margins, eta)
+    summary = sweep(cd.states.build(x_lo, x_hi, table, extra, prefix), cd.margins, eta)
     notes = [n for n in (cd.states.note, cd.note) if n]
     if cd.crossover:
         (first, last), _ = cd.margins(np.array([x_lo, x_hi], dtype=float), None)

@@ -526,9 +526,51 @@ def test_prefix_within_one_ulp_of_fsum(prime_table, name):
         assert abs(prefix[k] - want) <= np.spacing(want), k
 
 
+def _sum2_whole(terms):
+    """The whole-array Sum2 that the chunked prefix replaced, kept as its
+    oracle: about four arrays of ``terms``' size are live."""
+    out = np.empty(terms.size + 1)
+    out[0] = 0.0
+    prev, cur = out[:-1], out[1:]
+    np.cumsum(terms, out=cur)
+    b = cur - prev
+    err = cur - b
+    np.subtract(prev, err, out=err)
+    np.subtract(terms, b, out=b)
+    err += b
+    np.cumsum(err, out=err)
+    cur += err
+    return out
+
+
+def _prefix_of(terms):
+    return _compensated_prefix(np.arange(terms.size), lambda i: terms[i])
+
+
+@pytest.mark.parametrize("n", sorted({
+    0, 1, 2 ** 15 - 1, 2 ** 15, 2 ** 15 + 1, 3 * 2 ** 15 + 5,
+    primes._PREFIX_CHUNK - 1, primes._PREFIX_CHUNK, primes._PREFIX_CHUNK + 1}))
+def test_chunked_prefix_is_the_whole_sum2(n):
+    # the carried sums give every entry the bits of the whole-array prefix
+    terms = np.random.default_rng(n).lognormal(0.0, 3.0, n)
+    assert _prefix_of(terms).tobytes() == _sum2_whole(terms).tobytes()
+
+
+def test_prefix_peak_memory_is_its_output(prime_table):
+    table = primes.PrimeTable(prime_table.limit, prime_table.primes)
+    tracemalloc.start()
+    try:
+        prefix = table.recip_prefix()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the whole-array prefix held about four arrays of the table's size
+    assert peak < 1.3 * prefix.nbytes, (peak, prefix.nbytes)
+
+
 def test_prefix_adds_small_to_large():
     terms = np.array([1e16] + [1.0] * 1000 + [-1e16])
-    prefix = _compensated_prefix(terms)
+    prefix = _prefix_of(terms)
     assert prefix[0] == 0.0 and prefix[-1] == 1000.0
     for k in range(terms.size + 1):
         want = math.fsum(terms[:k].tolist())
@@ -762,14 +804,17 @@ def test_sweep_peak_memory_is_one_chunk(prime_table, monkeypatch):
 # the oracle: two states per prime, each with its own x
 
 
-def _interleaved_step_states(x_lo, x_hi, table, extra):
+def _interleaved_step_states(x_lo, x_hi, table, extra, prefix=None):
+    def at(i):  # pi, or the prime sum at pi by a gather
+        return i if prefix is None else prefix[i]
+
     i_lo, i_hi = table.prime_pi(x_lo), table.prime_pi(x_hi)
-    yield np.array([x_lo], dtype=float), np.array([i_lo])
+    yield np.array([x_lo], dtype=float), at(np.array([i_lo]))
     # state k is prime k // 2, left limit for even k and inclusive for odd
     for k in core.runs(2 * i_lo, 2 * i_hi):
-        yield table.primes[k >> 1].astype(np.float64), (k + 1) >> 1
+        yield table.primes[k >> 1].astype(np.float64), at((k + 1) >> 1)
     ends = [x_hi, *extra]
-    yield np.array(ends, dtype=float), np.array([table.prime_pi(x) for x in ends])
+    yield np.array(ends, dtype=float), at(np.array([table.prime_pi(x) for x in ends]))
 
 
 _STEP_CHECKS = sorted(c for c, cd in REGISTRY.items() if cd.states.needs_table)
