@@ -8,7 +8,6 @@ Compensated prefix sums: ``primes._compensated_prefix``.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -98,8 +97,9 @@ def margins_verdict(margins, scales, eta: float = DEFAULT_ETA) -> str:
 class VerificationReport:
     """Outcome of sweeping one named inequality over a range.
 
-    worst_margin is RHS - LHS at its minimum over all evaluated points,
-    signed, so negative means the inequality failed somewhere.
+    worst_margin is RHS - LHS at its minimum over all points, evaluated or
+    covered by a proven floor (``sweep``), signed, so negative means the
+    inequality failed somewhere; evaluation_count counts both.
     """
 
     check_id: str
@@ -163,6 +163,11 @@ class SweepSummary:
                    margins_verdict(margins, scales, eta), int(neg_xs.size),
                    float(neg_xs.min(initial=math.inf)), float(neg_xs.max(initial=-math.inf)))
 
+    @classmethod
+    def covered(cls, count: int) -> SweepSummary:
+        """``count`` states a floor proves pass, above the worst point."""
+        return cls(count, math.inf, math.inf, "pass", 0, math.inf, -math.inf)
+
     def merge(self, later: SweepSummary) -> SweepSummary:
         """The summary of these states followed by ``later``'s."""
         worst = self if (self.worst_margin, self.arg_min) <= (
@@ -200,15 +205,29 @@ def runs(lo: int, hi: int, width: int = 1):
     return (np.arange(a, b) for a, b in spans(lo, hi, width))
 
 
-def sweep(chunks, margins, eta: float = DEFAULT_ETA) -> SweepSummary:
+def sweep(chunks, margins, eta: float = DEFAULT_ETA, floor=None) -> SweepSummary:
     """Summarize the non-empty (xs, state) ``chunks`` a state builder
     yields; ``margins(xs, state)`` returns (margins, scales) of one.
+
+    Each chunk is evaluated, or else covered by a proven floor, its states
+    still counted: past the first, ``floor(xs, state)`` may give (lo, top),
+    lo <= every margin and top >= every |scale| there.  lo > 0, lo > the
+    worst so far and lo >= eta top (eta >= 0, fl(eta |s|) monotone) prove
+    no negative margin, no new worst or tie, and a pass; a new summary
+    field extends these tests.
 
     Margins are elementwise and the merge is exact, so the summary is the
     whole sweep's; only one chunk's states and temporaries are live.
     """
-    return functools.reduce(SweepSummary.merge, (
-        SweepSummary.of(xs, *margins(xs, state), eta) for xs, state in chunks))
+    summary = None
+    for xs, state in chunks:
+        bound = floor(xs, state) if summary and floor else None
+        lo, top = bound or (0.0, 0.0)
+        part = (SweepSummary.covered(np.broadcast(xs, state).size)
+                if 0.0 < lo and summary.worst_margin < lo and eta * top <= lo
+                else SweepSummary.of(xs, *margins(xs, state), eta))
+        summary = part if summary is None else summary.merge(part)
+    return summary
 
 
 def adaptive_simpson(f, a: float, b: float, tol: float = 1e-12,

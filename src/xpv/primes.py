@@ -673,6 +673,7 @@ class CheckDef:
     smooth side is stationary; those inside (x_lo, x_hi] are evaluated
     too.  ``crossover`` marks a grid check whose margin is bisected for
     its sign change when the sweep goes from negative to positive.
+    ``floor``, if any, is the check's ``core.sweep`` floor.
     """
 
     check_id: str
@@ -683,6 +684,7 @@ class CheckDef:
     note: str | None = None
     stationary: tuple = ()
     crossover: bool = False
+    floor: Callable | None = None
 
     def check_range(self, x_lo: float, x_hi: float) -> None:
         """Raise UsageError for an empty range or a non-finite bound, and
@@ -744,6 +746,61 @@ def _mertens_dev(xs, u, sums):
     return np.abs(sums - np.log(u) - MERTENS_M)
 
 
+_FLOOR_RUN, _FLOOR_EPS = 1 << 9, 1e-12  # primes per run of a floor; its pad
+
+
+def _li_sides(ends, ys):
+    """li -+ half-width at ``ends``, and twice the largest over their octaves."""
+    li, half = _li(ends, ys)
+    # ``_li``'s octaves, monotone in x, at the first and last end
+    j = np.floor(ys[[0, -1]] * (64.0 / _LOG2)).astype(int) >> 6
+    h = max(_li_octave(k)[-1].max() for k in range(j[0], j[1] + 1))
+    return li - half, li + half, 2.0 * h
+
+
+def _loglog_sides(ends, ys):
+    side = np.log(ys) + MERTENS_M
+    return side, side, 0.0
+
+
+def _step_floor(rhs, sides, x0=0.0):
+    """The floor of R - (|F - state| + w), R = rhs monotone and F within w
+    of an increasing function, on step states from x0 up (None below x0
+    and for end chunks).  ``sides(ends, log ends)`` gives lo, hi, pad with
+    F - w >= lo(p_s) - pad and F + w <= hi(p_e) + pad on each run of primes
+    p_s..p_e, whose states lie in [S_lo, S_hi]; so its margins are at least
+    min(R(p_s), R(p_e))(1 - eps) - (max(hi(p_e) - S_lo, S_hi - lo(p_s), 0)
+    + pad)(1 + eps) - eps.  li and the pi-li R increase for x >= e^2
+    (pi-li-3: d log R/d log x = 1 - 1/(2 sqrt(6.455 log x)) > 0), loglog x
+    for x > 1.  eps = 1e-12 covers ten roundings a side: relative ones on
+    R and the deviation, and ones within 2^-53 * 4 on loglog x + M and S
+    (< 4 below 2^53) or 2^-52 p_s/9 < eps R(p_s) on li -+ (li < x/9 and
+    R > 1e-3 x on [X0, 2^53]).
+    """
+
+    def floor(xs, state):
+        if state.ndim == 1 or xs[0] < x0:
+            return None
+        first = np.arange(0, xs.size, _FLOOR_RUN)
+        ends = xs[np.concatenate((first, np.minimum(first + _FLOOR_RUN, xs.size) - 1))]
+        ys = np.log(ends)
+        lo, hi, pad = sides(ends, ys)
+        m = first.size
+        dev = np.maximum(np.maximum(hi[m:] - np.minimum.reduceat(state.min(axis=0), first),
+                                    np.maximum.reduceat(state.max(axis=0), first) - lo[:m]), 0.0)
+        r = np.broadcast_to(rhs(ends, ys), ends.shape)
+        bound = np.minimum(r[:m], r[m:]) * (1.0 - _FLOOR_EPS) - (dev + pad) * (1.0 + _FLOOR_EPS)
+        return float(bound.min()) - _FLOOR_EPS, max(r[0], r[-1]) * (1.0 + _FLOOR_EPS) + _FLOOR_EPS
+
+    return floor
+
+
+def _floored(check_id, validity, valid, states, rhs, lhs, sides, x0=0.0, **kw):
+    """The check lhs <= rhs, with the step floor of its sides from x0 up."""
+    return CheckDef(check_id, validity, valid, states, _compare(rhs, lhs),
+                    floor=_step_floor(rhs, sides, x0), **kw)
+
+
 REGISTRY = {
     c.check_id: c
     for c in [
@@ -766,40 +823,41 @@ REGISTRY = {
             note="margin derivative is (log x - 6)/(2 log^3 x) > 0 for x > e^6, so "
                  "on the validity range the worst point is the left endpoint",
         ),
-        CheckDef(
+        _floored(
             "pi-li-1", "x >= 2", lambda a, b: a >= 2.0, PI_STATES,
-            _compare(lambda xs, u, *_: 0.4897 * xs / u, _li_dev),
+            lambda xs, u, *_: 0.4897 * xs / u, _li_dev, _li_sides, _LI_X0,
             note="on gaps RHS' - li' = -(0.5103 log x + 0.4897)/log^2 x < 0, so the "
                  "margin is monotone on each sign branch of li - pi and minima land "
                  "on gap endpoints",
         ),
-        CheckDef(
+        _floored(
             "pi-li-2", "x >= 2", lambda a, b: a >= 2.0, PI_STATES,
-            _compare(lambda xs, u, *_: 1.3597 * xs / u ** 2, _li_dev),
+            lambda xs, u, *_: 1.3597 * xs / u ** 2, _li_dev, _li_sides, _LI_X0,
             note="on gaps RHS' - li' = (1.3597(log x - 2) - log^2 x)/log^3 x < 0 "
                  "(negative discriminant), so minima land on gap endpoints",
         ),
-        CheckDef(
+        _floored(
             "pi-li-3", "x >= 2", lambda a, b: a >= 2.0, PI_STATES,
-            _compare(lambda xs, u, *_: 0.1522 * xs * np.exp(-np.sqrt(u / 6.455)),
-                     _li_dev),
+            lambda xs, u, *_: 0.1522 * xs * np.exp(-np.sqrt(u / 6.455)), _li_dev,
+            _li_sides, _LI_X0,
             note="0.1522 u exp(-sqrt(u/6.455))(1 - 1/(2 sqrt(6.455 u))) peaks at "
                  "0.5113 < 1 (u = 25.82), so RHS' < li' everywhere and minima land "
                  "on gap endpoints",
         ),
-        CheckDef(
+        _floored(
             "mertens-remainder", "x > 1", lambda a, b: a > 1.0, RECIP_SUMS,
-            _compare(lambda xs, u, *_: 1.0 / u ** 2, _mertens_dev),
+            lambda xs, u, *_: 1.0 / u ** 2, _mertens_dev, _loglog_sides,
             note="the upper-branch margin 1/log^2 x + loglog x + M - S has one "
                  "stationary point at x = exp(sqrt 2), evaluated explicitly when "
                  "in range",
             # d/dx [1/log^2 x + loglog x] = 0 at log^2 x = 2
             stationary=(math.exp(math.sqrt(2.0)),),
         ),
+        # no floor: its lower margin M - 0.2614 is below a run's spread near 1e7
         CheckDef("mertens-bracket", "x >= 2", lambda a, b: a >= 2.0, RECIP_SUMS,
                  _mertens_bracket),
-        CheckDef("mertens-mprime-coarse", "x >= 2", lambda a, b: a >= 2.0, RECIP_SUMS,
-                 _compare(lambda *_: MPRIME_COARSE_BOUND, _mertens_dev)),
+        _floored("mertens-mprime-coarse", "x >= 2", lambda a, b: a >= 2.0, RECIP_SUMS,
+                 lambda *_: MPRIME_COARSE_BOUND, _mertens_dev, _loglog_sides),
         CheckDef("log2p-plain", "1 < x < 355991", lambda a, b: 1.0 < a and b < 355991.0,
                  LOG2_SUMS, _compare(lambda xs, u, *_: u ** 2 / 2.0)),
         CheckDef(
@@ -833,9 +891,9 @@ def verify_inequality(
     """Sweep one registered inequality over [x_lo, x_hi].
 
     ``core.sweep`` evaluates the margins one chunk of states at a time, as
-    the check's ``States`` make them.  Every margin at an x depends on
-    that x and its state alone, li included, so neither the chunking nor
-    x_hi moves a bit.
+    the check's ``States`` make them, or covers the chunk by its ``floor``.
+    Every margin at an x depends on that x and its state alone, li
+    included, so neither the chunking nor x_hi moves a bit.
 
     Raises UsageError for an unknown check id, and whatever
     ``CheckDef.check_range`` raises for the range.
@@ -846,7 +904,8 @@ def verify_inequality(
         _require_table(table, x_hi, check_id)
     extra = [x for x in cd.stationary if x_lo < x <= x_hi]
     prefix = None if cd.states.prefix is None else cd.states.prefix(table)
-    summary = sweep(cd.states.build(x_lo, x_hi, table, extra, prefix), cd.margins, eta)
+    summary = sweep(cd.states.build(x_lo, x_hi, table, extra, prefix), cd.margins, eta,
+                    cd.floor)
     notes = [n for n in (cd.states.note, cd.note) if n]
     if cd.crossover:
         (first, last), _ = cd.margins(np.array([x_lo, x_hi], dtype=float), None)
