@@ -2,7 +2,7 @@
 
 The package has five layers:
 
-- ``core``: enclosures, verdicts, reports, and small numerics shared by all.
+- ``core``: the rounding model, enclosures, verdicts, reports, shared numerics.
 - ``primes``: sieves, the logarithmic integral, and swept prime inequalities.
 - ``dickman``: the smooth-number density table and exponent certificates.
 - ``meanvalue``: periodic-weight error bounds, the constant ledger, and the

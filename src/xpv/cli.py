@@ -51,6 +51,7 @@ from .meanvalue import (
     DEFAULT_EPS_GRID,
     DEFAULT_K1_GRID,
     DEFAULT_K2_GRID,
+    GRID_STEPS,
     LEDGER_PRIMES,
     ErrorParams,
     PeriodicF,
@@ -459,9 +460,9 @@ def _cmd_constants(args):
                 "argmin": asdict(params),
                 "gap_to_published": achieved - PUBLISHED_C0,
                 "grids": {
-                    "c": [DEFAULT_C_GRID[0], DEFAULT_C_GRID[-1], 0.01],
-                    "k1": [DEFAULT_K1_GRID[0], DEFAULT_K1_GRID[-1], 1],
-                    "eps": [DEFAULT_EPS_GRID[0], DEFAULT_EPS_GRID[-1], 0.01],
+                    "c": [DEFAULT_C_GRID[0], DEFAULT_C_GRID[-1], GRID_STEPS["c"]],
+                    "k1": [DEFAULT_K1_GRID[0], DEFAULT_K1_GRID[-1], GRID_STEPS["k1"]],
+                    "eps": [DEFAULT_EPS_GRID[0], DEFAULT_EPS_GRID[-1], GRID_STEPS["eps"]],
                     "k2": list(DEFAULT_K2_GRID),
                 },
             },

@@ -1,9 +1,9 @@
 """Shared numeric plumbing.
 
-Enclosures, margin verdicts, the one sweep reducer (state chunks into
-mergeable summaries) and its reports, the chunked absolute grids,
-adaptive quadrature, and the small root-finding and line-search helpers.
-Compensated prefix sums: ``primes._compensated_prefix``.
+The rounding model, enclosures, the margin verdict, the one sweep reducer
+(state chunks into mergeable summaries) and its reports, the chunked
+absolute grids, adaptive quadrature, and the small root-finding and
+line-search helpers.  Compensated prefix sums: ``primes._compensated_prefix``.
 """
 
 from __future__ import annotations
@@ -15,10 +15,34 @@ import numpy as np
 
 from .errors import PrecisionError, UsageError
 
-# Safety factor for inequality verdicts: a margin must clear eta*|scale|
-# before it counts as a pass, and must undershoot -eta*|scale| before it
-# counts as a fail.  Anything in between is reported as indeterminate so
-# that float noise can never flip a verdict.
+# The rounding model every error pad's proof cites.  +, -, *, / and sqrt
+# round to nearest, within u = 2^-53 relative; U is u with 1% to spare for
+# a pad's own rounding, and n U >= gamma_n while n U <= 0.0099.  numpy's log,
+# log1p, exp and pow, and libm's acos, sin, log, log1p and expm1, err by at
+# most 1 ulp: within 2^-52 = 2u relative, below ULP.  A pad that allows
+# more ulps stays valid, only conservative.
+U = 1.01 * 2.0 ** -53
+ULP = 2.3e-16
+
+
+def gamma_n(n):
+    """n U/(1 - n U), the relative error bound of n chained roundings (Higham,
+    Accuracy and Stability of Numerical Algorithms, SIAM 2002, section 3.1)."""
+    return n * U / (1.0 - n * U)
+
+
+def outward(end, toward, err=None):
+    """An enclosure end one float further toward ``toward`` (-inf or inf),
+    for the rounding of the step that made it; where its error ``err`` is
+    given and 0, the end is exact and stays.  Elementwise; floats stay floats."""
+    out = np.nextafter(end, toward)
+    if err is not None:
+        out = np.where(err > 0.0, out, end)
+    return out if np.ndim(out) else float(out)
+
+
+# The verdict rule's safety factor (``margins_verdict``): a margin within
+# eta*|scale| of 0 is indeterminate, so float noise never flips a verdict.
 DEFAULT_ETA = 1e-9
 
 # States per chunk of every sweep.  A chunk's float temporaries are then at
@@ -53,44 +77,34 @@ class Enclosure:
     def contains(self, value: float) -> bool:
         return self.lo <= value <= self.hi
 
-    def __contains__(self, value: float) -> bool:
-        return self.contains(value)
+    __contains__ = contains
 
 
 def classify(margin: float, scale: float, eta: float = DEFAULT_ETA) -> str:
-    """Three-way verdict for a signed margin (RHS - LHS at the worst point).
+    """Three-way verdict for a signed margin (RHS - LHS at the worst
+    point): ``margins_verdict`` on this one point."""
+    return margins_verdict([margin], [scale], eta)
 
-    pass           margin >= eta*|scale|, or margin is exactly 0.0
-    fail           margin <= -eta*|scale|
-    indeterminate  anything in between
+
+def margins_verdict(margins, scales, eta: float = DEFAULT_ETA) -> str:
+    """The verdict rule, eta >= 0.  A point passes when its margin (RHS -
+    LHS) is >= eta*|scale| or exactly 0.0, fails when it is <=
+    -eta*|scale| and not 0.0, and is indeterminate in between.  A sweep
+    fails if any point fails, else is indeterminate if any point is, else
+    passes.
 
     The exact-zero case is deliberate: when an inequality is attained with
     equality at a stated boundary point, both sides are computed by the
     identical float expression and the margin comes out as a true 0.0.
     That is a structural equality, not rounding noise.
     """
-    threshold = eta * abs(scale)
-    if margin == 0.0 or margin >= threshold:
-        return "pass"
-    if margin <= -threshold:
-        return "fail"
-    return "indeterminate"
-
-
-def margins_verdict(margins, scales, eta: float = DEFAULT_ETA) -> str:
-    """Vectorized verdict over a sweep: fail if any point fails, else
-    indeterminate if any point is too close to call, else pass."""
     margins = np.asarray(margins)
-    # a threshold past the float range reads inf, as in classify
+    # a threshold past the float range reads inf
     with np.errstate(over="ignore"):
         thresholds = eta * np.abs(np.asarray(scales))
-    ok = (margins == 0.0) | (margins >= thresholds)
-    bad = (margins <= -thresholds) & (margins != 0.0)
-    if bad.any():
+    if ((margins <= -thresholds) & (margins != 0.0)).any():
         return "fail"
-    if not ok.all():
-        return "indeterminate"
-    return "pass"
+    return "pass" if ((margins == 0.0) | (margins >= thresholds)).all() else "indeterminate"
 
 
 @dataclass

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_ETA, Enclosure, VerificationReport, anchored_grid, sweep
+from .core import DEFAULT_ETA, Enclosure, U, VerificationReport, anchored_grid, outward, sweep
 from .errors import (
     DomainError,
     PrecisionError,
@@ -32,9 +32,6 @@ DEFAULT_STEP = 2.0 ** -10
 MAX_TABLE_STEPS = 1 << 22
 # series degree: the truncation tail stays below 1e-17 relative to x = 4097
 _TERMS = 40
-# unit roundoff with 1% to spare, so that n*_U bounds the relative error
-# n u/(1 - n u) of n chained roundings for every n used here (n <= 130)
-_U = 1.01 * 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -71,13 +68,14 @@ def _series(n_intervals: int):
     rounding of the A_m (3m roundings each) and of A_0, the tail past
     degree N (|A_m| shrinks by 1/c per term past N + 1, as b stops at N),
     the normalisation, and the rounding of log A_0 and of L_k; a factor 2
-    covers second-order terms and the rounding of the bound itself.
+    covers second-order terms and the rounding of the bound itself; n
+    roundings err by at most n U >= gamma_n (``core``).
     """
     N = _TERMS
     n = np.arange(N + 2)
     w = 0.5 ** (n + 1) / (n + 1)  # int_0^{1/2} s^n ds
     half = 0.5 ** n[:-1]
-    g_coef, g_sum = 3 * n[1:] * _U, (N + 3) * _U
+    g_coef, g_sum = 3 * n[1:] * U, (N + 3) * U
     coef = np.empty((n_intervals, N + 1))
     level, level_err = np.empty(n_intervals), np.empty(n_intervals)
     b = np.zeros(N + 1)
@@ -94,15 +92,15 @@ def _series(n_intervals: int):
         A[0] = a0 = (i_b + i_a) / k
         top = (absA[-1] + errA[-1]) / (1.0 - 0.5 / c)  # bounds sum_{m>N} |A_m| 2^(N+1-m)
         d = ((g_sum * (float(w[:-1] @ np.abs(b)) + i_a) + float(w[1:-1] @ errA[:-1])
-              + top * w[-1] + _U * (i_b + i_a)) / k + _U * a0
-             + float(half[1:] @ (errA[:-1] + _U * absA[:-1])) + top * 0.5 ** (N + 1))
+              + top * w[-1] + U * (i_b + i_a)) / k + U * a0
+             + float(half[1:] @ (errA[:-1] + U * absA[:-1])) + top * 0.5 ** (N + 1))
         p_low = float(half @ A[:-1]) - g_sum * (a0 + float(half[1:] @ absA[:-1])) - d
         if not p_low > 0.0:
             raise PrecisionError(f"rho series lost its lower bound on [{k}, {k + 1}]")
         lg = math.log(a0)
         L += lg
         lam = -math.log1p(-math.expm1(lam)) + 2.0 * (
-            d / p_low + _U * (2.0 * abs(lg) + abs(L)))
+            d / p_low + U * (2.0 * abs(lg) + abs(L)))
         b = coef[k - 1] = A[:-1] / a0
         level[k - 1], level_err[k - 1] = L, lam
     return coef, level, level_err
@@ -123,7 +121,7 @@ def _log_rho(coef, level, level_err, s, mirror):
     for j in range(coef.shape[1] - 2, -1, -1):
         p *= s
         p += coef[:, j : j + 1]
-    g = 2 * _TERMS * _U
+    g = 2 * _TERMS * U
     ratio = p[:, mirror]
     ratio /= p
     if not ratio.max() * g <= 0.25:
@@ -131,16 +129,11 @@ def _log_rho(coef, level, level_err, s, mirror):
     v = np.log(p, out=p)
     v += level[:, None]
     err = np.abs(v)
-    err *= 6.0 * _U
+    err *= 6.0 * U
     ratio *= 4.0 * g
     err += ratio
-    err += (level_err + 4.0 * _U * np.abs(level))[:, None]
+    err += (level_err + 4.0 * U * np.abs(level))[:, None]
     return v, err
-
-
-def _lower(v, e):
-    """v - e rounded down; exact values (e = 0) stay as they are."""
-    return np.where(e > 0.0, np.nextafter(v - e, -np.inf), v)
 
 
 def build_rho_table(x_max: float, step: float = DEFAULT_STEP) -> RhoLogTable:
@@ -189,8 +182,7 @@ def rho_log(x: float, table: RhoLogTable) -> Enclosure:
         v, e = _log_rho(table.coef[r], table.level[r], table.level_err[r],
                         np.array([s, -abs(s)]), [1, 1])
         v, e = v[0, 0], e[0, 0]
-    # the upper edge is the lower edge of -log rho, negated
-    return Enclosure(float(_lower(v, e)), float(-_lower(-v, e)))
+    return Enclosure(outward(v - e, -math.inf, e), outward(v + e, math.inf, e))
 
 
 def _table_lower(table: RhoLogTable, xs: np.ndarray, j) -> np.ndarray:
@@ -200,7 +192,8 @@ def _table_lower(table: RhoLogTable, xs: np.ndarray, j) -> np.ndarray:
     if j is None:
         return np.array([rho_log(x, table).lo for x in xs])
     rows = j - round(1.0 / table.step)
-    return _lower(table.log_values[rows], table.err[rows])
+    err = table.err[rows]
+    return outward(table.log_values[rows] - err, -math.inf, err)
 
 
 def _buchstab_vec(xs: np.ndarray) -> np.ndarray:

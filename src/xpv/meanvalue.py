@@ -27,9 +27,9 @@ from .constants import (
     PUBLISHED_C0,
     PUBLISHED_FINAL,
 )
-from .core import Enclosure, adaptive_simpson, bisect_root, golden_max
+from .core import U, Enclosure, adaptive_simpson, bisect_root, gamma_n, golden_max, outward
 from .errors import DomainError, PrecisionError, UsageError
-from .primes import PrimeTable, _LI_EPS as _U, nu2, tail_power_sum_bound
+from .primes import PrimeTable, nu2, tail_power_sum_bound
 
 # Decay scale of the oscillation kernel: every exponent in the two tail
 # series divides by 6.455 (times tau where applicable).
@@ -61,11 +61,11 @@ def solve_K() -> Enclosure:
     - (1 - 2k), theta = arccos k, padded by 1e-11 each side.  h' = 2 -
     2 theta/pi > 0, so the one root lies in the enclosure when the computed
     h is below -B at its lower end and above B at its upper end, else a
-    PrecisionError.  B = 32u (u = 2^-53) bounds h's float error on [0.2,
-    0.45], with acos and sin within 2 ulp (4u relative): theta errs by 5.5u,
-    sin theta by 6.5u, k theta by 3u, their difference by 10u, its product
-    with 2/pi by 8.1u and 1 - 2k by 0.3u; the last subtraction is exact.
-    |h| is about 1.2e-11 at the padded ends.
+    PrecisionError.  B = 32u (u = U, ``core``) bounds h's float error on
+    [0.2, 0.45], with acos and sin taken at 4u, twice their 1 ulp: theta
+    errs by 5.5u, sin theta by 6.5u, k theta by 3u, their difference by
+    10u, its product with 2/pi by 8.1u and 1 - 2k by 0.3u; the last
+    subtraction is exact.  |h| is about 1.2e-11 at the padded ends.
     """
 
     def h(k):
@@ -74,7 +74,7 @@ def solve_K() -> Enclosure:
 
     lo, hi = bisect_root(h, 0.2, 0.45, tol=1e-11)
     enc = Enclosure(lo - 1e-11, hi + 1e-11)
-    if not (h(enc.lo) < -32.0 * _U and h(enc.hi) > 32.0 * _U):
+    if not (h(enc.lo) < -32.0 * U and h(enc.hi) > 32.0 * U):
         raise PrecisionError(f"solve_K: h does not change sign across {enc}")
     return enc
 
@@ -358,9 +358,12 @@ def case_bounds(params: ErrorParams, f: PeriodicF | None = None) -> CaseBounds:
     )
 
 
-DEFAULT_C_GRID = tuple(i / 100.0 for i in range(100, 501))
-DEFAULT_K1_GRID = tuple(range(21))
-DEFAULT_EPS_GRID = tuple(i / 100.0 for i in range(50, 1001))
+# The optimizer's default grids and their steps; i/100 is the float nearest its decimal
+_PER_UNIT = 100
+GRID_STEPS = {"c": 1 / _PER_UNIT, "k1": 1, "eps": 1 / _PER_UNIT}
+DEFAULT_C_GRID = tuple(i / _PER_UNIT for i in range(100, 501))
+DEFAULT_K1_GRID = tuple(range(0, 21, GRID_STEPS["k1"]))
+DEFAULT_EPS_GRID = tuple(i / _PER_UNIT for i in range(50, 1001))
 DEFAULT_K2_GRID = (10 ** 3, 10 ** 4, 10 ** 5, 3 * 10 ** 5, 10 ** 6)
 
 
@@ -457,10 +460,10 @@ def nu3(k_trunc: int) -> Enclosure:
         raise DomainError(f"nu3 needs k_trunc >= 1e3, got {k_trunc}")
     ends = []
     for k, side in ((solve_K().lo, -math.inf), (solve_K().hi, math.inf)):
-        c = math.nextafter(2.0 + 2.0 * k, side)
+        c = outward(2.0 + 2.0 * k, side)
         (s, pad), (tail, tail_pad) = _nu3_head(k_trunc, c), _nu3_tail(k_trunc, c)
         s += tail + math.copysign(pad + tail_pad, side)
-        ends.append(math.nextafter(math.sqrt(s), side))
+        ends.append(outward(math.sqrt(s), side))
     return Enclosure(*ends)
 
 
@@ -523,20 +526,19 @@ def _nu3_head(k_trunc: int, c: float) -> tuple:
     k = 0 stands alone and each k >= 1 is paired with -k, log^c(k+4)
     weighted by 1/((k-1/2)^2 + 1) + 1/((k+1/2)^2 + 1), 2^16 pairs a block.
 
-    Rounding, u = 2^-53, with numpy's log and pow within 4 ulp: log(k+4)
-    errs by 8u, raised to 8cu by pow, which adds 8u; (k -+ 1/2)^2 + 1
-    rounds twice at most, its reciprocal and the weight's sum once each,
-    4u; the product once.  So each of the n = T + 1 terms is within
-    E = (8c + 14)u, one u spare for second-order terms; any summation
-    order adds gamma_{n-1} = (n-1)u / (1 - (n-1)u) times their sum, at
-    most s / (1 - gamma).  u is 1% large for the rounding of s -+ pad."""
+    Rounding, u = U (``core``), numpy's log and pow taken at 8u, four times
+    their 1 ulp: log(k+4) errs by 8u, raised to 8cu by pow, which adds 8u;
+    (k -+ 1/2)^2 + 1 rounds twice at most, its reciprocal and the weight's
+    sum once each, 4u; the product once.  So each of the n = T + 1 terms is
+    within E = (8c + 14)u, one u spare for second-order terms; any
+    summation order adds gamma_{n-1} times their sum, at most s / (1 - gamma)."""
     s = math.log(4.0) ** c / 1.25  # k = 0
     for lo in range(1, k_trunc + 1, 1 << 16):
         k = np.arange(lo, min(lo + (1 << 16), k_trunc + 1), dtype=np.float64)
         w = 1.0 / ((k - 0.5) ** 2 + 1.0) + 1.0 / ((k + 0.5) ** 2 + 1.0)
         s += float(np.sum(np.log(k + 4.0) ** c * w))
-    gamma = k_trunc * _U / (1.0 - k_trunc * _U)
-    return s, ((8.0 * c + 14.0) * _U + gamma) * s / (1.0 - gamma)
+    gamma = gamma_n(k_trunc)
+    return s, ((8.0 * c + 14.0) * U + gamma) * s / (1.0 - gamma)
 
 
 @dataclass(frozen=True)

@@ -38,17 +38,8 @@ from .constants import (
     MPRIME_COARSE_BOUND,
     PUBLISHED_V1,
 )
-from .core import (
-    DEFAULT_ETA,
-    Enclosure,
-    VerificationReport,
-    adaptive_simpson,
-    anchored_grid,
-    bisect_root,
-    geometric_grid,
-    spans,
-    sweep,
-)
+from .core import (DEFAULT_ETA, ULP, Enclosure, U, VerificationReport, adaptive_simpson,
+                   anchored_grid, bisect_root, gamma_n, geometric_grid, outward, spans, sweep)
 from .errors import (
     DomainError,
     PrecisionError,
@@ -264,7 +255,7 @@ def _li_series(xs: np.ndarray, n_terms: int, ys: np.ndarray | None = None):
     geometric factor) with per-term rounding, scaled by the terms'
     absolute sum; seeding that sum with |gamma| + |log y| bounds it by the
     triangle inequality for every x > 1.  It also carries the rounding of
-    y itself through dli/dy = x/y.
+    y itself, ULP y (``core``'s model), through dli/dy = x/y.
 
     Each x sees the same operations in the same order, so its value
     depends on it and ``n_terms`` alone: an x listed twice gets the same
@@ -284,13 +275,13 @@ def _li_series(xs: np.ndarray, n_terms: int, ys: np.ndarray | None = None):
         mag += buf
     nxt = t * ys / (n_terms + 1) / (n_terms + 1)
     trunc = nxt / (1.0 - ys / (n_terms + 2))
-    # xs: y = log x is rounded by up to 2.3e-16 y, times dli/dy = x/y
+    # xs: y = log x is rounded by up to ULP y, times dli/dy = x/y
     with np.errstate(over="ignore"):
-        half = trunc + 2.3e-16 * ((ys + 2.0) * mag + xs) + 1e-300
+        half = trunc + ULP * ((ys + 2.0) * mag + xs) + 1e-300
     top = np.isinf(half)  # the sum passes the float range near x = 9e307
     if top.any():
-        half[top] = (trunc[top] + 2.3e-16 * (ys[top] + 2.0) * mag[top]
-                     + 2.3e-16 * xs[top] + 1e-300)
+        half[top] = (trunc[top] + ULP * (ys[top] + 2.0) * mag[top]
+                     + ULP * xs[top] + 1e-300)
     return acc, half
 
 
@@ -300,10 +291,9 @@ _LI_CELL = 0.011  # |u| <= 2^(1/64) - 1 = 0.01089, plus the rounding of j and a
 _LOG2 = math.log(2.0)
 # the constants of the anchor half-width (see ``_li``), with 1% to spare
 # for the rounding of the half-width itself
-_LI_EPS = 1.01 * 2.0 ** -53
-_LI_K0 = _LI_EPS * (1.0 + _LI_CELL) + _LI_CELL / (1.0 - 2.0 * _LI_CELL) * (
-    1.01 * (2.0 * _LI_CELL) ** 9 + 20.1 * _LI_EPS)
-_LI_K1 = 1.01 * 2.3e-16 * _LI_CELL
+_LI_K0 = U * (1.0 + _LI_CELL) + _LI_CELL / (1.0 - 2.0 * _LI_CELL) * (
+    1.01 * (2.0 * _LI_CELL) ** 9 + 20.1 * U)
+_LI_K1 = 1.01 * ULP * _LI_CELL
 _LI_K2 = 1.01 * _LI_CELL / (1.0 - 2.0 * _LI_CELL)
 
 
@@ -323,7 +313,7 @@ def _li_octave(octave: int) -> np.ndarray:
             s += (-1) ** (m + 1) / m * g[k - m]
         g.append(-s / L)
     w = a / (L - _LOG2)
-    half = half_a + w * (_LI_K0 + _LI_K1 * L / (L - _LOG2)) + _LI_EPS * (li_a + w * _LI_K2)
+    half = half_a + w * (_LI_K0 + _LI_K1 * L / (L - _LOG2)) + U * (li_a + w * _LI_K2)
     table = np.stack([a, li_a, *(a * (g_k / (k + 1)) for k, g_k in enumerate(g)), half])
     table.flags.writeable = False
     return table
@@ -348,13 +338,13 @@ def _li(xs: np.ndarray, ys: np.ndarray | None = None):
     chunking moves a bit.
 
     The half-width is one number per anchor, the sum of these bounds,
-    with eps = 2^-53, T = 0.011 >= |u| and W = a/(L - log 2):
+    with eps = U (``core``), T = 0.011 >= |u| and W = a/(L - log 2):
 
     1. the anchor's series half-width;
     2. the rounding of u.  fl(x/a) lies in [1/2, 2], so fl(x/a) - 1 is
        exact (Sterbenz) and |du| <= eps (1 + T).  On |s| <= T,
        |g| <= 1/(L - log 2), so this moves li by at most W eps (1 + T);
-    3. the rounding of L = log a, |dL| <= 2.3e-16 L as in the series,
+    3. the rounding of L = log a, |dL| <= ULP L as in the series,
        which moves the integral by at most a T |dL|/(L - log 2)^2;
     4. the coefficients.  On |s| <= 1/2, |log1p s| <= log 2, so
        |g| <= 1/(L - log 2) and, by Cauchy's estimate, |g_k| <= B_k =
@@ -495,7 +485,7 @@ def log_integral(x: float) -> Enclosure:
         raise PrecisionError(
             f"log_integral methods disagree at x={x}: series {value}, quadrature {qv}"
         )
-    return Enclosure(*np.nextafter([value - half, value + half], [-np.inf, np.inf]).tolist())
+    return Enclosure(outward(value - half, -math.inf), outward(value + half, math.inf))
 
 
 # ---------------------------------------------------------------------------
@@ -572,13 +562,12 @@ def nu2(table: PrimeTable) -> Enclosure:
     pi(t) < 1.25506 t / log t (Rosser and Schoenfeld, Illinois J. Math. 6,
     1962) bounds by 1.25506 log(N/(N-1)) / log N, 9.1e-8 at N = 1e6.
 
-    Rounding, u = 2^-53: r = fl(1/p) moves g by g'(r) u r <= 2u r^2 <= u r
-    (g'(r) = r/(1 - r)); log1p, within 2 ulp, errs by 4u L <= 5.6u r; and
-    r - L is exact by Sterbenz, r <= L <= 2r.  So each of the n terms is
-    within 7u r of g(1/p), any summation order adds gamma sum|t| with
-    gamma = (n-1)u / (1 - (n-1)u), the exact sums of r and t being at most
-    their computed sums over 1 - gamma.  u is 1% large for the pad's own
-    rounding, the tail's get 1 + 16u, and both edges round outward.
+    Rounding, u = U (``core``): r = fl(1/p) moves g by g'(r) u r <= 2u r^2
+    <= u r (g'(r) = r/(1 - r)); log1p is allowed 4u L <= 5.6u r, twice its
+    1 ulp; and r - L is exact by Sterbenz, r <= L <= 2r.  So each of the n
+    terms is within 7u r of g(1/p), any summation order adds gamma_{n-1}
+    sum|t|, the exact sums of r and t being at most their computed sums
+    over 1 - gamma.  The tail gets 1 + 16u, and both edges round outward.
     """
     if table.limit < 10 ** 6:
         raise PreconditionError(f"nu2 needs table.limit >= 1e6, got {table.limit}")
@@ -586,18 +575,18 @@ def nu2(table: PrimeTable) -> Enclosure:
     neg_terms = np.log1p(np.negative(r))
     neg_terms += r  # -g(r), exactly
     partial, r_sum = -float(np.sum(neg_terms)), float(np.sum(r))
-    gamma = (len(table) - 1) * _LI_EPS / (1.0 - (len(table) - 1) * _LI_EPS)
-    pad = (7.0 * _LI_EPS * r_sum + gamma * partial) / (1.0 - gamma)
+    gamma = gamma_n(len(table) - 1)
+    pad = (7.0 * U * r_sum + gamma * partial) / (1.0 - gamma)
     big_n = float(table.limit)
-    tail = 1.25506 * -math.log1p(-1.0 / big_n) / math.log(big_n) * (1.0 + 16.0 * _LI_EPS)
-    return Enclosure(math.nextafter(partial - pad, -math.inf),
-                     math.nextafter(partial + pad + tail, math.inf))
+    tail = 1.25506 * -math.log1p(-1.0 / big_n) / math.log(big_n) * (1.0 + 16.0 * U)
+    return Enclosure(outward(partial - pad, -math.inf), outward(partial + pad + tail, math.inf))
 
 
-def tail_power_sum_bound(alpha: float) -> float:
+def tail_power_sum_bound(alpha):
     """The chain bound (1 + alpha) * 1.2551 / e for the prime tail sum
-    over p > exp(1/alpha) of p**-(1+alpha), valid for 0 < alpha <= 1."""
-    if not (0.0 < alpha <= 1.0):
+    over p > exp(1/alpha) of p**-(1+alpha), valid for 0 < alpha <= 1;
+    elementwise on an array of alphas."""
+    if not (0.0 < np.min(alpha) and np.max(alpha) <= 1.0):
         raise DomainError(f"tail_power_sum_bound needs 0 < alpha <= 1, got {alpha}")
     return (1.0 + alpha) * 1.2551 / math.e
 
@@ -863,8 +852,7 @@ REGISTRY = {
         CheckDef(
             "tail-power", "0 < alpha <= 1", lambda a, b: 0.0 < a and b <= 1.0,
             ALPHA_GRID,
-            _compare(lambda *_: PUBLISHED_V1,
-                     lambda a, *_: (1.0 + a) * 1.2551 / math.e),
+            _compare(lambda *_: PUBLISHED_V1, lambda a, *_: tail_power_sum_bound(a)),
             note="alpha sweep of the chain bound (1+alpha)*1.2551/e against the "
                  "published 0.9235; grid step 1/1024 plus endpoints",
         ),

@@ -12,10 +12,12 @@ from xpv.core import (
     anchored_grid,
     bisect_root,
     classify,
+    gamma_n,
     geometric_grid,
     golden_max,
     grid,
     margins_verdict,
+    outward,
     runs,
     sweep,
 )
@@ -71,6 +73,26 @@ def test_margins_verdict_threshold_past_the_float_range():
     for margin, want in ((1e300, "indeterminate"), (-1e300, "indeterminate"), (0.0, "pass")):
         assert classify(margin, 1e300, eta=1e300) == want
         assert margins_verdict([margin], [1e300], eta=1e300) == want
+
+
+def test_unit_roundoff_and_gamma():
+    assert core.U == 1.01 * 2.0 ** -53 and 2.0 ** -52 < core.ULP
+    assert gamma_n(0) == 0.0 and gamma_n(1000) == 1000 * core.U / (1.0 - 1000 * core.U)
+    # n U covers the exact gamma_n = n u/(1 - n u), u = 2^-53, while n U <= 0.0099
+    u = 2.0 ** -53
+    assert all(n * core.U >= n * u / (1.0 - n * u) for n in (1, 130, 10 ** 6, 10 ** 13))
+
+
+def test_outward_moves_one_float_and_keeps_exact_ends():
+    lo, hi = outward(1.0, -math.inf), outward(1.0, math.inf)
+    assert type(lo) is float and lo == math.nextafter(1.0, 0.0)
+    assert hi == math.nextafter(1.0, 2.0)
+    # an end with zero error stays exact, and -0.0 keeps its sign
+    assert outward(0.0, -math.inf, 0.0) == 0.0
+    assert math.copysign(1.0, outward(-0.0, math.inf, 0.0)) == -1.0
+    assert outward(0.0, -math.inf, 1e-300) == -5e-324
+    ends = outward(np.array([1.0, 2.0]), -np.inf, np.array([0.5, 0.0]))
+    assert ends.tolist() == [math.nextafter(1.0, 0.0), 2.0]
 
 
 def test_adaptive_simpson_polynomial_exact():

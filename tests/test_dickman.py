@@ -105,7 +105,7 @@ def test_integral_identity_catches_a_small_table_error(rho_table):
     # a smooth 1e-8 error in log rho, with err left as it was
     bad = dataclasses.replace(
         rho_table, log_values=rho_table.log_values + 1e-8 * np.sin(rho_table.xs))
-    for x in (2.5, 10.0, 50.0):
+    for x in (2.5, 10.0, 50.0, 150.0, 199.0):
         residual, allowance = integral_identity_residual(bad, x)
         assert residual > allowance
 
