@@ -244,14 +244,13 @@ def sweep(chunks, margins, eta: float = DEFAULT_ETA, floor=None) -> SweepSummary
     return summary
 
 
-def adaptive_simpson(f, a: float, b: float, tol: float = 1e-12,
-                     max_depth: int = 48):
+def adaptive_simpson(f, a: float, b: float, tol: float = 1e-12):
     """Adaptive Simpson quadrature with a conservative error bound.
 
     Returns (value, err_bound).  The bound accumulates the standard
     |S_fine - S_coarse|/15 estimate for every accepted panel, inflated by
     a factor of 4 so the reported bound stays on the safe side of the
-    usual Richardson model.
+    usual Richardson model.  A panel split 48 times raises PrecisionError.
     """
 
     def simpson(x0, x2, f0, f1, f2):
@@ -266,7 +265,7 @@ def adaptive_simpson(f, a: float, b: float, tol: float = 1e-12,
         left = simpson(x0, x1, f0, fl, f1)
         right = simpson(x1, x2, f1, fr, f2)
         delta = left + right - whole
-        if depth >= max_depth:
+        if depth >= 48:
             raise PrecisionError("adaptive_simpson: max depth exceeded")
         if abs(delta) <= 15.0 * tol_i:
             return left + right + delta / 15.0, abs(delta) / 15.0 * 4.0
@@ -281,9 +280,8 @@ def adaptive_simpson(f, a: float, b: float, tol: float = 1e-12,
     return recurse(a, b, fa, fm, fb, whole, tol, 0)
 
 
-def bisect_root(g, lo: float, hi: float, tol: float = 1e-12,
-                max_iter: int = 200):
-    """Bisection with a sign-change bracket.  Returns the final (lo, hi)."""
+def bisect_root(g, lo: float, hi: float, tol: float = 1e-12):
+    """Bisection with a sign-change bracket, 200 steps at most.  Returns (lo, hi)."""
     glo = g(lo)
     ghi = g(hi)
     if glo == 0.0:
@@ -292,7 +290,7 @@ def bisect_root(g, lo: float, hi: float, tol: float = 1e-12,
         return hi, hi
     if (glo > 0) == (ghi > 0):
         raise UsageError(f"bisect_root: no sign change on [{lo}, {hi}]")
-    for _ in range(max_iter):
+    for _ in range(200):
         if hi - lo <= tol:
             break
         mid = 0.5 * (lo + hi)
@@ -306,14 +304,14 @@ def bisect_root(g, lo: float, hi: float, tol: float = 1e-12,
     return lo, hi
 
 
-def golden_max(f, lo: float, hi: float, iters: int = 80):
-    """Golden-section maximization on [lo, hi].  Returns (x, f(x))."""
+def golden_max(f, lo: float, hi: float):
+    """Golden-section maximization on [lo, hi], 80 steps.  Returns (x, f(x))."""
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - phi * (b - a)
     d = a + phi * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(iters):
+    for _ in range(80):
         if fc < fd:
             a, c, fc = c, d, fd
             d = a + phi * (b - a)

@@ -124,34 +124,20 @@ class ErrorParams:
             raise DomainError(f"k2 must be >= 0, got {self.k2}")
 
 
-_TSS_TAUS = (1.0,) + tuple(i / 10.0 for i in range(1, 10))
-
-
 def _tss_grid(cs: np.ndarray, k1s) -> np.ndarray:
-    """tail_sum_small at each c of ``cs`` (rows) and k1 of ``k1s`` (columns),
-    checked at each tau of _TSS_TAUS (1, where the sup sits, then the
-    monotonicity samples).  One (c, tau, k) table of the terms up to the
-    largest k1; each k1 sums its first k1 + 1 along the contiguous k axis,
-    np.sum's order on one row.  ``last`` uses libm's exp at tau = 1, as
-    numpy's may round differently; the samples take numpy's, whose ulp is
-    far inside their 1e-12 slack."""
-    scales = DECAY_SCALE * np.array(_TSS_TAUS)
-    x = (cs[:, None, None] + TWO_PI * np.arange(max(k1s) + 1.0)) / scales[:, None]
+    """tail_sum_small at each c of ``cs`` (rows) and k1 of ``k1s`` (columns).
+    One (c, k) table of the terms up to the largest k1; each k1 sums its
+    first k1 + 1 along the contiguous k axis, np.sum's order on one row.
+    ``last`` uses libm's exp, as numpy's may round differently."""
+    x = (cs[:, None] + TWO_PI * np.arange(max(k1s) + 1.0)) / DECAY_SCALE
     terms = np.exp(-np.sqrt(x))
     out = np.empty((cs.size, len(k1s)))
     for j, k1 in enumerate(k1s):
-        ends = -np.sqrt((cs[:, None] + TWO_PI * k1) / scales)
-        last = np.exp(ends)
-        last[:, 0] = list(map(math.exp, ends[:, 0].tolist()))
+        ends = -np.sqrt((cs + TWO_PI * k1) / DECAY_SCALE)
+        last = np.array(list(map(math.exp, ends.tolist())))
         tail_factor = (math.sqrt(DECAY_SCALE) * np.sqrt(TWO_PI * k1 + cs)
                        + DECAY_SCALE) / math.pi
-        vals = terms[:, :, : k1 + 1].sum(axis=-1) + last * tail_factor[:, None]
-        bad = np.argwhere(vals[:, 1:] > vals[:, :1] * (1.0 + 1e-12))
-        if bad.size:
-            i, t = bad[0].tolist()
-            raise PrecisionError(f"tail_sum_small monotonicity violated at c={cs[i]}, "
-                                 f"k1={k1}, tau={_TSS_TAUS[t + 1]}")
-        out[:, j] = vals[:, 0]
+        out[:, j] = terms[:, : k1 + 1].sum(axis=-1) + last * tail_factor
     return out
 
 
@@ -159,10 +145,9 @@ def tail_sum_small(c: float, k1: int) -> float:
     """Supremum over tau in (0, 1] of the truncated small-range tail
     series plus its integral-comparison tail factor.
 
-    Every summand and the tail term increase in tau, so the sup sits at
-    tau = 1; that monotonicity is asserted by sampling, not assumed.  One
-    cell of the kernel the optimizer runs on its (c, k1) grid, so both
-    share bits.
+    Each summand exp(-sqrt((c + 2 pi k) / (DECAY_SCALE tau))) and the tail
+    term rise with tau, so the sup is the value at tau = 1.  One cell of
+    the kernel the optimizer runs on its (c, k1) grid, so both share bits.
     """
     if not 1 <= c < math.inf or k1 < 0:
         raise DomainError(f"tail_sum_small needs finite c >= 1 and k1 >= 0, got {c}, {k1}")

@@ -19,7 +19,7 @@ import numpy as np
 from .dickman import divisor_mean_lower_bound
 from .errors import DomainError, PrecisionError, PreconditionError, ResourceError
 from .meanvalue import delta
-from .primes import PrimeTable, _is_prime_u64, exact_scale, mertens_sum, recip_numerator
+from .primes import RECIP_DENOM, PrimeTable, _is_prime_u64, mertens_sum, recip_numerator
 
 STATS_X_CAP = 10 ** 8
 CHAR_COMPOSITE_CAP = 10 ** 6
@@ -268,7 +268,7 @@ def _values(spec: MultiplicativeSpec, lo: int, hi: int, primes: np.ndarray,
 class _Held:
     """f(1..top) and f(p) for the primes p <= top of one (spec, table),
     kept for the next x.  On the int8 path, ``marks[k]`` holds the exact
-    sums of f(m) and of f(m)/m (the latter at scale 2**_SCALE) over
+    sums of f(m) and of f(m)/m (the latter over RECIP_DENOM) over
     m <= k * _BLOCK, so a row reads the mark below its n and sums the
     rest of that block.  A larger x appends the segment (top, n]; the
     values a row reads are those it would compute alone."""
@@ -318,13 +318,9 @@ def _held(spec: MultiplicativeSpec, table: PrimeTable) -> _Held:
     return _Held()
 
 
-# every fl(1/m) and fl(2/p) with m, p <= STATS_X_CAP is a multiple of 2**-_SCALE
-_SCALE = exact_scale(STATS_X_CAP)
-
-
 def _l_numerator(f: np.ndarray, lo: int) -> int:
-    """The sum of f[i] / (lo + 1 + i), exact at scale 2**_SCALE."""
-    return recip_numerator(np.arange(lo + 1, lo + 1 + f.size, dtype=np.float64), _SCALE, f)
+    """The sum of f[i] / (lo + 1 + i), exact over RECIP_DENOM."""
+    return recip_numerator(np.arange(lo + 1, lo + 1 + f.size, dtype=np.float64), f)
 
 
 def _by_block(values: np.ndarray):
@@ -354,7 +350,7 @@ def stats(spec: MultiplicativeSpec, x: float, table: PrimeTable) -> StatsRow:
     extends it by one segment, a smaller x reads it, and either way the
     row has the bits it would have alone.  When every prime value is -1,
     0 or 1, every sum is exact in integers and so equals math.fsum of the
-    float terms: M directly; L and u as numerators at scale 2**_SCALE
+    float terms: M directly; L and u as numerators over RECIP_DENOM
     (primes.recip_numerator; fl(c/p) = c fl(1/p) for c = 1 - f(p) in
     {0, 1, 2}); conv by the hyperbola, sum_{m<=n} f(m) floor(n/m) =
     sum_{m<=s} f(m) floor(n/m) + sum_{j<=s} F(floor(n/j)) - s F(s), F the
@@ -378,10 +374,10 @@ def stats(spec: MultiplicativeSpec, x: float, table: PrimeTable) -> StatsRow:
         quotients = n // np.arange(1, s + 1)
         big_f = held.partial_sums(quotients)
         m_total = int(big_f[0])
-        l_sum = (held.marks[k][1] + _l_numerator(values[k * _BLOCK :], k * _BLOCK)) / (1 << _SCALE)
+        l_sum = (held.marks[k][1] + _l_numerator(values[k * _BLOCK :], k * _BLOCK)) / RECIP_DENOM
         conv_total = (int(np.dot(values[:s], quotients)) + int(big_f.sum())
                       - s * int(values[:s].sum(dtype=np.int64)))
-        u = recip_numerator(table.primes[:n_pi], _SCALE, (1 - fp).astype(np.int8)) / (1 << _SCALE)
+        u = recip_numerator(table.primes[:n_pi], (1 - fp).astype(np.int8)) / RECIP_DENOM
     else:
         m_total = _fsum(f for f, _ in _by_block(values))
         l_sum = _fsum(f / m for f, m in _by_block(values))

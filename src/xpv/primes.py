@@ -61,15 +61,6 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # sieving and the prime table
 
 
-def _sieve_flags(limit: int) -> np.ndarray:
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return flags
-
-
 _PREFIX_CHUNK = 1 << 13  # primes per prefix chunk: 64 KiB arrays, reused from the heap
 
 
@@ -162,23 +153,34 @@ _WHEEL = _wheel_pattern()
 
 
 def sieve_primes(limit: int, cap: int | None = None) -> PrimeTable:
-    """Sieve all primes up to ``limit``, in bounded segments above its root,
-    into one array sized by ``_pi_upper`` and trimmed in place.
-
-    Flags stand for odd numbers only: slot i of a segment from odd lo is
-    lo + 2i.  The base primes run to at least 13, so every segment lies
-    above the wheel primes and starts from the wheel pattern; only base
-    primes above 13 strike it, every p slots from their first odd multiple
-    >= max(p^2, lo).  Base primes above a small limit are dropped at the end.
-    """
+    """All primes up to ``limit``, at most ``cap``, as a table.  The sieve
+    recurses through ``_segmented_primes``, so this runs once per table."""
     limit = int(limit)
     cap = DEFAULT_SIEVE_CAP if cap is None else int(cap)
     if limit < 2:
         raise DomainError(f"sieve limit must be at least 2, got {limit}")
     if limit > cap:
         raise ResourceError(f"sieve limit {limit} exceeds cap {cap}")
+    return PrimeTable(limit, _segmented_primes(limit))
+
+
+def _segmented_primes(limit: int) -> np.ndarray:
+    """The primes up to ``limit`` >= 2, in bounded segments above its root,
+    into one array sized by ``_pi_upper`` and trimmed in place.
+
+    The base primes, 2..13 and any others up to the root, come from this
+    function at the root; below 14^2 they are the literal 2..13.  Flags
+    stand for odd numbers only: slot i of a segment from odd lo is lo + 2i.
+    Every segment lies above the wheel primes and starts from the wheel
+    pattern; only base primes above 13 strike it, every p slots from their
+    first odd multiple >= max(p^2, lo).  Base primes above a small limit
+    are dropped at the end.
+    """
     root = max(math.isqrt(limit), _WHEEL_PRIMES[-1])  # base primes <= root
-    base = np.flatnonzero(_sieve_flags(root))
+    if root > _WHEEL_PRIMES[-1]:
+        base = _segmented_primes(root)
+    else:
+        base = np.array((2, *_WHEEL_PRIMES), dtype=np.int64)
     primes = np.empty(_pi_upper(limit), dtype=np.int64)  # >= 7 slots
     primes[: base.size] = base
     count = base.size
@@ -209,7 +211,7 @@ def sieve_primes(limit: int, cap: int | None = None) -> PrimeTable:
         del found  # before the next segment's primes exist
     count = int(np.searchsorted(primes[:count], limit, "right"))
     primes.resize(count, refcheck=False)
-    return PrimeTable(limit, primes)
+    return primes
 
 
 def _is_prime_u64(n: int) -> bool:
@@ -503,36 +505,30 @@ def _require_table(table: PrimeTable | None, x: float, what: str) -> PrimeTable:
     return table
 
 
-def exact_scale(n: int) -> int:
-    """The least S that makes every fl(1/m), 1 <= m <= n, a multiple of
-    2**-S: 1/m >= 2**-n.bit_length(), so its ulp is at least 2**-S."""
-    return 52 + int(n).bit_length()
-
-
+# every finite double is a whole multiple of 2**-1074, the least subnormal
+RECIP_DENOM = 1 << 1074
 _ROW = 1 << 9  # each term is below 2**54 in size, so a row of 2**9 sums below 2**63
 
 
-def recip_numerator(m: np.ndarray, scale: int, c: np.ndarray | None = None) -> int:
-    """sum(c[i] * fl(1 / m[i])) * 2**scale exactly, as a Python int, for
-    ascending integers 1 <= m[i] < 2**53 with scale >= exact_scale(m[-1])
-    and integers |c[i]| <= 2 (every c[i] = 1 when c is None).
+def recip_numerator(m: np.ndarray, c: np.ndarray | None = None) -> int:
+    """sum(c[i] * fl(1 / m[i])) * RECIP_DENOM exactly, as a Python int,
+    for ascending integers 1 <= m[i] < 2**53 and integers |c[i]| <= 2
+    (every c[i] = 1 when c is None).
 
     fl(1/m) is its 53-bit mantissa, implicit bit included, times
-    2**(exponent - 1075), both read from its bits; every fl(1/m) with m in
-    (2**(k-1), 2**k] has exponent -k, so each binade of m has one shift,
-    exponent - 1075 + scale >= 0.  A binade's terms are summed in int64
-    rows of at most _ROW, and the row sums are shifted and added as Python
-    ints.  numerator / (1 << scale) is then the correctly rounded sum, the
-    value math.fsum gives.
+    2**(e - 1075), e its biased exponent field, both read from its bits;
+    every fl(1/m) with m in (2**(k-1), 2**k] has the same e >= 1, so each
+    binade of m has one shift, e - 1 >= 0.  A binade's terms are summed in
+    int64 rows of at most _ROW, and the row sums are shifted and added as
+    Python ints.  numerator / RECIP_DENOM, a correctly rounded int
+    division, is then the value math.fsum gives.
     """
     if not m.size:
         return 0
-    if scale < exact_scale(int(m[-1])):
-        raise PrecisionError(f"recip_numerator needs scale >= exact_scale(m[-1]), got {scale}")
     bits = np.divide(1.0, m).view(np.int64)
     starts = np.searchsorted(m, 1 << np.arange(int(m[-1]).bit_length()), side="right")
     edges = sorted({0, m.size, *starts.tolist()})
-    shifts = ((bits[edges[:-1]] >> 52) - 1075 + scale).tolist()
+    shifts = ((bits[edges[:-1]] >> 52) - 1).tolist()
     bits &= (1 << 52) - 1
     bits |= 1 << 52
     if c is not None:
@@ -544,12 +540,11 @@ def recip_numerator(m: np.ndarray, scale: int, c: np.ndarray | None = None) -> i
 
 
 def mertens_sum(x: float, table: PrimeTable) -> float:
-    """Sum of 1/p over primes p <= x, correctly rounded (an exact sum)."""
+    """Sum of 1/p over primes p <= x, correctly rounded: an exact sum over RECIP_DENOM."""
     if x < 2:
         raise DomainError(f"mertens_sum needs x >= 2, got {x}")
     _require_table(table, x, "mertens_sum")
-    scale = exact_scale(math.floor(x))
-    return recip_numerator(table.primes[: table.prime_pi(x)], scale) / (1 << scale)
+    return recip_numerator(table.primes[: table.prime_pi(x)]) / RECIP_DENOM
 
 
 def nu2(table: PrimeTable) -> Enclosure:

@@ -393,13 +393,6 @@ def test_tail_sum_small_is_the_scalar_tail_sum():
         assert tail_sum_small(c, k1).hex() == _tss_at(c, k1, 1.0).hex(), (c, k1)
 
 
-def test_monotonicity_violation_propagates_out_of_optimizer(periodic_f, monkeypatch):
-    # a sample above tau = 1 makes the sampled series exceed its sup there
-    monkeypatch.setattr(meanvalue, "_TSS_TAUS", (1.0, 0.5, 2.0))
-    with pytest.raises(PrecisionError, match=r"c=2\.67, k1=3, tau=2\.0"):
-        optimize_C0([3.0, 2.67], [5, 3], [0.5], [1000], periodic_f)
-
-
 @pytest.mark.parametrize("grids", [
     ([2.0, 0.99], [0], [1.0], [1000]),
     ([2.0], [3, -1], [1.0], [1000]),

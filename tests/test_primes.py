@@ -7,10 +7,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from xpv import core, mfunc, primes
+from xpv import cli, core, mfunc, primes
 from xpv.errors import (
     DomainError,
-    PrecisionError,
     PreconditionError,
     ResourceError,
     UsageError,
@@ -19,13 +18,12 @@ from xpv.primes import (
     _SEGMENT_SIZE,
     _LI_X0,
     DEFAULT_SIEVE_CAP,
+    RECIP_DENOM,
     REGISTRY,
     _compensated_prefix,
     _li_series,
     _li_terms,
     _pi_upper,
-    _sieve_flags,
-    exact_scale,
     log_integral,
     mertens_sum,
     nu2,
@@ -139,7 +137,11 @@ def test_sieve_holds_one_copy_of_the_table():
 
 
 def test_pi_upper_is_above_every_count():
-    pis = np.cumsum(_sieve_flags(2 * 10 ** 5)).tolist()
+    flags = np.ones(2 * 10 ** 5 + 1, dtype=bool)
+    flags[:2] = False
+    for p in range(2, math.isqrt(flags.size - 1) + 1):
+        flags[p * p :: p] = False
+    pis = np.cumsum(flags).tolist()
     assert all(pis[n] < _pi_upper(n) for n in range(2, len(pis)))
     # pi(10^k), k = 6..9
     for x, pi in ((10 ** 6, 78498), (10 ** 7, 664579), (10 ** 8, 5761455),
@@ -152,6 +154,21 @@ def test_sieve_domain_and_cap():
         sieve_primes(1)
     with pytest.raises(ResourceError):
         sieve_primes(10 ** 7, cap=10 ** 6)
+
+
+def test_verify_runs_the_public_sieve_once(monkeypatch):
+    # the segmented sieve makes its own base primes without re-entering
+    # sieve_primes, so a traced job counts one sieve per table
+    calls, real = [], primes.sieve_primes
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(primes, "sieve_primes", counted)
+    monkeypatch.setattr(cli, "sieve_primes", counted)
+    cli.run(["verify", "--check", "pi-li-1", "--from", "2", "--to", "1e6"])
+    assert calls == [(10 ** 6,)]
 
 
 def test_prime_pi_step_semantics(prime_table):
@@ -452,15 +469,14 @@ def test_recip_numerator_equals_fsum():
         rng = np.random.default_rng(seed)
         m = np.sort(rng.integers(1, n + 1, size))
         c = rng.integers(-2, 3, size).astype(np.int8)
-        scale = exact_scale(n)
-        got = recip_numerator(m, scale, c) / (1 << scale)
+        got = recip_numerator(m, c) / RECIP_DENOM
         assert got.hex() == math.fsum((c / m).tolist()).hex()
 
     check()
 
 
-def _recip_oracle(m, c, scale):
-    return sum(int(ci) * Fraction(1.0 / int(mi)) for mi, ci in zip(m, c)) * 2 ** scale
+def _recip_oracle(m, c):
+    return sum(int(ci) * Fraction(1.0 / int(mi)) for mi, ci in zip(m, c)) * RECIP_DENOM
 
 
 def test_recip_numerator_against_fractions():
@@ -468,22 +484,21 @@ def test_recip_numerator_against_fractions():
     for _ in range(20):  # random ascending m up to 1e8
         m = np.sort(rng.integers(1, 10 ** 8 + 1, int(rng.integers(1, 3000))))
         c = rng.integers(-2, 3, m.size).astype(np.int8)
-        scale = exact_scale(int(m[-1])) + int(rng.integers(0, 3))
-        assert recip_numerator(m, scale, c) == _recip_oracle(m, c, scale)
-    # every m at and beside a power of two, where fl(1/m) changes binade
-    m = np.array(sorted({max(1, 2 ** k + d) for k in range(41) for d in (-1, 0, 1)}))
+        assert recip_numerator(m, c) == _recip_oracle(m, c)
+    # every m at and beside a power of two, where fl(1/m) changes binade,
+    # with m = 1, the largest term, and m = 2**53 - 1, the smallest shift
+    m = {max(1, 2 ** k + d) for k in range(41) for d in (-1, 0, 1)}
+    m = np.array(sorted(m | {1, 2 ** 53 - 1}))
     c = rng.integers(-2, 3, m.size).astype(np.int8)
-    assert recip_numerator(m, exact_scale(2 ** 40 + 1), c) == _recip_oracle(m, c, 93)
-    assert recip_numerator(m, 93) == _recip_oracle(m, np.ones(m.size), 93)
-    assert recip_numerator(m[:0], 60) == 0
+    assert recip_numerator(m, c) == _recip_oracle(m, c)
+    assert recip_numerator(m) == _recip_oracle(m, np.ones(m.size))
+    assert recip_numerator(m[:0]) == 0
 
 
 def test_recip_numerator_scale_guard():
-    # the scale of stats covers every m up to its cap
-    assert mfunc._SCALE == exact_scale(mfunc.STATS_X_CAP)
     m = np.arange(mfunc.STATS_X_CAP - 20000, mfunc.STATS_X_CAP + 1)
     c = np.where(m % 2 == 0, 1, -1).astype(np.int8)
-    got = recip_numerator(m, mfunc._SCALE, c) / (1 << mfunc._SCALE)
+    got = recip_numerator(m, c) / RECIP_DENOM
     assert got.hex() == math.fsum((c / m).tolist()).hex()
     # fl(1/(2**40 + 1)) has mantissa 2**53 - 2**13, so full int64 rows of
     # c = +-2 sum to 2**63 - 2**23, next to the wrap
@@ -491,9 +506,7 @@ def test_recip_numerator_scale_guard():
     m = np.full(3 * 512 + 7, 2 ** 40 + 1)
     for sign in (2, -2):
         c = np.full(m.size, sign, dtype=np.int8)
-        assert recip_numerator(m, 93, c) == _recip_oracle(m, c, 93)
-    with pytest.raises(PrecisionError):
-        recip_numerator(m, 92)
+        assert recip_numerator(m, c) == _recip_oracle(m, c)
 
 
 # sha256 of each prefix array on the 1e6 table, recorded from the
