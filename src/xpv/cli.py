@@ -54,7 +54,6 @@ from .meanvalue import (
     GRID_STEPS,
     LEDGER_PRIMES,
     ErrorParams,
-    PeriodicF,
     assemble_ledger,
     case_bounds,
     delta_table_candidate,
@@ -388,8 +387,7 @@ def _cmd_dickman(args):
 def _cmd_constants(args):
     ledger = assemble_ledger(args.c0, sieve_primes(LEDGER_PRIMES))
     k_enc, nu2_enc, nu3_enc = ledger.K_enclosure, ledger.nu2_enclosure, ledger.nu3_enclosure
-    f = PeriodicF.build()
-    cb = case_bounds(ErrorParams(PUBLISHED_BEST_C, 0, PUBLISHED_EPS, PUBLISHED_K2), f)
+    cb = case_bounds(ErrorParams(PUBLISHED_BEST_C, 0, PUBLISHED_EPS, PUBLISHED_K2))
     integral_enc = integral_exp_over_square()
     gamma_minus_m = ledger.gamma - ledger.M
 
@@ -452,7 +450,7 @@ def _cmd_constants(args):
     gaps = [("short-range case constant exceeds the published C0", cb.c_ii)]
     if args.optimize:
         params, achieved = optimize_C0(
-            DEFAULT_C_GRID, DEFAULT_K1_GRID, DEFAULT_EPS_GRID, DEFAULT_K2_GRID, f
+            DEFAULT_C_GRID, DEFAULT_K1_GRID, DEFAULT_EPS_GRID, DEFAULT_K2_GRID
         )
         results.append({
             "optimizer": {
@@ -493,23 +491,12 @@ def _cmd_table(args):
             "delta overrides use the reverse-engineered candidate form "
             "0.2 (c/final)^(1/2K); diagnostic only"
         )
-    report = table1_report(c1_values, c_values, deltas)
-    report.notes.append(source_note)
-    results = [{
-        "c1": report.c1_values,
-        "c": report.c_values,
-        "delta": report.delta_values,
-        "cells": report.cells,
-        "column_factors": report.column_factors,
-        "published": report.published,
-        "ratios": report.ratios,
-        "checks": report.checks,
-        "notes": report.notes,
-        "provenance": "computed",
-    }]
-    header = "c1\\c," + ",".join("%.17g" % c for c in report.c_values)
-    rows = ((c1, *row) for c1, row in zip(report.c1_values, report.cells))
-    return results, _named_checks(report.checks), report.findings, (header, rows)
+    result, findings = table1_report(c1_values, c_values, deltas)
+    result["notes"].append(source_note)
+    result["provenance"] = "computed"
+    header = "c1\\c," + ",".join("%.17g" % c for c in result["c"])
+    rows = ((c1, *row) for c1, row in zip(result["c1"], result["cells"]))
+    return [result], _named_checks(result["checks"]), findings, (header, rows)
 
 
 def _cmd_mfunc(args):
@@ -524,21 +511,10 @@ def _cmd_mfunc(args):
     # largest x first, so the values memo grows once; the report keeps argv order
     reps = {x: empirical_checks(spec, x, args.c, ledger, table)
             for x in sorted(set(xs), reverse=True)}
-    results = []
-    checks = []
-    for x in xs:
-        rep = reps[x]
-        results.append({
-            "x": x,
-            "function": spec.description,
-            "row": rep.row.as_dict(),
-            "checks": rep.checks,
-            "notes": rep.notes,
-            "provenance": "computed",
-        })
-        checks += [(ch["status"] != "fail",
-                    {"check_id": name, "x": x, "function": spec.description})
-                   for name, ch in rep.checks.items()]
+    results = [{**reps[x], "provenance": "computed"} for x in xs]
+    checks = [(ch["status"] != "fail",
+               {"check_id": name, "x": r["x"], "function": r["function"]})
+              for r in results for name, ch in r["checks"].items()]
     rows = (r["row"].values() for r in results)
     return results, checks, [], (STATS_CSV_HEADER, rows)
 

@@ -3,8 +3,8 @@ tail-series suprema, the four case constants with their grid optimizer,
 the assembled constant ledger, the headline delta formula, and the
 reproduction report of the published epsilon table.
 
-delta, astronomically small, is carried as a natural log end to end;
-only the presentation layer renders log10.
+delta, astronomically small, is carried as its natural log end to end
+and never materialized as a float.
 """
 
 from __future__ import annotations
@@ -265,10 +265,10 @@ def tail_sum_large(eps: float, k2: int) -> float:
 # error bounds and case constants
 
 
-def error_bound_small(params: ErrorParams, f: PeriodicF) -> float:
+def error_bound_small(params: ErrorParams) -> float:
     """Short-range error bound: the pi/(2c) window term plus the tail
     series, times the variation, plus the sup term."""
-    return _small_bound(params.c, tail_sum_small(params.c, params.k1), f)
+    return _small_bound(params.c, tail_sum_small(params.c, params.k1), PeriodicF.build())
 
 
 def _small_bound(c, tss, f: PeriodicF):
@@ -294,17 +294,16 @@ def _case_iv(eps: float, f: PeriodicF) -> float:
     )
 
 
-def _case_iii_sup(eps: float, k2: int, f: PeriodicF):
-    """(sup, maximizer) over tau >= 1 of the long-range case constant.
+def _case_iii_sup(eps: float, k2: int, f: PeriodicF) -> float:
+    """The sup over tau >= 1 of the long-range case constant.
     Every term decreases in tau (those of ``_error_bound_large_at``, and
     1/log^4(tau + 3)), so the sup is the value at tau = 1."""
     w = (1.0 + eps) * DECAY_SCALE
-    sup = (
+    return (
         2.0 * f.K * math.log(w)
         + (1.0 + f.K) * (MERTENS_M + 1.0 / (w * w * math.log(4.0) ** 4))
         + _error_bound_large_at(eps, f, 1.0, tail_sum_large(eps, k2))
     )
-    return sup, 1.0
 
 
 @dataclass(frozen=True)
@@ -318,26 +317,26 @@ class CaseBounds:
     c0: float
 
 
-def case_bounds(params: ErrorParams, f: PeriodicF | None = None) -> CaseBounds:
+def case_bounds(params: ErrorParams) -> CaseBounds:
     """The four additive case constants and their max.
 
     c_ii is the short-range case (the binding one at the reference
-    parameter point); c_iii is a supremum over tau; c_iv is the
+    parameter point); c_iii is a supremum over tau, taken at tau = 1
+    (``_case_iii_sup``: every term decreases in tau); c_iv is the
     trivial-range constant; c0 is the max of the three non-degenerate
     cases.
     """
-    if f is None:
-        f = PeriodicF.build()
+    f = PeriodicF.build()
     ci = _case_i(params.c, f)
-    cii = ci + error_bound_small(params, f)
-    ciii, tau_star = _case_iii_sup(params.eps, params.k2, f)
+    cii = ci + error_bound_small(params)
+    ciii = _case_iii_sup(params.eps, params.k2, f)
     civ = _case_iv(params.eps, f)
     return CaseBounds(
         params=params,
         c_i=ci,
         c_ii=cii,
         c_iii=ciii,
-        c_iii_tau=tau_star,
+        c_iii_tau=1.0,
         c_iv=civ,
         c0=max(cii, ciii, civ),
     )
@@ -358,7 +357,7 @@ def _c_ii_grid(c_grid, k1_grid, f: PeriodicF) -> np.ndarray:
     return _case_i(cs, f) + _small_bound(cs, _tss_grid(cs[:, 0], k1_grid), f)
 
 
-def optimize_C0(c_grid, k1_grid, eps_grid, k2_grid, f: PeriodicF | None = None):
+def optimize_C0(c_grid, k1_grid, eps_grid, k2_grid):
     """Exhaustive-equivalent minimization of the max-of-cases constant
     over the grid product.  Returns (ErrorParams, achieved value).
 
@@ -380,8 +379,7 @@ def optimize_C0(c_grid, k1_grid, eps_grid, k2_grid, f: PeriodicF | None = None):
     # each grid's least and largest value (either NaN if one is) check it all
     for pick in (np.min, np.max):
         ErrorParams(pick(c_grid), k1_grid[0], pick(eps_grid), k2_grid[0])
-    if f is None:
-        f = PeriodicF.build()
+    f = PeriodicF.build()
 
     a_grid = _c_ii_grid(c_grid, k1_grid, f)
     a_min = float(a_grid.min())
@@ -394,7 +392,7 @@ def optimize_C0(c_grid, k1_grid, eps_grid, k2_grid, f: PeriodicF | None = None):
         if civ > a_min and civ >= g_best:
             break
         for k2 in k2_grid:
-            g = max(_case_iii_sup(eps, k2, f)[0], civ)
+            g = max(_case_iii_sup(eps, k2, f), civ)
             if g <= a_min:
                 witness = (eps, k2)
                 break
@@ -617,18 +615,6 @@ class LogScaled:
 
     log: float
 
-    @property
-    def value(self) -> float:
-        if self.log < -745.0:
-            return 0.0
-        if self.log > 709.0:
-            return math.inf
-        return math.exp(self.log)
-
-    @property
-    def log10(self) -> float:
-        return self.log / math.log(10.0)
-
 
 def delta(c: float, big_constant: float = PUBLISHED_FINAL) -> LogScaled:
     """The headline delta(c), evaluated in log space.
@@ -667,20 +653,6 @@ def delta_table_candidate(c: float, big_constant: float = PUBLISHED_FINAL) -> fl
 # published-table reproduction
 
 
-@dataclass
-class Table1Report:
-    c1_values: list
-    c_values: list
-    delta_values: list
-    cells: list  # rows (per c1) x columns (per c) of computed epsilon
-    column_factors: list
-    published: list | None
-    ratios: list | None
-    checks: dict
-    findings: list  # discrepancies that fail no check
-    notes: list
-
-
 def _published_cell(c1: float, c: float):
     """Published epsilon for (c1, c) when the pair is in the reference
     grid, else None.  Subsets of the grid match cell by cell."""
@@ -692,10 +664,15 @@ def _published_cell(c1: float, c: float):
     return None
 
 
-def table1_report(c1_list, c_list, delta_table: dict) -> Table1Report:
+def table1_report(c1_list, c_list, delta_table: dict):
     """Reproduce the published epsilon table from the 4 pi formula with
     the published delta values as overrides, and report every law the
     table should satisfy plus every other discrepancy it shows, as findings.
+
+    Returns (result, findings): result is the ``table`` report's entry, with
+    c1, c, delta, cells (a row per c1, a column per c), column_factors,
+    published and ratios (None off the reference grid), checks and notes;
+    findings are discrepancies that fail no check.
     """
     c1_values = [float(v) for v in c1_list]
     c_values = [float(v) for v in c_list]
@@ -830,15 +807,14 @@ def table1_report(c1_list, c_list, delta_table: dict) -> Table1Report:
             "ratio checks skipped"
         )
 
-    return Table1Report(
-        c1_values=c1_values,
-        c_values=c_values,
-        delta_values=deltas,
-        cells=cells,
-        column_factors=column_factors,
-        published=published,
-        ratios=ratios,
-        checks=checks,
-        findings=findings,
-        notes=notes,
-    )
+    return {
+        "c1": c1_values,
+        "c": c_values,
+        "delta": deltas,
+        "cells": cells,
+        "column_factors": column_factors,
+        "published": published,
+        "ratios": ratios,
+        "checks": checks,
+        "notes": notes,
+    }, findings

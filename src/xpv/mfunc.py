@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -461,30 +461,26 @@ def pv_ratio(q: int) -> float:
 # the empirical checks
 
 
-@dataclass
-class EmpiricalChecks:
-    row: StatsRow
-    checks: dict = field(default_factory=dict)
-    notes: list = field(default_factory=list)
-
-
 def empirical_checks(
     spec: MultiplicativeSpec, x: float, c: float, ledger, table: PrimeTable
-) -> EmpiricalChecks:
+) -> dict:
     """Exercise the three headline inequalities on one function at one x.
 
     (i) decay of |M| against final * exp(-K u); (ii) |M| >= c forcing a
     floor under the log-mean (compared in log space; astronomically
     vacuous at desk scale, so the vacuity margin is always reported);
     (iii) the convolution mean against its lower bound.  Asymptotic
-    lower-order terms are dropped throughout and stamped below.
+    lower-order terms are dropped throughout and stamped in the notes.
+
+    Returns the ``mfunc`` report's entry for x: x, function, row (``stats``
+    as a dict), checks (name -> {status, ...}) and notes.
     """
     row = stats(spec, x, table)
-    out = EmpiricalChecks(row, notes=["asymptotic lower-order terms dropped in every bound"])
+    checks = {}
 
     rhs = ledger.final * math.exp(-ledger.K * row.u)
     abs_m = abs(row.M)
-    out.checks["mean-decay"] = {
+    checks["mean-decay"] = {
         "status": "pass" if abs_m <= rhs else "fail",
         "abs_M": abs_m,
         "bound": rhs,
@@ -494,7 +490,7 @@ def empirical_checks(
     log_delta = delta(c).log
     if abs_m >= c:
         ok = row.L > 0.0 and math.log(row.L) >= log_delta
-        out.checks["large-mean-floor"] = {
+        checks["large-mean-floor"] = {
             "status": "pass" if ok else "fail",
             "abs_M": abs_m,
             "log_L": math.log(row.L) if row.L > 0.0 else -math.inf,
@@ -502,7 +498,7 @@ def empirical_checks(
             "vacuity_margin": 0.0,
         }
     else:
-        out.checks["large-mean-floor"] = {
+        checks["large-mean-floor"] = {
             "status": "vacuous-pass",
             "abs_M": abs_m,
             "log_delta": log_delta,
@@ -510,10 +506,11 @@ def empirical_checks(
         }
 
     bound = divisor_mean_lower_bound(x, row.u)
-    out.checks["convolution-lower"] = {
+    checks["convolution-lower"] = {
         "status": "pass" if row.conv_mean >= bound else "fail",
         "conv_mean": row.conv_mean,
         "bound": bound,
         "slack": math.inf if bound == 0.0 else row.conv_mean / bound,
     }
-    return out
+    return {"x": x, "function": spec.description, "row": row.as_dict(), "checks": checks,
+            "notes": ["asymptotic lower-order terms dropped in every bound"]}

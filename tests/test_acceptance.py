@@ -206,7 +206,6 @@ def test_criterion_06_ledger(acceptance_lines, ledger):
 def test_criterion_07_optimizer(acceptance_lines, periodic_f, capsys):
     params, achieved = optimize_C0(
         DEFAULT_C_GRID, DEFAULT_K1_GRID, DEFAULT_EPS_GRID, DEFAULT_K2_GRID,
-        periodic_f,
     )
     window_ok = 6.5 <= achieved <= 8.0
     code, rep = _constants_report(capsys)
@@ -226,9 +225,7 @@ def test_criterion_07_optimizer(acceptance_lines, periodic_f, capsys):
         comp_angle + comp_sup
         + 0.1522 * tail_sum_small(c, 0) * periodic_f.variation
     )
-    direct = error_bound_small(
-        ErrorParams(c=c, k1=0, eps=3.61, k2=1000), periodic_f
-    )
+    direct = error_bound_small(ErrorParams(c=c, k1=0, eps=3.61, k2=1000))
     comp_ok = comp_ok and abs(rebuilt - direct) < 1e-12
     ok = window_ok and gap_ok and comp_ok
     detail = (
@@ -242,13 +239,13 @@ def test_criterion_07_optimizer(acceptance_lines, periodic_f, capsys):
 
 
 def test_criterion_08_exponent_table(acceptance_lines):
-    rep = table1_report(
+    rep, findings = table1_report(
         list(EPSILON_TABLE_C1), list(EPSILON_TABLE_C), dict(PUBLISHED_DELTA)
     )
-    lin_ok = rep.checks["linearity"]["passed"]
-    law_ok = rep.checks["column-power-law"]["passed"]
-    spread_ok = rep.checks["common-factor-spread"]["passed"]
-    glob = [d for d in rep.findings if d["kind"] == "global-factor"]
+    lin_ok = rep["checks"]["linearity"]["passed"]
+    law_ok = rep["checks"]["column-power-law"]["passed"]
+    spread_ok = rep["checks"]["common-factor-spread"]["passed"]
+    glob = [d for d in findings if d["kind"] == "global-factor"]
     factor_ok = len(glob) == 1 and abs(glob[0]["factor"] - 1.42) < 0.02
     ok = lin_ok and law_ok and spread_ok and factor_ok
     detail = (
@@ -283,8 +280,8 @@ def test_criterion_09_multiplicative_checks(acceptance_lines, prime_table, ledge
         for x in (1e2, 1e4, 1e6):
             rep = empirical_checks(spec, x, 0.5, ledger, prime_table)
             emp_ok = emp_ok and (
-                rep.checks["mean-decay"]["status"] == "pass"
-                and rep.checks["convolution-lower"]["status"] == "pass"
+                rep["checks"]["mean-decay"]["status"] == "pass"
+                and rep["checks"]["convolution-lower"]["status"] == "pass"
             )
     ok = mult_ok and orth_ok and pv_ok and emp_ok
     detail = (

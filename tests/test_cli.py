@@ -8,6 +8,7 @@ import pytest
 
 from xpv import cli, meanvalue, mfunc, primes
 from xpv.cli import json_dumps, run
+from xpv.constants import EPSILON_TABLE_C, EPSILON_TABLE_C1, PUBLISHED_DELTA
 
 
 def _run(capsys, *argv):
@@ -460,6 +461,29 @@ def test_table_csv(capsys):
     lines = out.strip().split("\n")
     assert len(lines) == 3
     assert lines[1].startswith("1,")
+
+
+def _as_printed(obj):
+    return json.loads(json_dumps(obj))
+
+
+def test_table_and_mfunc_print_what_the_library_returns(capsys, prime_table, ledger):
+    # the CLI adds provenance, and for table the delta-source note, and
+    # passes the rest of each library result through
+    result, findings = meanvalue.table1_report(
+        list(EPSILON_TABLE_C1), list(EPSILON_TABLE_C), dict(PUBLISHED_DELTA))
+    code, out = _run(capsys, "table", "--delta-paper")
+    rep = json.loads(out)
+    (printed,) = rep["results"]
+    assert printed["notes"].pop() == "delta overrides are the published values"
+    assert printed == _as_printed({**result, "provenance": "computed"})
+    assert rep["discrepancies"] == _as_printed(findings)
+
+    code, out = _run(capsys, "mfunc", "--kind", "qchar:7", "--x", "1000,100000")
+    rows = [mfunc.empirical_checks(mfunc.quadratic_character(7), x, 0.5, ledger, prime_table)
+            for x in (1000.0, 100000.0)]
+    assert json.loads(out)["results"] == _as_printed(
+        [{**row, "provenance": "computed"} for row in rows])
 
 
 def test_table_delta_past_the_float_range_is_exit_two(capsys):

@@ -493,18 +493,18 @@ def test_pv_ratio_below_one_small_primes(prime_table):
 
 def test_empirical_checks_statuses(prime_table, ledger):
     rep = empirical_checks(liouville(), 10 ** 4, 0.5, ledger, prime_table)
-    assert rep.checks["mean-decay"]["status"] == "pass"
-    assert rep.checks["large-mean-floor"]["status"] == "vacuous-pass"
-    assert rep.checks["convolution-lower"]["status"] == "pass"
-    assert all(ch["status"] != "fail" for ch in rep.checks.values())
-    assert any("lower-order" in n for n in rep.notes)
+    assert rep["checks"]["mean-decay"]["status"] == "pass"
+    assert rep["checks"]["large-mean-floor"]["status"] == "vacuous-pass"
+    assert rep["checks"]["convolution-lower"]["status"] == "pass"
+    assert all(ch["status"] != "fail" for ch in rep["checks"].values())
+    assert any("lower-order" in n for n in rep["notes"])
 
 
 def test_empirical_checks_active_floor(prime_table, ledger):
     # the constant-one function keeps |M| = 1, so the floor clause is live
     rep = empirical_checks(constant_one(), 100.0, 0.5, ledger, prime_table)
-    assert rep.checks["large-mean-floor"]["status"] == "pass"
-    assert all(ch["status"] != "fail" for ch in rep.checks.values())
+    assert rep["checks"]["large-mean-floor"]["status"] == "pass"
+    assert all(ch["status"] != "fail" for ch in rep["checks"].values())
 
 
 def test_empirical_checks_domain(prime_table, ledger):
