@@ -436,18 +436,18 @@ def _cmd_constants(args):
         {"ledger": ledger.as_dict(), "provenance": "computed"},
         {
             "case_bounds": {
-                **asdict(cb),
+                **cb,
                 "gaps_to_published": {
-                    "c_ii_vs_c0": cb.c_ii - PUBLISHED_C0,
-                    "c_iii": cb.c_iii - PUBLISHED_CASE_III,
-                    "c_iv": cb.c_iv - PUBLISHED_CASE_IV,
+                    "c_ii_vs_c0": cb["c_ii"] - PUBLISHED_C0,
+                    "c_iii": cb["c_iii"] - PUBLISHED_CASE_III,
+                    "c_iv": cb["c_iv"] - PUBLISHED_CASE_IV,
                 },
             },
             "provenance": "computed",
         },
         {"checks": checks, "provenance": "computed"},
     ]
-    gaps = [("short-range case constant exceeds the published C0", cb.c_ii)]
+    gaps = [("short-range case constant exceeds the published C0", cb["c_ii"])]
     if args.optimize:
         params, achieved = optimize_C0(
             DEFAULT_C_GRID, DEFAULT_K1_GRID, DEFAULT_EPS_GRID, DEFAULT_K2_GRID

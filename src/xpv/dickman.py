@@ -276,8 +276,8 @@ def divisor_mean_lower_bound(x: float, u: float) -> float:
     """Lower bound 0.2 * log x * exp(-u*(1.42*e^(u/2) + 1/2)) for the
     average of a convolved divisor-type sum; the asymptotic o(1) term in
     the source estimate is dropped, which every caller documents."""
-    if x <= 1:
+    if not x > 1:  # NaN fails too
         raise DomainError(f"divisor_mean_lower_bound needs x > 1, got {x}")
-    if u < 0:
+    if not u >= 0:
         raise DomainError(f"divisor_mean_lower_bound needs u >= 0, got {u}")
     return 0.2 * math.log(x) * math.exp(-u * (1.42 * math.exp(u / 2.0) + 0.5))

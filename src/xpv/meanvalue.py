@@ -10,7 +10,7 @@ and never materialized as a float.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -125,7 +125,9 @@ class ErrorParams:
 
 
 def _tss_grid(cs: np.ndarray, k1s) -> np.ndarray:
-    """tail_sum_small at each c of ``cs`` (rows) and k1 of ``k1s`` (columns).
+    """The small-range tail sum at each c of ``cs`` (rows) and k1 of ``k1s``
+    (columns): the sup over tau in (0, 1] of the series truncated at k1 plus
+    its tail factor, at tau = 1, as every term rises with tau.
     One (c, k) table of the terms up to the largest k1; each k1 sums its
     first k1 + 1 along the contiguous k axis, np.sum's order on one row.
     ``last`` uses libm's exp, as numpy's may round differently."""
@@ -139,19 +141,6 @@ def _tss_grid(cs: np.ndarray, k1s) -> np.ndarray:
                        + DECAY_SCALE) / math.pi
         out[:, j] = terms[:, : k1 + 1].sum(axis=-1) + last * tail_factor
     return out
-
-
-def tail_sum_small(c: float, k1: int) -> float:
-    """Supremum over tau in (0, 1] of the truncated small-range tail
-    series plus its integral-comparison tail factor.
-
-    Each summand exp(-sqrt((c + 2 pi k) / (DECAY_SCALE tau))) and the tail
-    term rise with tau, so the sup is the value at tau = 1.  One cell of
-    the kernel the optimizer runs on its (c, k1) grid, so both share bits.
-    """
-    if not 1 <= c < math.inf or k1 < 0:
-        raise DomainError(f"tail_sum_small needs finite c >= 1 and k1 >= 0, got {c}, {k1}")
-    return float(_tss_grid(np.array([float(c)]), [k1])[0, 0])
 
 
 def _sum_prefixes(n: int):
@@ -262,25 +251,7 @@ def tail_sum_large(eps: float, k2: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# error bounds and case constants
-
-
-def error_bound_small(params: ErrorParams) -> float:
-    """Short-range error bound: the pi/(2c) window term plus the tail
-    series, times the variation, plus the sup term."""
-    return _small_bound(params.c, tail_sum_small(params.c, params.k1), PeriodicF.build())
-
-
-def _small_bound(c, tss, f: PeriodicF):
-    # elementwise, so a (c, k1) grid of tail sums gets the scalar bits
-    return (math.pi / (2.0 * c) + TAIL_COEFF * tss) * f.variation + (SUP_COEFF / c) * f.sup
-
-
-def _error_bound_large_at(eps: float, f: PeriodicF, tau: float, tsl: float) -> float:
-    log_w = (1.0 + eps) * DECAY_SCALE * math.log(tau + 3.0) ** 2
-    return (
-        math.pi / (2.0 * tau * log_w) + TAIL_COEFF * tsl
-    ) * f.variation + SUP_COEFF / log_w * f.sup
+# case constants and their optimizer
 
 
 def _case_i(c: float, f: PeriodicF) -> float:
@@ -295,51 +266,40 @@ def _case_iv(eps: float, f: PeriodicF) -> float:
 
 
 def _case_iii_sup(eps: float, k2: int, f: PeriodicF) -> float:
-    """The sup over tau >= 1 of the long-range case constant.
-    Every term decreases in tau (those of ``_error_bound_large_at``, and
-    1/log^4(tau + 3)), so the sup is the value at tau = 1."""
+    """The sup over tau >= 1 of the long-range case constant, with w = (1 +
+    eps) DECAY_SCALE and log_w = w log^2(tau + 3).  Term by term: 2 K log w
+    is free of tau; (1 + K)(M + 1/(w^2 log^4(tau + 3))), (pi/(2 tau log_w) +
+    TAIL_COEFF T) V, T the tail series' sup over tau >= 1, and SUP_COEFF
+    S/log_w decrease in tau.  So the sup is at tau = 1: log(tau + 3) = log 4."""
     w = (1.0 + eps) * DECAY_SCALE
+    log_w = w * math.log(4.0) ** 2
     return (
         2.0 * f.K * math.log(w)
         + (1.0 + f.K) * (MERTENS_M + 1.0 / (w * w * math.log(4.0) ** 4))
-        + _error_bound_large_at(eps, f, 1.0, tail_sum_large(eps, k2))
+        + ((math.pi / (2.0 * log_w) + TAIL_COEFF * tail_sum_large(eps, k2)) * f.variation
+           + SUP_COEFF / log_w * f.sup)
     )
 
 
-@dataclass(frozen=True)
-class CaseBounds:
-    params: ErrorParams
-    c_i: float
-    c_ii: float
-    c_iii: float
-    c_iii_tau: float
-    c_iv: float
-    c0: float
-
-
-def case_bounds(params: ErrorParams) -> CaseBounds:
-    """The four additive case constants and their max.
-
-    c_ii is the short-range case (the binding one at the reference
-    parameter point); c_iii is a supremum over tau, taken at tau = 1
-    (``_case_iii_sup``: every term decreases in tau); c_iv is the
-    trivial-range constant; c0 is the max of the three non-degenerate
-    cases.
-    """
+def case_bounds(params: ErrorParams) -> dict:
+    """The four additive case constants and their max, as the ``constants``
+    report prints them less the gaps: params (as a dict), c_i, c_ii (the
+    short-range case, one cell of ``_c_ii_grid``), c_iii (a sup over tau,
+    at c_iii_tau = 1 by ``_case_iii_sup``), c_iv (the trivial range) and c0,
+    the max of the three non-degenerate cases."""
     f = PeriodicF.build()
-    ci = _case_i(params.c, f)
-    cii = ci + error_bound_small(params)
+    cii = float(_c_ii_grid([params.c], [params.k1], f)[0, 0])
     ciii = _case_iii_sup(params.eps, params.k2, f)
     civ = _case_iv(params.eps, f)
-    return CaseBounds(
-        params=params,
-        c_i=ci,
-        c_ii=cii,
-        c_iii=ciii,
-        c_iii_tau=1.0,
-        c_iv=civ,
-        c0=max(cii, ciii, civ),
-    )
+    return {
+        "params": asdict(params),
+        "c_i": _case_i(params.c, f),
+        "c_ii": cii,
+        "c_iii": ciii,
+        "c_iii_tau": 1.0,
+        "c_iv": civ,
+        "c0": max(cii, ciii, civ),
+    }
 
 
 # The optimizer's default grids and their steps; i/100 is the float nearest its decimal
@@ -352,9 +312,13 @@ DEFAULT_K2_GRID = (10 ** 3, 10 ** 4, 10 ** 5, 3 * 10 ** 5, 10 ** 6)
 
 
 def _c_ii_grid(c_grid, k1_grid, f: PeriodicF) -> np.ndarray:
-    """c_ii at every (c, k1) of the grids, from one tail-sum table."""
+    """c_ii, case (i) plus (pi/(2c) + TAIL_COEFF tss) V + (SUP_COEFF/c) S, at
+    every (c, k1) of the grids from one tail-sum table: the one c_ii formula,
+    of which ``case_bounds`` reads a 1 x 1 grid."""
     cs = np.array(c_grid, dtype=np.float64)[:, None]
-    return _case_i(cs, f) + _small_bound(cs, _tss_grid(cs[:, 0], k1_grid), f)
+    tss = _tss_grid(cs[:, 0], k1_grid)
+    return _case_i(cs, f) + (
+        (math.pi / (2.0 * cs) + TAIL_COEFF * tss) * f.variation + (SUP_COEFF / cs) * f.sup)
 
 
 def optimize_C0(c_grid, k1_grid, eps_grid, k2_grid):
@@ -367,8 +331,8 @@ def optimize_C0(c_grid, k1_grid, eps_grid, k2_grid):
     which is then provably part of the lexicographically smallest
     argmin.  The trivial-range constant grows with eps, which prunes the
     remaining eps values once it passes both min A and the best G seen.
-    A is one array over the grid, from one tail-sum table, with the
-    bits of case_bounds' c_ii at each point.
+    A is one array over the grid, from one tail-sum table, whose cells
+    are case_bounds' c_ii.
     """
     c_grid = sorted({float(c) for c in c_grid})
     k1_grid = sorted({int(k) for k in k1_grid})
@@ -384,7 +348,6 @@ def optimize_C0(c_grid, k1_grid, eps_grid, k2_grid):
     a_grid = _c_ii_grid(c_grid, k1_grid, f)
     a_min = float(a_grid.min())
 
-    witness = None
     g_best = math.inf
     g_arg = None
     for eps in eps_grid:
@@ -393,20 +356,15 @@ def optimize_C0(c_grid, k1_grid, eps_grid, k2_grid):
             break
         for k2 in k2_grid:
             g = max(_case_iii_sup(eps, k2, f), civ)
-            if g <= a_min:
-                witness = (eps, k2)
-                break
-            if g < g_best:
+            if g < g_best:  # a first G <= min A is below every G before it
                 g_best, g_arg = g, (eps, k2)
-        if witness:
+            if g <= a_min:
+                break
+        if g_best <= a_min:
             break
 
-    if witness is not None:
-        achieved = a_min
-        eps_best, k2_best = witness
-    else:
-        achieved = g_best
-        eps_best, k2_best = g_arg
+    achieved = max(a_min, g_best)  # min A wherever a G <= min A was found
+    eps_best, k2_best = g_arg
     i, j = divmod(int(np.argmax(a_grid.ravel() <= achieved)), len(k1_grid))
     c_best, k1_best = c_grid[i], k1_grid[j]
     params = ErrorParams(c=c_best, k1=k1_best, eps=eps_best, k2=k2_best)
@@ -526,30 +484,35 @@ def _nu3_head(k_trunc: int, c: float) -> tuple:
 
 @dataclass(frozen=True)
 class ConstantLedger:
-    """The assembled constant chain, every value tagged with where it came
-    from; K (the midpoint), nu2 and nu3 (upper ends; nu3's holds over all of
-    K's enclosure) are read off their enclosures, which ``as_dict`` omits."""
+    """The assembled constant chain; K (the midpoint), nu2 and nu3 (upper
+    ends; nu3's holds over all of K's enclosure) are read off their
+    enclosures, which ``as_dict`` omits.  The published M and gamma and the
+    provenance tags belong to the type: ``as_dict`` tags as published M,
+    gamma and a C0 equal to PUBLISHED_C0, C, a and final as derived, the rest
+    as computed."""
 
     K_enclosure: Enclosure
     C0: float
     nu1: float
     nu2_enclosure: Enclosure
     nu3_enclosure: Enclosure
-    M: float
-    gamma: float
     C: float
     a: float
     final: float
-    provenance: dict = field(default_factory=dict)
 
+    M = MERTENS_M
+    gamma = EULER_GAMMA
     K = property(lambda self: self.K_enclosure.mid)
     nu2 = property(lambda self: self.nu2_enclosure.hi)
     nu3 = property(lambda self: self.nu3_enclosure.hi)
 
     def as_dict(self) -> dict:
         names = ("K", "C0", "nu1", "nu2", "nu3", "M", "gamma", "C", "a", "final")
+        published = ("M", "gamma", "C0") if self.C0 == PUBLISHED_C0 else ("M", "gamma")
         return {name: {"value": getattr(self, name),
-                       "provenance": self.provenance.get(name, PROVENANCE_COMPUTED)}
+                       "provenance": PROVENANCE_PUBLISHED if name in published
+                       else PROVENANCE_DERIVED if name in ("C", "a", "final")
+                       else PROVENANCE_COMPUTED}
                 for name in names}
 
 
@@ -577,30 +540,15 @@ def assemble_ledger(C0: float, table: PrimeTable) -> ConstantLedger:
         a_const = final = math.inf
     if not all(map(math.isfinite, (big_c, a_const, final))):
         raise DomainError(f"C0 = {C0} overflows the ledger: a = {a_const}, final = {final}")
-    prov = {
-        "K": PROVENANCE_COMPUTED,
-        "C0": PROVENANCE_PUBLISHED if C0 == PUBLISHED_C0 else PROVENANCE_COMPUTED,
-        "nu1": PROVENANCE_COMPUTED,
-        "nu2": PROVENANCE_COMPUTED,
-        "nu3": PROVENANCE_COMPUTED,
-        "M": PROVENANCE_PUBLISHED,
-        "gamma": PROVENANCE_PUBLISHED,
-        "C": PROVENANCE_DERIVED,
-        "a": PROVENANCE_DERIVED,
-        "final": PROVENANCE_DERIVED,
-    }
     return ConstantLedger(
         K_enclosure=k_enc,
         C0=C0,
         nu1=nu1,
         nu2_enclosure=nu2_enc,
         nu3_enclosure=nu3_enc,
-        M=MERTENS_M,
-        gamma=EULER_GAMMA,
         C=big_c,
         a=a_const,
         final=final,
-        provenance=prov,
     )
 
 
@@ -608,21 +556,12 @@ def assemble_ledger(C0: float, table: PrimeTable) -> ConstantLedger:
 # headline formulas
 
 
-@dataclass(frozen=True)
-class LogScaled:
-    """A positive real carried by its natural log, since the value
-    itself can sit far outside binary64 range."""
+def delta(c: float, big_constant: float = PUBLISHED_FINAL) -> float:
+    """The natural log of the headline delta(c), as a float.
 
-    log: float
-
-
-def delta(c: float, big_constant: float = PUBLISHED_FINAL) -> LogScaled:
-    """The headline delta(c), evaluated in log space.
-
-    The formula's o(1) term is dropped; reports stamp that.  The result
-    always satisfies delta <= 2/7, which is checked, and it underflows
-    binary64 for every admissible c, which is why only the log is
-    first-class.
+    delta itself underflows binary64 for every admissible c, so only its
+    log is computed and returned.  The formula's o(1) term is dropped;
+    reports stamp that.  delta <= 2/7 always holds, and is checked.
     """
     if not (0.0 < c <= 1.0):
         raise DomainError(f"delta needs 0 < c <= 1, got {c}")
@@ -636,7 +575,7 @@ def delta(c: float, big_constant: float = PUBLISHED_FINAL) -> LogScaled:
     log_d = math.log(0.2) - (ln_b / k) * (1.42 * power + 0.5)
     if log_d > math.log(2.0 / 7.0):
         raise PrecisionError(f"delta exceeded 2/7 at c = {c}")
-    return LogScaled(log_d)
+    return log_d
 
 
 def delta_table_candidate(c: float, big_constant: float = PUBLISHED_FINAL) -> float:

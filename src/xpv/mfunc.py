@@ -337,7 +337,7 @@ def _fsum(parts) -> float:
 
 def check_stats_x(x: float) -> None:
     """Raise unless 2 <= x <= STATS_X_CAP; cheap, so callers check first."""
-    if x < 2:
+    if not x >= 2:  # NaN fails too
         raise DomainError(f"stats needs x >= 2, got {x}")
     if x > STATS_X_CAP:
         raise ResourceError(f"stats is O(x) and capped at {STATS_X_CAP:.0e}, got {x}")
@@ -487,7 +487,7 @@ def empirical_checks(
         "slack": math.inf if abs_m == 0.0 else rhs / abs_m,
     }
 
-    log_delta = delta(c).log
+    log_delta = delta(c)
     if abs_m >= c:
         ok = row.L > 0.0 and math.log(row.L) >= log_delta
         checks["large-mean-floor"] = {

@@ -541,7 +541,7 @@ def recip_numerator(m: np.ndarray, c: np.ndarray | None = None) -> int:
 
 def mertens_sum(x: float, table: PrimeTable) -> float:
     """Sum of 1/p over primes p <= x, correctly rounded: an exact sum over RECIP_DENOM."""
-    if x < 2:
+    if not x >= 2:  # NaN fails too
         raise DomainError(f"mertens_sum needs x >= 2, got {x}")
     _require_table(table, x, "mertens_sum")
     return recip_numerator(table.primes[: table.prime_pi(x)]) / RECIP_DENOM

@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from xpv import core
+from xpv import core, meanvalue
 from xpv.cli import run
 from xpv.dickman import build_rho_table, rho_log, verify_rho_exponent
 from xpv.meanvalue import (
@@ -26,13 +26,11 @@ from xpv.meanvalue import (
     DEFAULT_K2_GRID,
     ErrorParams,
     case_bounds,
-    error_bound_small,
     integral_exp_over_square,
     nu3,
     optimize_C0,
     solve_K,
     table1_report,
-    tail_sum_small,
 )
 from xpv.mfunc import (
     char_sum,
@@ -223,9 +221,10 @@ def test_criterion_07_optimizer(acceptance_lines, periodic_f, capsys):
     )
     rebuilt = (
         comp_angle + comp_sup
-        + 0.1522 * tail_sum_small(c, 0) * periodic_f.variation
+        + 0.1522 * meanvalue._tss_grid(np.array([c]), [0])[0, 0] * periodic_f.variation
     )
-    direct = error_bound_small(ErrorParams(c=c, k1=0, eps=3.61, k2=1000))
+    cb = case_bounds(ErrorParams(c=c, k1=0, eps=3.61, k2=1000))
+    direct = cb["c_ii"] - cb["c_i"]
     comp_ok = comp_ok and abs(rebuilt - direct) < 1e-12
     ok = window_ok and gap_ok and comp_ok
     detail = (

@@ -335,7 +335,6 @@ def test_divisor_mean_lower_bound():
     assert v == pytest.approx(want, rel=1e-14)
     # increasing u only hurts
     assert divisor_mean_lower_bound(100.0, 3.0) < divisor_mean_lower_bound(100.0, 1.0)
-    with pytest.raises(DomainError):
-        divisor_mean_lower_bound(1.0, 0.0)
-    with pytest.raises(DomainError):
-        divisor_mean_lower_bound(10.0, -0.1)
+    for x, u in ((1.0, 0.0), (10.0, -0.1), (math.nan, 0.0), (10.0, math.nan)):
+        with pytest.raises(DomainError):
+            divisor_mean_lower_bound(x, u)

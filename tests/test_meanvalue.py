@@ -23,20 +23,17 @@ from xpv.meanvalue import (
     DEFAULT_K2_GRID,
     SUP_COEFF,
     TAIL_COEFF,
-    CaseBounds,
     ErrorParams,
     assemble_ledger,
     case_bounds,
     delta,
     delta_table_candidate,
-    error_bound_small,
     integral_exp_over_square,
     nu3,
     optimize_C0,
     solve_K,
     table1_report,
     tail_sum_large,
-    tail_sum_small,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -117,7 +114,8 @@ def test_error_params_validation():
         ErrorParams(c=1.0, k1=0, eps=0.0, k2=0)
     with pytest.raises(DomainError):
         ErrorParams(c=1.0, k1=0, eps=0.5, k2=-2)
-    for c, eps in ((math.nan, 0.5), (1.0, math.nan)):
+    for c, eps in ((math.nan, 0.5), (1.0, math.nan), (0.9, 0.5), (math.inf, 0.5),
+                   (-math.inf, 0.5)):
         with pytest.raises(DomainError):
             ErrorParams(c=c, k1=0, eps=eps, k2=0)
 
@@ -126,26 +124,23 @@ def test_error_params_validation():
 # tail sums
 
 
+def _tss(c, k1):
+    """The small-range tail sum at (c, k1): one cell of the optimizer's kernel."""
+    return float(meanvalue._tss_grid(np.array([c]), [k1])[0, 0])
+
+
 def test_tss_reference_values():
-    assert tail_sum_small(2.67, 0) == pytest.approx(2.3002696970183254, rel=1e-12)
-    assert tail_sum_small(2.67, 20) == pytest.approx(2.073832662924796, rel=1e-12)
-    assert tail_sum_small(5.0, 0) == pytest.approx(2.016885782, rel=1e-9)
+    assert _tss(2.67, 0) == pytest.approx(2.3002696970183254, rel=1e-12)
+    assert _tss(2.67, 20) == pytest.approx(2.073832662924796, rel=1e-12)
+    assert _tss(5.0, 0) == pytest.approx(2.016885782, rel=1e-9)
     # more kept terms never hurt
-    assert tail_sum_small(2.67, 20) < tail_sum_small(2.67, 10) < tail_sum_small(2.67, 0)
+    assert _tss(2.67, 20) < _tss(2.67, 10) < _tss(2.67, 0)
 
 
 def test_tss_domain():
     with pytest.raises(DomainError):
-        tail_sum_small(0.9, 0)
-    with pytest.raises(DomainError):
-        tail_sum_small(2.0, -1)
-    with pytest.raises(DomainError):
-        tail_sum_small(math.nan, 0)
-    with pytest.raises(DomainError):
         tail_sum_large(math.nan, 1000)
     for bad in (math.inf, -math.inf):
-        with pytest.raises(DomainError):
-            tail_sum_small(bad, 0)
         with pytest.raises(DomainError):
             tail_sum_large(bad, 10)
     # c_iii was nan and c = inf went through
@@ -170,7 +165,7 @@ def test_tsl_huge_finite_eps():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert tail_sum_large(1e290, 10) == 0.0
-        assert math.isfinite(case_bounds(ErrorParams(2.67, 0, 1e290, 10)).c_iii)
+        assert math.isfinite(case_bounds(ErrorParams(2.67, 0, 1e290, 10))["c_iii"])
 
 
 def test_tsl_reference_value():
@@ -262,7 +257,7 @@ def test_tss_dominates_truncated_series():
         partial = float(
             np.exp(-np.sqrt((c + TWO_PI * ks) / (DECAY_SCALE * tau))).sum()
         )
-        assert tail_sum_small(c, k1) >= partial
+        assert _tss(c, k1) >= partial
 
 
 def test_tsl_dominates_truncated_series():
@@ -285,11 +280,12 @@ def test_tsl_dominates_truncated_series():
 
 def test_error_bound_small_reference(periodic_f):
     p = ErrorParams(c=2.67, k1=0, eps=3.61, k2=300000)
-    got = error_bound_small(p)
+    cb = case_bounds(p)
+    got = cb["c_ii"] - cb["c_i"]
     assert got == pytest.approx(4.9176652558290135, rel=1e-10)
     # and it is exactly the three-term formula
     want = (
-        math.pi / (2.0 * p.c) + TAIL_COEFF * tail_sum_small(p.c, p.k1)
+        math.pi / (2.0 * p.c) + TAIL_COEFF * _tss(p.c, p.k1)
     ) * periodic_f.variation + (SUP_COEFF / p.c) * periodic_f.sup
     assert got == want
 
@@ -297,17 +293,17 @@ def test_error_bound_small_reference(periodic_f):
 def test_case_bounds_reference_point():
     p = ErrorParams(c=2.67, k1=0, eps=3.61, k2=300000)
     cb = case_bounds(p)
-    assert isinstance(cb, CaseBounds)
-    assert cb.c_i == pytest.approx(2.6291006902257292, rel=1e-10)
-    assert cb.c_ii == pytest.approx(7.546765946054743, rel=1e-10)
-    assert cb.c_iii == pytest.approx(3.144339373130324, rel=1e-8)
-    assert cb.c_iii_tau == 1.0
-    assert cb.c_iv == pytest.approx(4.85615240575092, rel=1e-10)
-    assert cb.c0 == max(cb.c_ii, cb.c_iii, cb.c_iv) == cb.c_ii
+    assert set(cb) == {"params", "c_i", "c_ii", "c_iii", "c_iii_tau", "c_iv", "c0"}
+    assert cb["c_i"] == pytest.approx(2.6291006902257292, rel=1e-10)
+    assert cb["c_ii"] == pytest.approx(7.546765946054743, rel=1e-10)
+    assert cb["c_iii"] == pytest.approx(3.144339373130324, rel=1e-8)
+    assert cb["c_iii_tau"] == 1.0
+    assert cb["c_iv"] == pytest.approx(4.85615240575092, rel=1e-10)
+    assert cb["c0"] == max(cb["c_ii"], cb["c_iii"], cb["c_iv"]) == cb["c_ii"]
     # signed distances to the published claims
-    assert cb.c_ii - PUBLISHED_C0 == pytest.approx(0.2667659, abs=1e-6)
-    assert cb.c_iii - 3.25 == pytest.approx(-0.1056606, abs=1e-6)
-    assert cb.c_iv - 4.87 == pytest.approx(-0.0138476, abs=1e-6)
+    assert cb["c_ii"] - PUBLISHED_C0 == pytest.approx(0.2667659, abs=1e-6)
+    assert cb["c_iii"] - 3.25 == pytest.approx(-0.1056606, abs=1e-6)
+    assert cb["c_iv"] - 4.87 == pytest.approx(-0.0138476, abs=1e-6)
 
 
 def test_sup_coeff_split_identity():
@@ -318,12 +314,14 @@ def test_sup_coeff_split_identity():
 # the optimizer
 
 
-def test_optimizer_degenerate_grid_reproduces_case_bounds():
-    p = ErrorParams(c=2.67, k1=0, eps=3.61, k2=300000)
-    cb = case_bounds(p)
-    params, achieved = optimize_C0([2.67], [0], [3.61], [300000])
-    assert achieved == cb.c0
-    assert (params.c, params.k1, params.eps, params.k2) == (2.67, 0, 3.61, 300000)
+def test_optimizer_degenerate_grid_reproduces_case_bounds(periodic_f):
+    for point in ((2.67, 0, 3.61, 300000), (1.0, 20, 0.5, 1000), (5.0, 7, 10.0, 10 ** 4)):
+        c, k1, eps, k2 = point
+        cb = case_bounds(ErrorParams(c, k1, eps, k2))
+        params, achieved = optimize_C0([c], [k1], [eps], [k2])
+        assert achieved.hex() == cb["c0"].hex(), point
+        assert meanvalue._c_ii_grid([c], [k1], periodic_f)[0, 0].hex() == cb["c_ii"].hex(), point
+        assert (params.c, params.k1, params.eps, params.k2) == point
 
 
 def test_optimizer_default_grids():
@@ -336,7 +334,7 @@ def test_optimizer_default_grids():
     assert (params.c, params.k1) == (2.71, 20)
     # never worse than the reference point
     ref = case_bounds(ErrorParams(c=2.67, k1=0, eps=3.61, k2=300000))
-    assert achieved <= ref.c0
+    assert achieved <= ref["c0"]
 
 
 def _tss_at(c, k1, tau):
@@ -390,7 +388,7 @@ def test_optimizer_a_half_bits_match_scalar_loop(periodic_f, monkeypatch, c_grid
 
 def test_tail_sum_small_is_the_scalar_tail_sum():
     for c, k1 in ((1.0, 0), (2.67, 0), (2.67, 20), (5.0, 3), (4.37, 11)):
-        assert tail_sum_small(c, k1).hex() == _tss_at(c, k1, 1.0).hex(), (c, k1)
+        assert _tss(c, k1).hex() == _tss_at(c, k1, 1.0).hex(), (c, k1)
 
 
 @pytest.mark.parametrize("grids", [
@@ -501,17 +499,17 @@ def test_ledger_published_windows(ledger):
 
 
 def test_ledger_provenance_tags(ledger):
-    assert ledger.provenance["C0"] == "published"
-    assert ledger.provenance["K"] == "computed"
-    assert ledger.provenance["final"] == "derived"
     d = ledger.as_dict()
+    assert d["C0"]["provenance"] == "published"
+    assert d["K"]["provenance"] == "computed"
+    assert d["final"]["provenance"] == "derived"
     assert d["a"]["provenance"] == "derived"
     assert d["a"]["value"] == ledger.a
 
 
 def test_ledger_custom_c0_marked_computed(prime_table):
     led = assemble_ledger(8.0, prime_table)
-    assert led.provenance["C0"] == "computed"
+    assert led.as_dict()["C0"]["provenance"] == "computed"
     assert led.final > 0
     with pytest.raises(DomainError):
         assemble_ledger(0.0, prime_table)
@@ -531,8 +529,7 @@ def test_ledger_refuses_an_overflowing_c0(prime_table):
 
 
 def test_delta_log_scale():
-    d = delta(0.99)
-    assert d.log / math.log(10) == pytest.approx(-3.39381e10, rel=1e-4)
+    assert delta(0.99) / math.log(10) == pytest.approx(-3.39381e10, rel=1e-4)
     with pytest.raises(DomainError):
         delta(0.0)
     with pytest.raises(DomainError):

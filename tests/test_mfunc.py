@@ -190,8 +190,9 @@ def test_stats_lambda_stays_in_range(prime_table):
 
 def test_stats_validation(prime_table):
     small = sieve_primes(100)
-    with pytest.raises(DomainError):
-        stats(liouville(), 1.0, prime_table)
+    for x in (1.0, math.nan):
+        with pytest.raises(DomainError):
+            stats(liouville(), x, prime_table)
     with pytest.raises(ResourceError):
         stats(liouville(), 2e8, prime_table)
     with pytest.raises(PreconditionError):

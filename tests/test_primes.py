@@ -444,8 +444,9 @@ def test_mertens_sum_values(prime_table):
 
 
 def test_mertens_sum_preconditions(prime_table):
-    with pytest.raises(DomainError):
-        mertens_sum(1.5, prime_table)
+    for x in (1.5, math.nan):
+        with pytest.raises(DomainError):
+            mertens_sum(x, prime_table)
     with pytest.raises(PreconditionError):
         mertens_sum(10.0, None)
     with pytest.raises(PreconditionError):

@@ -1,6 +1,6 @@
 """``src/xpv`` holds what the package runs: every top-level def and class
 is named somewhere in ``src/xpv`` outside its own body (``__init__``'s
-re-exports included), or is a reference that tests read, listed below.
+re-exports do not count), or is a reference that tests read, listed below.
 Every method and property of a class is read somewhere in ``src/xpv``
 outside its own body, as an attribute, as a string or as a bare name in
 its own class body; dunder members are exempt."""
@@ -13,7 +13,8 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "xpv"
 # Public functions the CLI does not call, kept as the references the tests
 # read: criterion 9 checks the mean-value bound through f_value and the
 # character sums through char_sum, and the li cross-check reads log_integral.
-REFERENCES = ["char_sum", "f_value", "log_integral"]
+# classify is the public one-point verdict rule that README documents.
+REFERENCES = ["char_sum", "classify", "f_value", "log_integral"]
 
 
 def _named(node):
@@ -29,8 +30,10 @@ def _named(node):
 
 def unreached(trees):
     """(module, name) of each top-level def or class in ``trees`` (module
-    name -> ast.Module) that no other top-level statement of any module names."""
-    tops = [(module, top) for module, tree in trees.items() for top in tree.body]
+    name -> ast.Module) that no other top-level statement of any module
+    names; an import in ``__init__`` names nothing, as a re-export is no use."""
+    tops = [(module, top) for module, tree in trees.items() for top in tree.body
+            if not (module == "__init__" and isinstance(top, (ast.Import, ast.ImportFrom)))]
     named = {}  # identifier -> the top-level statements naming it
     for module, top in tops:
         for name in _named(top):
@@ -43,7 +46,7 @@ def unreached(trees):
 def test_every_src_def_is_reached_or_a_reference():
     trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
              for path in sorted(SRC.glob("*.py"))}
-    assert [name for _, name in unreached(trees)] == REFERENCES
+    assert sorted(name for _, name in unreached(trees)) == REFERENCES
 
 
 def test_rule_flags_an_unreached_def():
@@ -58,6 +61,8 @@ def test_rule_flags_an_unreached_def():
             "class Unused:\n"
             "    pass\n"),
         "b": ast.parse("from .a import used\n"),
+        # a re-export names Unused, but no code uses it
+        "__init__": ast.parse("from .a import Unused\n__all__ = ['Unused']\n"),
     }
     assert unreached(trees) == [("a", "Unused"), ("a", "recursive")]
 
