@@ -38,7 +38,7 @@ from .constants import (
     PUBLISHED_NU3_BOUND,
     PUBLISHED_V1,
 )
-from .core import DEFAULT_ETA
+from .core import DEFAULT_ETA, PASS, gamma_n, outward, point_check
 from .dickman import (
     build_rho_table,
     max_exponent,
@@ -301,28 +301,22 @@ def _parse_kind(text: str) -> MultiplicativeSpec:
 
 # ---------------------------------------------------------------------------
 # subcommand handlers: each returns (results, checks, findings, csv).
-# checks holds one (passed, entry) pair per check the run made; run() turns
-# each that did not pass into a check-not-passed discrepancy and sets the
-# exit code.  findings are discrepancies that fail nothing.  csv is None or
-# (header, rows of values); run() formats the rows, and only under
-# --format csv
+# checks holds one entry per check the run made, with its check_id and its
+# verdict from core.margins_verdict (a point check's from core.point_check);
+# run() turns each entry whose verdict is not a pass into a check-not-passed
+# discrepancy and sets the exit code.  findings are discrepancies that fail
+# nothing.  csv is None or (header, rows of values); run() formats the rows,
+# and only under --format csv
 
 
 def _sweep_check(report):
-    """The (passed, entry) pair of a sweep report."""
-    return report.verdict == "pass", {
+    """The check entry of a sweep report."""
+    return {
         "check_id": report.check_id,
         "verdict": report.verdict,
         "worst_margin": report.worst_margin,
         "arg_min": report.arg_min,
     }
-
-
-def _named_checks(checks: dict) -> list:
-    """The (passed, entry) pair of each check in {name: {"passed": ..., **fields}}."""
-    return [(ch["passed"],
-             {"check_id": name, **{k: v for k, v in ch.items() if k != "passed"}})
-            for name, ch in checks.items()]
 
 
 def _cmd_verify(args):
@@ -389,48 +383,33 @@ def _cmd_constants(args):
     k_enc, nu2_enc, nu3_enc = ledger.K_enclosure, ledger.nu2_enclosure, ledger.nu3_enclosure
     cb = case_bounds(ErrorParams(PUBLISHED_BEST_C, 0, PUBLISHED_EPS, PUBLISHED_K2))
     integral_enc = integral_exp_over_square()
-    gamma_minus_m = ledger.gamma - ledger.M
+    target = ledger.gamma - ledger.M
+    nu1_gap = PUBLISHED_V1 - ledger.nu1
+    nu2_cap, nu3_cap = PUBLISHED_NU2_BOUND, PUBLISHED_NU3_BOUND
 
+    # each check's sides as margins RHS - LHS, scaled by the size of the
+    # numbers they compare
     checks = {
-        "K-near-published": {
-            "passed": abs(k_enc.mid - PUBLISHED_K) <= 5e-5 + k_enc.width,
-            "computed": k_enc.mid,
-            "published": PUBLISHED_K,
-            "distance": abs(k_enc.mid - PUBLISHED_K),
-            "tolerance": 5e-5,
-        },
-        "nu1-under-published": {
-            "passed": ledger.nu1 <= PUBLISHED_V1
-            and PUBLISHED_V1 - ledger.nu1 < 1e-4,
-            "computed": ledger.nu1,
-            "published": PUBLISHED_V1,
-        },
-        "nu2-bracket": {
-            "passed": (nu2_enc.lo <= gamma_minus_m <= nu2_enc.hi)
-            and nu2_enc.hi <= PUBLISHED_NU2_BOUND,
-            "lo": nu2_enc.lo,
-            "hi": nu2_enc.hi,
-            "target": gamma_minus_m,
-            "published_cap": PUBLISHED_NU2_BOUND,
-        },
-        "nu3-cap": {
-            "passed": nu3_enc.hi <= PUBLISHED_NU3_BOUND,
-            "lo": nu3_enc.lo,
-            "hi": nu3_enc.hi,
-            "published_cap": PUBLISHED_NU3_BOUND,
-        },
-        "integral-window": {
-            "passed": 9.43 <= integral_enc.lo and integral_enc.hi <= 9.45,
-            "lo": integral_enc.lo,
-            "hi": integral_enc.hi,
-        },
+        "K-near-published": point_check(
+            [5e-5 - max(abs(k_enc.lo - PUBLISHED_K), abs(k_enc.hi - PUBLISHED_K))],
+            [PUBLISHED_K], lo=k_enc.lo, hi=k_enc.hi, published=PUBLISHED_K, tolerance=5e-5),
+        "nu1-under-published": point_check(
+            [nu1_gap, 1e-4 - nu1_gap], [PUBLISHED_V1] * 2,
+            computed=ledger.nu1, published=PUBLISHED_V1),
+        "nu2-bracket": point_check(
+            [target - nu2_enc.lo, nu2_enc.hi - target, nu2_cap - nu2_enc.hi],
+            [target, target, nu2_cap],
+            lo=nu2_enc.lo, hi=nu2_enc.hi, target=target, published_cap=nu2_cap),
+        "nu3-cap": point_check([nu3_cap - nu3_enc.hi], [nu3_cap],
+                               lo=nu3_enc.lo, hi=nu3_enc.hi, published_cap=nu3_cap),
+        "integral-window": point_check(
+            [integral_enc.lo - 9.43, 9.45 - integral_enc.hi], [9.43, 9.45],
+            lo=integral_enc.lo, hi=integral_enc.hi),
     }
     if args.c0 == PUBLISHED_C0:
-        checks["ledger-ranges"] = {
-            "passed": 5.4e5 <= ledger.a <= 5.6e5 and 9.5e5 <= ledger.final <= 9.9e5,
-            "a": ledger.a,
-            "final": ledger.final,
-        }
+        checks["ledger-ranges"] = point_check(
+            [ledger.a - 5.4e5, 5.6e5 - ledger.a, ledger.final - 9.5e5, 9.9e5 - ledger.final],
+            [5.4e5, 5.6e5, 9.5e5, 9.9e5], a=ledger.a, final=ledger.final)
 
     results = [
         {"ledger": ledger.as_dict(), "provenance": "computed"},
@@ -470,7 +449,7 @@ def _cmd_constants(args):
     findings = [{"kind": "constant-gap", "detail": detail, "computed": v,
                  "published": PUBLISHED_C0, "gap": v - PUBLISHED_C0}
                 for detail, v in gaps if v > PUBLISHED_C0]
-    return results, _named_checks(checks), findings, None
+    return results, [{"check_id": name, **ch} for name, ch in checks.items()], findings, None
 
 
 def _cmd_table(args):
@@ -496,7 +475,8 @@ def _cmd_table(args):
     result["provenance"] = "computed"
     header = "c1\\c," + ",".join("%.17g" % c for c in result["c"])
     rows = ((c1, *row) for c1, row in zip(result["c1"], result["cells"]))
-    return [result], _named_checks(result["checks"]), findings, (header, rows)
+    checks = [{"check_id": name, **ch} for name, ch in result["checks"].items()]
+    return [result], checks, findings, (header, rows)
 
 
 def _cmd_mfunc(args):
@@ -512,8 +492,7 @@ def _cmd_mfunc(args):
     reps = {x: empirical_checks(spec, x, args.c, ledger, table)
             for x in sorted(set(xs), reverse=True)}
     results = [{**reps[x], "provenance": "computed"} for x in xs]
-    checks = [(ch["status"] != "fail",
-               {"check_id": name, "x": r["x"], "function": r["function"]})
+    checks = [{"check_id": name, "x": r["x"], "function": r["function"], **ch}
               for r in results for name, ch in r["checks"].items()]
     rows = (r["row"].values() for r in results)
     return results, checks, [], (STATS_CSV_HEADER, rows)
@@ -536,9 +515,12 @@ def _cmd_charsum(args):
         if args.pv:
             ratio = pv_ratio(q)
             entry["pv_ratio"] = ratio
-            entry["pv_below_one"] = ratio < 1.0
-            checks.append((ratio < 1.0, {"check_id": "pv-ratio-below-one", "q": q,
-                                         "ratio": ratio}))
+            # sqrt, log (1 ulp, two roundings of u) and the product make pv
+            # within gamma_4 of sqrt(q) log q, so within gamma_5 pv of it
+            pv = math.sqrt(q) * math.log(q)
+            pv_lo = outward(pv - gamma_n(5) * pv, -math.inf)
+            checks.append(point_check([pv_lo - partial_max], [pv], check_id="pv-ratio-below-one",
+                                      q=q, ratio=ratio))
         results.append(entry)
     header = ("q", "full_period_sum", "max_abs_partial", "pv_ratio")
     rows = ([entry.get(k) for k in header] for entry in results)
@@ -583,7 +565,7 @@ def run(argv=None) -> int:
     except XpvError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    failed = [{"kind": "check-not-passed", **entry} for passed, entry in checks if not passed]
+    failed = [{"kind": "check-not-passed", **entry} for entry in checks if entry["verdict"] != PASS]
     report = {
         "version": __version__,
         "command": args.command,

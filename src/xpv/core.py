@@ -1,9 +1,10 @@
 """Shared numeric plumbing.
 
-The rounding model, enclosures, the margin verdict, the one sweep reducer
-(state chunks into mergeable summaries) and its reports, the chunked
-absolute grids, adaptive quadrature, and the small root-finding and
-line-search helpers.  Compensated prefix sums: ``primes._compensated_prefix``.
+The rounding model, enclosures, the margin verdict and the point-check
+entry it decides, the one sweep reducer (state chunks into mergeable
+summaries) and its reports, the chunked absolute grids, adaptive
+quadrature, and the small root-finding and line-search helpers.
+Compensated prefix sums: ``primes._compensated_prefix``.
 """
 
 from __future__ import annotations
@@ -67,10 +68,6 @@ class Enclosure:
             raise PrecisionError(f"empty enclosure: lo={self.lo!r} > hi={self.hi!r}")
 
     @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    @property
     def mid(self) -> float:
         return 0.5 * (self.lo + self.hi)
 
@@ -80,10 +77,24 @@ class Enclosure:
     __contains__ = contains
 
 
+# The three verdicts, mildest first
+PASS, INDETERMINATE, FAIL = _SEVERITY = ("pass", "indeterminate", "fail")
+
+
 def classify(margin: float, scale: float, eta: float = DEFAULT_ETA) -> str:
     """Three-way verdict for a signed margin (RHS - LHS at the worst
     point): ``margins_verdict`` on this one point."""
     return margins_verdict([margin], [scale], eta)
+
+
+def point_check(margins, scales, **fields) -> dict:
+    """A point check's report entry: ``fields``, the ``margins_verdict`` of
+    its sides' signed margins (RHS - LHS) and scales at DEFAULT_ETA, and
+    the margin and scale of the side that decides it, the most severe side
+    first and then the least margin, so classify(margin, scale) == verdict."""
+    verdict = margins_verdict(margins, scales)
+    margin, scale = min((m, s) for m, s in zip(margins, scales) if classify(m, s) == verdict)
+    return {**fields, "verdict": verdict, "margin": margin, "scale": scale}
 
 
 def margins_verdict(margins, scales, eta: float = DEFAULT_ETA) -> str:
@@ -103,8 +114,8 @@ def margins_verdict(margins, scales, eta: float = DEFAULT_ETA) -> str:
     with np.errstate(over="ignore"):
         thresholds = eta * np.abs(np.asarray(scales))
     if ((margins <= -thresholds) & (margins != 0.0)).any():
-        return "fail"
-    return "pass" if ((margins == 0.0) | (margins >= thresholds)).all() else "indeterminate"
+        return FAIL
+    return PASS if ((margins == 0.0) | (margins >= thresholds)).all() else INDETERMINATE
 
 
 @dataclass
@@ -137,9 +148,6 @@ class VerificationReport:
             "verdict": self.verdict,
             "notes": list(self.notes),
         }
-
-
-_SEVERITY = ("pass", "indeterminate", "fail")
 
 
 @dataclass(frozen=True)
@@ -180,7 +188,7 @@ class SweepSummary:
     @classmethod
     def covered(cls, count: int) -> SweepSummary:
         """``count`` states a floor proves pass, above the worst point."""
-        return cls(count, math.inf, math.inf, "pass", 0, math.inf, -math.inf)
+        return cls(count, math.inf, math.inf, PASS, 0, math.inf, -math.inf)
 
     def merge(self, later: SweepSummary) -> SweepSummary:
         """The summary of these states followed by ``later``'s."""
@@ -203,7 +211,7 @@ class SweepSummary:
                 f"last at x = {self.last_negative_x:.9g}"
             )
         return VerificationReport(check_id, float(x_lo), float(x_hi), self.worst_margin,
-                                  self.arg_min, self.verdict == "pass", self.count,
+                                  self.arg_min, self.verdict == PASS, self.count,
                                   self.verdict, notes)
 
 

@@ -27,9 +27,9 @@ from .constants import (
     PUBLISHED_C0,
     PUBLISHED_FINAL,
 )
-from .core import U, Enclosure, adaptive_simpson, bisect_root, gamma_n, golden_max, outward
+from .core import U, ULP, Enclosure, bisect_root, gamma_n, golden_max, outward, point_check
 from .errors import DomainError, PrecisionError, UsageError
-from .primes import PrimeTable, nu2, tail_power_sum_bound
+from .primes import PrimeTable, _li, nu2, tail_power_sum_bound
 
 # Decay scale of the oscillation kernel: every exponent in the two tail
 # series divides by 6.455 (times tau where applicable).
@@ -378,12 +378,29 @@ def optimize_C0(c_grid, k1_grid, eps_grid, k2_grid):
 def integral_exp_over_square() -> Enclosure:
     """Enclosure of the integral of e^(2y)/y^2 over [1, 2].
 
-    The upper end must stay below 9.45 (the constant consumed
+    By parts it is e^2 - e^4/2 + 2 (li(e^4) - li(e^2)), as the integral of
+    e^(2y)/y over [1, 2] is li(e^4) - li(e^2) under t = e^(2y).  Under
+    ``core``'s model the pad adds up:
+    1. li at the floats X2 = fl(e^2) and X4 = fl(e^4): twice ``_li``'s
+       half-widths there;
+    2. X2 and X4 themselves, within ULP of e^2 and e^4 (exp errs by at
+       most 1 ulp).  By li' = 1/log x, the value moves with x = e^2 at the
+       rate 1 - 2/log x and with x = e^4 at -1/2 + 2/log x, both within
+       0.01 of 0 on those ulp-wide intervals, so by at most
+       ULP (X2 + X4) in all;
+    3. the three float sums a = X2 - X4/2, b = li(X4) - li(X2) and
+       a + 2b, each within U of its size; halving and doubling are exact.
+    Both ends round outward, a step that also covers the pad's own
+    rounding.  The upper end must stay below 9.45 (the constant consumed
     downstream) and the integrand bound e^2/4 puts the value above 1.85;
     both are checked here rather than by callers.
     """
-    v, e = adaptive_simpson(lambda y: math.exp(2.0 * y) / (y * y), 1.0, 2.0, 1e-12)
-    enc = Enclosure(v - e - 1e-12, v + e + 1e-12)
+    x2, x4 = math.exp(2.0), math.exp(4.0)
+    (li2, li4), (h2, h4) = (part.tolist() for part in _li(np.array([x2, x4])))
+    a, b = x2 - 0.5 * x4, li4 - li2
+    v = a + 2.0 * b
+    pad = 2.0 * (h2 + h4) + ULP * (x2 + x4) + U * (abs(a) + 2.0 * abs(b) + abs(v))
+    enc = Enclosure(outward(v - pad, -math.inf), outward(v + pad, math.inf))
     if enc.hi > 9.45:
         raise PrecisionError(f"integral enclosure exceeds 9.45: {enc}")
     if enc.lo < 1.85:
@@ -639,15 +656,12 @@ def table1_report(c1_list, c_list, delta_table: dict):
         "asymptotic lower-order terms in the source formulas are dropped",
     ]
 
-    linear_ok = all(
-        cells[i][j] == c1_values[i] * column_factors[j]
-        for i in range(len(c1_values))
-        for j in range(len(c_values))
-    )
-    checks["linearity"] = {
-        "passed": linear_ok,
-        "detail": "cells[i][j] == c1[i] * column_factor[j] bitwise",
-    }
+    # 0.0 exactly, a pass, when every cell is bitwise c1 times its factor
+    linear_dev = max(abs(cells[i][j] - c1_values[i] * column_factors[j])
+                     for i in range(len(c1_values)) for j in range(len(c_values)))
+    checks["linearity"] = point_check(
+        [0.0 - linear_dev], [max(abs(v) for row in cells for v in row)],
+        detail="cells[i][j] == c1[i] * column_factor[j] bitwise")
 
     published = [[_published_cell(c1, c) for c in c_values] for c1 in c1_values]
     if all(v is None for row in published for v in row):
@@ -710,19 +724,17 @@ def table1_report(c1_list, c_list, delta_table: dict):
                 pub_ratio = published[i][j + 1] / published[i][j]
                 law_ratio = (deltas[j] / deltas[j + 1]) ** 1.5
                 worst_dev = max(worst_dev, abs(pub_ratio / law_ratio - 1.0))
-            checks["column-power-law"] = {
-                "passed": worst_dev <= 0.02,
-                "detail": f"worst relative deviation {worst_dev:.6f} (allowed 0.02)",
-            }
+            checks["column-power-law"] = point_check(
+                [0.02 - worst_dev], [1.0],
+                detail=f"worst relative deviation {worst_dev:.6f} (allowed 0.02)")
         else:
             notes.append("power-law check needs two adjacent reference columns")
 
         mean_ratio = math.fsum(flat_ok) / len(flat_ok)
         spread = (max(flat_ok) - min(flat_ok)) / mean_ratio
-        checks["common-factor-spread"] = {
-            "passed": spread <= 0.02,
-            "detail": f"spread {spread:.6f} over {len(flat_ok)} cells (allowed 0.02)",
-        }
+        checks["common-factor-spread"] = point_check(
+            [0.02 - spread], [1.0],
+            detail=f"spread {spread:.6f} over {len(flat_ok)} cells (allowed 0.02)")
         findings.append({
             "kind": "global-factor",
             "factor": mean_ratio,

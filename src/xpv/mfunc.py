@@ -16,6 +16,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .core import point_check
 from .dickman import divisor_mean_lower_bound
 from .errors import DomainError, PrecisionError, PreconditionError, ResourceError
 from .meanvalue import delta
@@ -468,49 +469,35 @@ def empirical_checks(
 
     (i) decay of |M| against final * exp(-K u); (ii) |M| >= c forcing a
     floor under the log-mean (compared in log space; astronomically
-    vacuous at desk scale, so the vacuity margin is always reported);
-    (iii) the convolution mean against its lower bound.  Asymptotic
-    lower-order terms are dropped throughout and stamped in the notes.
+    vacuous at desk scale: with |M| < c the check is decided on the
+    margin c - |M| and marked vacuous); (iii) the convolution mean against
+    its lower bound.  Asymptotic lower-order terms are dropped throughout
+    and stamped in the notes.
 
     Returns the ``mfunc`` report's entry for x: x, function, row (``stats``
-    as a dict), checks (name -> {status, ...}) and notes.
+    as a dict), checks (name -> ``core.point_check`` entry) and notes.
     """
     row = stats(spec, x, table)
     checks = {}
 
     rhs = ledger.final * math.exp(-ledger.K * row.u)
     abs_m = abs(row.M)
-    checks["mean-decay"] = {
-        "status": "pass" if abs_m <= rhs else "fail",
-        "abs_M": abs_m,
-        "bound": rhs,
-        "slack": math.inf if abs_m == 0.0 else rhs / abs_m,
-    }
+    checks["mean-decay"] = point_check(
+        [rhs - abs_m], [rhs], abs_M=abs_m, bound=rhs,
+        slack=math.inf if abs_m == 0.0 else rhs / abs_m)
 
     log_delta = delta(c)
     if abs_m >= c:
-        ok = row.L > 0.0 and math.log(row.L) >= log_delta
-        checks["large-mean-floor"] = {
-            "status": "pass" if ok else "fail",
-            "abs_M": abs_m,
-            "log_L": math.log(row.L) if row.L > 0.0 else -math.inf,
-            "log_delta": log_delta,
-            "vacuity_margin": 0.0,
-        }
+        log_l = math.log(row.L) if row.L > 0.0 else -math.inf
+        checks["large-mean-floor"] = point_check(
+            [log_l - log_delta], [abs(log_delta)], abs_M=abs_m, log_L=log_l, log_delta=log_delta)
     else:
-        checks["large-mean-floor"] = {
-            "status": "vacuous-pass",
-            "abs_M": abs_m,
-            "log_delta": log_delta,
-            "vacuity_margin": c - abs_m,
-        }
+        checks["large-mean-floor"] = point_check(
+            [c - abs_m], [c], abs_M=abs_m, log_delta=log_delta, vacuous=True)
 
     bound = divisor_mean_lower_bound(x, row.u)
-    checks["convolution-lower"] = {
-        "status": "pass" if row.conv_mean >= bound else "fail",
-        "conv_mean": row.conv_mean,
-        "bound": bound,
-        "slack": math.inf if bound == 0.0 else row.conv_mean / bound,
-    }
+    checks["convolution-lower"] = point_check(
+        [row.conv_mean - bound], [bound], conv_mean=row.conv_mean, bound=bound,
+        slack=math.inf if bound == 0.0 else row.conv_mean / bound)
     return {"x": x, "function": spec.description, "row": row.as_dict(), "checks": checks,
             "notes": ["asymptotic lower-order terms dropped in every bound"]}

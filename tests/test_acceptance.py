@@ -139,7 +139,7 @@ def test_criterion_03_nu_family(acceptance_lines, prime_table, capsys):
 def test_criterion_04_kink_constant(acceptance_lines, periodic_f):
     enc = solve_K()
     # nearest point of the enclosure to the published rounding
-    dist = max(0.0, abs(enc.mid - 0.3286) - enc.width / 2.0)
+    dist = max(0.0, abs(enc.mid - 0.3286) - (enc.hi - enc.lo) / 2.0)
     k_ok = dist <= 5e-5
     f_ok = (
         periodic_f.mean == 1.0 - periodic_f.K
@@ -241,9 +241,9 @@ def test_criterion_08_exponent_table(acceptance_lines):
     rep, findings = table1_report(
         list(EPSILON_TABLE_C1), list(EPSILON_TABLE_C), dict(PUBLISHED_DELTA)
     )
-    lin_ok = rep["checks"]["linearity"]["passed"]
-    law_ok = rep["checks"]["column-power-law"]["passed"]
-    spread_ok = rep["checks"]["common-factor-spread"]["passed"]
+    lin_ok = rep["checks"]["linearity"]["verdict"] == "pass"
+    law_ok = rep["checks"]["column-power-law"]["verdict"] == "pass"
+    spread_ok = rep["checks"]["common-factor-spread"]["verdict"] == "pass"
     glob = [d for d in findings if d["kind"] == "global-factor"]
     factor_ok = len(glob) == 1 and abs(glob[0]["factor"] - 1.42) < 0.02
     ok = lin_ok and law_ok and spread_ok and factor_ok
@@ -279,8 +279,8 @@ def test_criterion_09_multiplicative_checks(acceptance_lines, prime_table, ledge
         for x in (1e2, 1e4, 1e6):
             rep = empirical_checks(spec, x, 0.5, ledger, prime_table)
             emp_ok = emp_ok and (
-                rep["checks"]["mean-decay"]["status"] == "pass"
-                and rep["checks"]["convolution-lower"]["status"] == "pass"
+                rep["checks"]["mean-decay"]["verdict"] == "pass"
+                and rep["checks"]["convolution-lower"]["verdict"] == "pass"
             )
     ok = mult_ok and orth_ok and pv_ok and emp_ok
     detail = (

@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from xpv import cli, meanvalue, mfunc, primes
+from xpv import cli, core, meanvalue, mfunc, primes
 from xpv.cli import json_dumps, run
 from xpv.constants import EPSILON_TABLE_C, EPSILON_TABLE_C1, PUBLISHED_DELTA
 
@@ -318,11 +318,11 @@ def test_constants_evaluates_each_ledger_input_once(capsys, monkeypatch):
     assert counts == {"nu2": 1, "nu3": 1}
 
 
-def _meanvalue_quadratures(capsys, monkeypatch, *argv):
-    """(calls, integrand evaluations) of ``core.adaptive_simpson`` through
-    ``meanvalue`` in one job."""
+def _quadratures(capsys, monkeypatch, *argv):
+    """(calls, integrand evaluations) of ``core.adaptive_simpson``, through
+    every module that binds it, in one job."""
     evals = []
-    real = meanvalue.adaptive_simpson
+    real = core.adaptive_simpson
 
     def counted(f, *args):
         evals.append(0)
@@ -334,19 +334,20 @@ def _meanvalue_quadratures(capsys, monkeypatch, *argv):
 
         return real(g, *args)
 
-    monkeypatch.setattr(meanvalue, "adaptive_simpson", counted)
+    for module in (core, primes):
+        monkeypatch.setattr(module, "adaptive_simpson", counted)
     _run(capsys, *argv)
     return len(evals), sum(evals)
 
 
-def test_constants_runs_one_quadrature(capsys, monkeypatch):
-    # integral_exp_over_square's: K and the weight's fields are closed forms
-    assert _meanvalue_quadratures(capsys, monkeypatch, "constants") == (1, 1025)
+def test_constants_runs_no_quadrature(capsys, monkeypatch):
+    # K, the weight's fields and integral_exp_over_square are closed forms
+    assert _quadratures(capsys, monkeypatch, "constants") == (0, 0)
 
 
 def test_mfunc_runs_no_mean_quadrature(capsys, monkeypatch):
     argv = ("mfunc", "--kind", "liouville", "--x", "1000")
-    assert _meanvalue_quadratures(capsys, monkeypatch, *argv) == (0, 0)
+    assert _quadratures(capsys, monkeypatch, *argv) == (0, 0)
 
 
 def test_random_signs_hashed_once_per_job(capsys, monkeypatch):
@@ -371,9 +372,9 @@ def test_random_jobs_of_the_benchmark_pass(capsys):
     for seed in range(1, 10 ** 6 + 1, 66666):
         code, out = _run(capsys, "mfunc", "--kind", f"random:{seed}",
                          "--x", "1000000,1500000")
-        statuses = [c["status"] for r in json.loads(out)["results"]
+        verdicts = [c["verdict"] for r in json.loads(out)["results"]
                     for c in r["checks"].values()]
-        assert code == 0 and "fail" not in statuses, (seed, statuses)
+        assert code == 0 and verdicts == ["pass"] * 6, (seed, verdicts)
 
 
 def test_mfunc_x_checked_before_sieving(capsys, monkeypatch):

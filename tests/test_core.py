@@ -26,7 +26,7 @@ from xpv.errors import PrecisionError, UsageError
 
 def test_enclosure_basics():
     e = Enclosure(1.0, 2.0)
-    assert e.width == 1.0
+    assert e.hi - e.lo == 1.0
     assert e.mid == 1.5
     assert e.contains(1.0) and e.contains(2.0) and 1.7 in e
     assert not e.contains(2.0000001)
@@ -36,7 +36,7 @@ def test_enclosure_basics():
 
 def test_enclosure_degenerate():
     e = Enclosure(3.0, 3.0)
-    assert e.width == 0.0 and e.contains(3.0)
+    assert e.hi - e.lo == 0.0 and e.contains(3.0)
 
 
 def test_classify_thresholds():

@@ -494,18 +494,20 @@ def test_pv_ratio_below_one_small_primes(prime_table):
 
 def test_empirical_checks_statuses(prime_table, ledger):
     rep = empirical_checks(liouville(), 10 ** 4, 0.5, ledger, prime_table)
-    assert rep["checks"]["mean-decay"]["status"] == "pass"
-    assert rep["checks"]["large-mean-floor"]["status"] == "vacuous-pass"
-    assert rep["checks"]["convolution-lower"]["status"] == "pass"
-    assert all(ch["status"] != "fail" for ch in rep["checks"].values())
+    assert [ch["verdict"] for ch in rep["checks"].values()] == ["pass"] * 3
+    floor = rep["checks"]["large-mean-floor"]
+    assert floor["vacuous"] is True and floor["margin"] == 0.5 - floor["abs_M"]
+    assert "vacuous" not in rep["checks"]["mean-decay"]
     assert any("lower-order" in n for n in rep["notes"])
 
 
 def test_empirical_checks_active_floor(prime_table, ledger):
     # the constant-one function keeps |M| = 1, so the floor clause is live
     rep = empirical_checks(constant_one(), 100.0, 0.5, ledger, prime_table)
-    assert rep["checks"]["large-mean-floor"]["status"] == "pass"
-    assert all(ch["status"] != "fail" for ch in rep["checks"].values())
+    floor = rep["checks"]["large-mean-floor"]
+    assert floor["verdict"] == "pass" and "vacuous" not in floor
+    assert floor["margin"] == floor["log_L"] - floor["log_delta"]
+    assert all(ch["verdict"] == "pass" for ch in rep["checks"].values())
 
 
 def test_empirical_checks_domain(prime_table, ledger):

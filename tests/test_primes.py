@@ -225,7 +225,7 @@ def test_li_methods_overlap_log_spaced():
     prev = -math.inf
     for x in xs:
         enc = log_integral(float(x))
-        assert enc.width < 1e-9 * max(1.0, abs(enc.mid)) + 1e-10
+        assert enc.hi - enc.lo < 1e-9 * max(1.0, abs(enc.mid)) + 1e-10
         assert enc.mid > prev
         prev = enc.mid
 
@@ -626,7 +626,7 @@ def test_nu2_brackets_gamma_minus_m(prime_table):
     enc = nu2(prime_table)
     assert enc.contains(0.5772156649015329 - 0.26149721284764278)
     assert enc.hi <= 0.316
-    assert enc.width <= 1e-7
+    assert enc.hi - enc.lo <= 1e-7
 
 
 def test_nu2_within_the_k_by_k_sum(prime_table):

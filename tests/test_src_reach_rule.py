@@ -13,8 +13,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "xpv"
 # Public functions the CLI does not call, kept as the references the tests
 # read: criterion 9 checks the mean-value bound through f_value and the
 # character sums through char_sum, and the li cross-check reads log_integral.
-# classify is the public one-point verdict rule that README documents.
-REFERENCES = ["char_sum", "classify", "f_value", "log_integral"]
+REFERENCES = ["char_sum", "f_value", "log_integral"]
 
 
 def _named(node):
