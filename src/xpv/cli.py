@@ -77,6 +77,7 @@ from .mfunc import (
 from .primes import (
     DEFAULT_SIEVE_CAP,
     check_def,
+    sieve_limit,
     sieve_primes,
     verify_inequality,
 )
@@ -132,6 +133,7 @@ def json_dumps(obj) -> str:
 
 
 def _render_text(obj, indent=0) -> list:
+    """The report as indented lines; a scalar reads as in JSON, a string bare."""
     pad = "  " * indent
     lines = []
     if isinstance(obj, dict):
@@ -141,17 +143,16 @@ def _render_text(obj, indent=0) -> list:
                 lines.append(f"{pad}{k}:")
                 lines.extend(_render_text(v, indent + 1))
             else:
-                sv = _fmt_float(float(v)).strip('"') if isinstance(v, float) else v
-                lines.append(f"{pad}{k}: {sv}")
+                lines.append(f"{pad}{k}: {_render_text(v)[0]}")
     elif isinstance(obj, (list, tuple)):
         for v in obj:
             if isinstance(v, (dict, list, tuple)):
                 lines.append(f"{pad}-")
                 lines.extend(_render_text(v, indent + 1))
             else:
-                lines.append(f"{pad}- {v}")
+                lines.append(f"{pad}- {_render_text(v)[0]}")
     else:
-        lines.append(f"{pad}{obj}")
+        lines.append(pad + (obj if isinstance(obj, str) else json_dumps(obj).strip('"')))
     return lines
 
 
@@ -323,7 +324,9 @@ def _cmd_verify(args):
     cd = check_def(args.check)
     cd.check_range(args.x_from, args.x_to)  # before the sieve, which may be large
     table = None
-    if cd.states.needs_table:
+    if cd.bracketed:  # it sieves small windows only, under the same cap
+        sieve_limit(math.ceil(args.x_to), args.sieve_limit)
+    elif cd.states.needs_table:
         table = sieve_primes(int(math.ceil(args.x_to)), cap=args.sieve_limit)
         if cd.states.prefix is not None:
             # the prime sums are table work: build them before the sweep,
@@ -519,8 +522,9 @@ def _cmd_charsum(args):
             # within gamma_4 of sqrt(q) log q, so within gamma_5 pv of it
             pv = math.sqrt(q) * math.log(q)
             pv_lo = outward(pv - gamma_n(5) * pv, -math.inf)
-            checks.append(point_check([pv_lo - partial_max], [pv], check_id="pv-ratio-below-one",
-                                      q=q, ratio=ratio))
+            check = point_check([pv_lo - partial_max], [pv])
+            entry["checks"] = {"pv-ratio-below-one": check}
+            checks.append({"check_id": "pv-ratio-below-one", "q": q, "ratio": ratio, **check})
         results.append(entry)
     header = ("q", "full_period_sum", "max_abs_partial", "pv_ratio")
     rows = ([entry.get(k) for k in header] for entry in results)

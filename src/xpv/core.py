@@ -190,6 +190,14 @@ class SweepSummary:
         """``count`` states a floor proves pass, above the worst point."""
         return cls(count, math.inf, math.inf, PASS, 0, math.inf, -math.inf)
 
+    def clears(self, lo, top, eta: float = DEFAULT_ETA):
+        """Whether states with every margin >= lo and every |scale| <= top,
+        merged after these, may be covered: lo > 0, lo > the worst so far
+        and lo >= eta top (eta >= 0, fl(eta |s|) monotone) prove no negative
+        margin, no new worst or tie, and a pass; a new summary field extends
+        these tests.  Elementwise over arrays of lo and top."""
+        return (0.0 < lo) & (self.worst_margin < lo) & (eta * top <= lo)
+
     def merge(self, later: SweepSummary) -> SweepSummary:
         """The summary of these states followed by ``later``'s."""
         worst = self if (self.worst_margin, self.arg_min) <= (
@@ -233,10 +241,8 @@ def sweep(chunks, margins, eta: float = DEFAULT_ETA, floor=None) -> SweepSummary
 
     Each chunk is evaluated, or else covered by a proven floor, its states
     still counted: past the first, ``floor(xs, state)`` may give (lo, top),
-    lo <= every margin and top >= every |scale| there.  lo > 0, lo > the
-    worst so far and lo >= eta top (eta >= 0, fl(eta |s|) monotone) prove
-    no negative margin, no new worst or tie, and a pass; a new summary
-    field extends these tests.
+    lo <= every margin and top >= every |scale| there, and the chunk is
+    covered when the summary so far ``clears`` them.
 
     Margins are elementwise and the merge is exact, so the summary is the
     whole sweep's; only one chunk's states and temporaries are live.
@@ -244,9 +250,8 @@ def sweep(chunks, margins, eta: float = DEFAULT_ETA, floor=None) -> SweepSummary
     summary = None
     for xs, state in chunks:
         bound = floor(xs, state) if summary and floor else None
-        lo, top = bound or (0.0, 0.0)
         part = (SweepSummary.covered(np.broadcast(xs, state).size)
-                if 0.0 < lo and summary.worst_margin < lo and eta * top <= lo
+                if bound and summary.clears(*bound, eta)
                 else SweepSummary.of(xs, *margins(xs, state), eta))
         summary = part if summary is None else summary.merge(part)
     return summary

@@ -1,5 +1,5 @@
-"""Prime generation, prime sums, the logarithmic integral, and the
-inequality sweep engine.
+"""Prime generation, exact pi at Lucy points, prime sums, the
+logarithmic integral, and the inequality sweep engine.
 
 The sweep engine is the workhorse: it verifies each registered
 prime-counting or prime-sum inequality over a range by evaluating the
@@ -8,6 +8,8 @@ extremum, and reports the worst margin with a three-way verdict.  It
 reduces through ``core.sweep`` one chunk of states at a time, as they are
 made, so only the prime table and its prefix sums are O(pi(x)).  A step
 sweep puts a prime's two states on a second axis: li runs once per prime.
+The pi-li checks keep no table: they floor brackets between exact pi at
+Lucy points and sieve only a head window and the brackets that do not clear.
 
 The sieve's segments (as in Oliveira e Silva, Herzog and Pardi, Math.
 Comp. 83, 2014) flag odd numbers only and start from a pattern with the
@@ -23,7 +25,7 @@ and its truncation; ``_li`` lists each part.
 
 from __future__ import annotations
 
-import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -38,8 +40,9 @@ from .constants import (
     MPRIME_COARSE_BOUND,
     PUBLISHED_V1,
 )
-from .core import (DEFAULT_ETA, ULP, Enclosure, U, VerificationReport, adaptive_simpson,
-                   anchored_grid, bisect_root, gamma_n, geometric_grid, outward, spans, sweep)
+from .core import (DEFAULT_ETA, ULP, Enclosure, SweepSummary, U, VerificationReport,
+                   adaptive_simpson, anchored_grid, bisect_root, gamma_n, geometric_grid,
+                   outward, spans, sweep)
 from .errors import (
     DomainError,
     PrecisionError,
@@ -152,40 +155,48 @@ def _wheel_pattern() -> np.ndarray:
 _WHEEL = _wheel_pattern()
 
 
-def sieve_primes(limit: int, cap: int | None = None) -> PrimeTable:
-    """All primes up to ``limit``, at most ``cap``, as a table.  The sieve
-    recurses through ``_segmented_primes``, so this runs once per table."""
-    limit = int(limit)
-    cap = DEFAULT_SIEVE_CAP if cap is None else int(cap)
+def sieve_limit(limit, cap: int | None = None) -> int:
+    """``limit`` as an int: DomainError below 2, ResourceError above ``cap``."""
+    limit, cap = int(limit), DEFAULT_SIEVE_CAP if cap is None else int(cap)
     if limit < 2:
         raise DomainError(f"sieve limit must be at least 2, got {limit}")
     if limit > cap:
         raise ResourceError(f"sieve limit {limit} exceeds cap {cap}")
+    return limit
+
+
+def sieve_primes(limit: int, cap: int | None = None) -> PrimeTable:
+    """All primes up to ``limit``, at most ``cap``, as a table.  The sieve
+    recurses through ``_segmented_primes``, so this runs once per table."""
+    limit = sieve_limit(limit, cap)
     return PrimeTable(limit, _segmented_primes(limit))
 
 
-def _segmented_primes(limit: int) -> np.ndarray:
-    """The primes up to ``limit`` >= 2, in bounded segments above its root,
-    into one array sized by ``_pi_upper`` and trimmed in place.
+def _segmented_primes(limit: int, start: int = 2, expect: int | None = None) -> np.ndarray:
+    """The primes in [start, limit], limit >= 2, in bounded segments above
+    the root, into one array trimmed in place, sized by ``_pi_upper`` or
+    by their number ``expect`` (PrecisionError if the sieve finds another).
 
     The base primes, 2..13 and any others up to the root, come from this
     function at the root; below 14^2 they are the literal 2..13.  Flags
     stand for odd numbers only: slot i of a segment from odd lo is lo + 2i.
     Every segment lies above the wheel primes and starts from the wheel
     pattern; only base primes above 13 strike it, every p slots from their
-    first odd multiple >= max(p^2, lo).  Base primes above a small limit
-    are dropped at the end.
+    first odd multiple >= max(p^2, lo).  Base primes below ``start``, or
+    above a small limit, are dropped.
     """
     root = max(math.isqrt(limit), _WHEEL_PRIMES[-1])  # base primes <= root
     if root > _WHEEL_PRIMES[-1]:
         base = _segmented_primes(root)
     else:
         base = np.array((2, *_WHEEL_PRIMES), dtype=np.int64)
-    primes = np.empty(_pi_upper(limit), dtype=np.int64)  # >= 7 slots
-    primes[: base.size] = base
-    count = base.size
+    kept = base[base >= start]
+    primes = np.empty(max(_pi_upper(limit) if expect is None else expect, kept.size),
+                      dtype=np.int64)
+    primes[: kept.size] = kept
+    count = kept.size
     base_list = base[len(_WHEEL_PRIMES) + 1 :].tolist()  # the primes above 13
-    lo = (root + 1) | 1
+    lo = max(root + 1, start) | 1
     seg = np.empty(min(_SEGMENT_SIZE, max(limit + 1 - lo, 0)) // 2 + 1, dtype=bool)
     while lo <= limit:
         hi = min(lo + _SEGMENT_SIZE, limit + 1)
@@ -198,8 +209,8 @@ def _segmented_primes(limit: int) -> np.ndarray:
         for p in base_list:
             if p * p >= hi:
                 break
-            start = max(p * p, ((lo + p - 1) // p | 1) * p)  # an odd multiple
-            flags[(start - lo) >> 1 :: p] = False
+            first = max(p * p, ((lo + p - 1) // p | 1) * p)  # an odd multiple
+            flags[(first - lo) >> 1 :: p] = False
         found = np.flatnonzero(flags)
         if count + found.size > primes.size:
             raise PrecisionError(f"more than {primes.size} primes up to {limit}")
@@ -210,8 +221,51 @@ def _segmented_primes(limit: int) -> np.ndarray:
         lo = hi
         del found  # before the next segment's primes exist
     count = int(np.searchsorted(primes[:count], limit, "right"))
+    if expect is not None and count != expect:
+        raise PrecisionError(f"the sieve finds {count} primes in [{start}, {limit}], not {expect}")
     primes.resize(count, refcheck=False)
     return primes
+
+
+_LUCY_CELLS = 1 << 22  # entries of a Lucy pass's (tops x sqrt y) arrays: 32 MiB each
+
+
+def prime_pi_points(tops) -> tuple:
+    """Exact pi at the union of the quotient sets {floor(y/k)} of the
+    ``tops`` y >= 1, as int64 (points ascending from 0, pis), by one pass
+    of Lucy's recursion (the simple form of Lagarias, Miller and Odlyzko,
+    Math. Comp. 44, 1985): O(y^(3/4)) work over a (tops x m) array and one
+    small array of v = 0..m that every top shares, m = isqrt(max tops).
+
+    S(v) starts as v - 1.  Each prime p <= m sets S(v) -= S(v // p) -
+    S(p - 1) at every point v >= p^2, S(p - 1) = pi(p - 1) its index; then
+    S = pi.  For v = y // k, v // p = y // (kp) is column kp of its row
+    when kp <= m, else in the small array.  A round reads old values
+    (numpy gathers first), as the classic descending loop does; S is
+    monotone, so the difference is >= 0 at v >= p^2 and <= 0 below, where
+    clamping it at 0 spares a mask per top.  ResourceError, before anything
+    is allocated, when the arrays would pass ``_LUCY_CELLS`` entries.
+    """
+    tops = sorted({int(y) for y in tops}, reverse=True)
+    m = math.isqrt(tops[0])
+    if len(tops) * m > _LUCY_CELLS:
+        raise ResourceError(f"{len(tops)} Lucy tops to {tops[0]} need over {_LUCY_CELLS} cells")
+    q = np.array(tops, dtype=np.int64)[:, None] // np.arange(1, m + 1)  # floor(y/k)
+    big = q - 1
+    small = np.maximum(np.arange(-1, m), 0)  # S(v) at v = 0..m
+    for i, p in enumerate(_segmented_primes(m).tolist() if m > 1 else ()):
+        hi = min(m, tops[0] // (p * p))  # columns with a point >= p^2
+        kp = min(hi, m // p)  # columns k with kp <= m
+        d = np.empty((len(tops), hi), dtype=np.int64)
+        d[:, :kp] = big[:, p - 1 : p * kp : p]
+        d[:, kp:] = small[q[:, kp:hi] // p]
+        d -= i
+        np.maximum(d, 0, out=d)
+        big[:, :hi] -= d
+        if p * p <= m:
+            small[p * p :] -= small[np.arange(p * p, m + 1) // p] - i
+    points, first = np.unique(np.concatenate((np.arange(m + 1), q.ravel())), return_index=True)
+    return points, np.concatenate((small, big.ravel()))[first]
 
 
 def _is_prime_u64(n: int) -> bool:
@@ -248,9 +302,10 @@ def _li_terms(x_max: float) -> int:
     return max(80, int(5.2 * float(np.log(x_max))) + 20)
 
 
-def _li_series(xs: np.ndarray, n_terms: int, ys: np.ndarray | None = None):
+def _li_series(xs: np.ndarray, n_terms, ys: np.ndarray | None = None):
     """li over an array of x > 1 by the exponential-integral series at
-    y = log x, summed to ``n_terms`` terms (see ``_li_terms``).  Returns
+    y = log x, summed to ``n_terms`` terms (see ``_li_terms``): one count,
+    or a column of ascending counts for the rows of a 2-D ``xs``.  Returns
     (values, half_widths).  ``ys``, when given, must be ``np.log(xs)``.
 
     The half-width combines the truncation remainder (next term times a
@@ -260,23 +315,26 @@ def _li_series(xs: np.ndarray, n_terms: int, ys: np.ndarray | None = None):
     y itself, ULP y (``core``'s model), through dli/dy = x/y.
 
     Each x sees the same operations in the same order, so its value
-    depends on it and ``n_terms`` alone: an x listed twice gets the same
-    bits twice.  Only ``_li`` and ``_li_octave`` call it.
+    depends on it and its term count alone: an x listed twice gets the
+    same bits twice, and a row stops at its own count while longer rows
+    run on.  Only ``_li`` and ``_li_octaves`` call it.
     """
     ys = np.log(xs) if ys is None else ys
+    n = np.asarray(n_terms)
     acc = np.log(ys)
     mag = np.abs(acc) + abs(EULER_GAMMA)
     acc += EULER_GAMMA
     t = np.ones_like(ys)
     buf = np.empty_like(ys)
-    for k in range(1, n_terms + 1):
-        np.divide(ys, k, out=buf)
-        t *= buf
-        np.divide(t, k, out=buf)
-        acc += buf
-        mag += buf
-    nxt = t * ys / (n_terms + 1) / (n_terms + 1)
-    trunc = nxt / (1.0 - ys / (n_terms + 2))
+    for k in range(1, int(n.max()) + 1):
+        r = int(np.searchsorted(n.ravel(), k))  # the rows still summing
+        np.divide(ys[r:], k, out=buf[r:])
+        t[r:] *= buf[r:]
+        np.divide(t[r:], k, out=buf[r:])
+        acc[r:] += buf[r:]
+        mag[r:] += buf[r:]
+    nxt = t * ys / (n + 1) / (n + 1)
+    trunc = nxt / (1.0 - ys / (n + 2))
     # xs: y = log x is rounded by up to ULP y, times dli/dy = x/y
     with np.errstate(over="ignore"):
         half = trunc + ULP * ((ys + 2.0) * mag + xs) + 1e-300
@@ -299,26 +357,32 @@ _LI_K1 = 1.01 * ULP * _LI_CELL
 _LI_K2 = 1.01 * _LI_CELL / (1.0 - 2.0 * _LI_CELL)
 
 
-@functools.lru_cache(maxsize=256)
-def _li_octave(octave: int) -> np.ndarray:
-    """The anchors a = 2^(j/64) of one octave, j = 64 octave + 0..63, as
-    the rows a, li(a), a c_0, ..., a c_8 and the half-width of every x
-    that a serves (see ``_li``).  Made once per octave, li(a) summed to
-    the term count of the octave's largest anchor."""
-    a = np.exp2(np.arange(64 * octave, 64 * octave + 64) / 64.0)
-    L = np.log(a)
-    li_a, half_a = _li_series(a, _li_terms(a[-1]), L)
-    g = [1.0 / L]  # 1/(L + log1p s) = sum g_k s^k, log1p s = sum (-1)^(m+1) s^m/m
-    for k in range(1, _LI_DEGREE + 1):
-        s = g[k - 1].copy()
-        for m in range(2, k + 1):
-            s += (-1) ** (m + 1) / m * g[k - m]
-        g.append(-s / L)
-    w = a / (L - _LOG2)
-    half = half_a + w * (_LI_K0 + _LI_K1 * L / (L - _LOG2)) + U * (li_a + w * _LI_K2)
-    table = np.stack([a, li_a, *(a * (g_k / (k + 1)) for k, g_k in enumerate(g)), half])
-    table.flags.writeable = False
-    return table
+_LI_OCTAVES = {}  # octave -> its anchor table, made by ``_li_octaves``
+
+
+def _li_octaves(octaves) -> list:
+    """The tables of the ascending ``octaves``: the anchors a = 2^(j/64), j =
+    64 octave + 0..63, as the rows a, li(a), a c_0, ..., a c_8 and the
+    half-width of every x that a serves (see ``_li``).  The missing ones are
+    made in one pass, li(a) to the term count of each octave's top anchor."""
+    missing = [k for k in octaves if k not in _LI_OCTAVES]
+    if missing:
+        a = np.exp2((64 * np.array(missing)[:, None] + np.arange(64)) / 64.0)
+        L = np.log(a)
+        li_a, half_a = _li_series(a, np.array([[_li_terms(row[-1])] for row in a]), L)
+        g = [1.0 / L]  # 1/(L + log1p s) = sum g_k s^k, log1p s = sum (-1)^(m+1) s^m/m
+        for k in range(1, _LI_DEGREE + 1):
+            s = g[k - 1].copy()
+            for m in range(2, k + 1):
+                s += (-1) ** (m + 1) / m * g[k - m]
+            g.append(-s / L)
+        w = a / (L - _LOG2)
+        half = half_a + w * (_LI_K0 + _LI_K1 * L / (L - _LOG2)) + U * (li_a + w * _LI_K2)
+        rows = np.stack([a, li_a, *(a * (g_k / (k + 1)) for k, g_k in enumerate(g)), half], axis=1)
+        for k, table in zip(missing, rows):
+            table.flags.writeable = False
+            _LI_OCTAVES[k] = table
+    return [_LI_OCTAVES[k] for k in octaves]
 
 
 def _li(xs: np.ndarray, ys: np.ndarray | None = None):
@@ -334,7 +398,7 @@ def _li(xs: np.ndarray, ys: np.ndarray | None = None):
     has g_0 = 1/L and g_k = -(sum_{m=1..k} (-1)^(m+1) g_{k-m}/m)/L, so
     li(x) = li(a) + sum_{k<=8} a c_k u^(k+1) with c_k = g_k/(k+1).  li(a),
     from the series, and the a c_k are made once per octave of anchors
-    (``_li_octave``); each x then costs one Horner pass over its
+    (``_li_octaves``); each x then costs one Horner pass over its
     anchor's gathered coefficients.  The term counts and the anchor grid
     are fixed, so an x's value and half-width depend on x alone, and no
     chunking moves a bit.
@@ -384,8 +448,7 @@ def _li(xs: np.ndarray, ys: np.ndarray | None = None):
     octave -= first
     seen = np.zeros(int(octave.max()) + 1, dtype=np.intp)
     seen[octave] = 1
-    table = np.concatenate(
-        [_li_octave(first + int(k)) for k in np.flatnonzero(seen)], axis=1)
+    table = np.concatenate(_li_octaves((first + np.flatnonzero(seen)).tolist()), axis=1)
     np.cumsum(seen, out=seen)
     cell = np.take(seen, octave, mode="clip")
     cell -= 1
@@ -619,23 +682,24 @@ class States:
     prefix: Callable | None = None
 
 
-def _step_states(x_lo: float, x_hi: float, table: PrimeTable, extra, prefix=None):
-    """Evaluation states for step-function sweeps, as (xs, state) chunks.
+def _prime_runs(primes, i0: int, prefix=None):
+    """Sweep chunks of the step states at ``primes``, the (i0 + 1)th prime
+    on: one x per prime, pis of shape (2, n), the left limit i and pi(p) =
+    i + 1, or ``prefix`` at them: one view of n + 1 values, no copy."""
+    for a, b in spans(i0, i0 + primes.size, width=2):
+        run = np.arange(a, b + 1) if prefix is None else prefix[a : b + 1]
+        yield primes[a - i0 : b - i0].astype(np.float64), np.lib.stride_tricks.as_strided(
+            run, (2, b - a), run.strides * 2, writeable=False)
 
-    The primes p in (x_lo, x_hi] come in runs of indices i, one x per
-    prime, with pis of shape (2, n): row 0 the left limit pi(p) - 1 = i
-    and row 1 the inclusive state pi(p) = i + 1, or ``prefix`` at them:
-    one view, strides (8, 8), of the n + 1 values at i = a..b, no copy.
-    x_lo comes first, and x_hi and each extra x last, each with its
-    inclusive state alone.
-    """
+
+def _step_states(x_lo: float, x_hi: float, table: PrimeTable, extra, prefix=None):
+    """Evaluation states for step-function sweeps, as (xs, state) chunks:
+    x_lo first, then the primes p in (x_lo, x_hi] (``_prime_runs``), and
+    x_hi and each extra x last, each with its inclusive state alone."""
     at = (lambda i: i) if prefix is None else prefix.__getitem__
     i_lo, i_hi = table.prime_pi(x_lo), table.prime_pi(x_hi)
     yield np.array([x_lo], dtype=float), at(np.array([i_lo]))
-    for a, b in spans(i_lo, i_hi, width=2):
-        run = np.arange(a, b + 1) if prefix is None else prefix[a : b + 1]
-        yield table.primes[a:b].astype(np.float64), np.lib.stride_tricks.as_strided(
-            run, (2, b - a), run.strides * 2, writeable=False)
+    yield from _prime_runs(table.primes[i_lo:i_hi], i_lo, prefix)
     ends = [x_hi, *extra]
     yield np.array(ends, dtype=float), at(np.array([table.prime_pi(x) for x in ends]))
 
@@ -657,7 +721,8 @@ class CheckDef:
     smooth side is stationary; those inside (x_lo, x_hi] are evaluated
     too.  ``crossover`` marks a grid check whose margin is bisected for
     its sign change when the sweep goes from negative to positive.
-    ``floor``, if any, is the check's ``core.sweep`` floor.
+    ``floor``, if any, is its run floor (``_run_floors``); with ``ratio``
+    too it is ``bracketed`` (``_bracket_sweep``) and reads no prime table.
     """
 
     check_id: str
@@ -669,6 +734,11 @@ class CheckDef:
     stationary: tuple = ()
     crossover: bool = False
     floor: Callable | None = None
+    ratio: Callable | None = None
+
+    @property
+    def bracketed(self) -> bool:
+        return self.floor is not None and self.ratio is not None
 
     def check_range(self, x_lo: float, x_hi: float) -> None:
         """Raise UsageError for an empty range or a non-finite bound, and
@@ -730,7 +800,7 @@ def _mertens_dev(xs, u, sums):
     return np.abs(sums - np.log(u) - MERTENS_M)
 
 
-_FLOOR_RUN, _FLOOR_EPS = 1 << 9, 1e-12  # primes per run of a floor; its pad
+_FLOOR_RUN, _FLOOR_EPS = 1 << 9, 1e-12  # primes per run of a chunk floor; the floors' pad
 
 
 def _li_sides(ends, ys):
@@ -738,7 +808,7 @@ def _li_sides(ends, ys):
     li, half = _li(ends, ys)
     # ``_li``'s octaves, monotone in x, at the first and last end
     j = np.floor(ys[[0, -1]] * (64.0 / _LOG2)).astype(int) >> 6
-    h = max(_li_octave(k)[-1].max() for k in range(j[0], j[1] + 1))
+    h = max(table[-1].max() for table in _li_octaves(range(j[0], j[1] + 1)))
     return li - half, li + half, 2.0 * h
 
 
@@ -747,42 +817,58 @@ def _loglog_sides(ends, ys):
     return side, side, 0.0
 
 
-def _step_floor(rhs, sides, x0=0.0):
-    """The floor of R - (|F - state| + w), R = rhs monotone and F within w
-    of an increasing function, on step states from x0 up (None below x0
-    and for end chunks).  ``sides(ends, log ends)`` gives lo, hi, pad with
-    F - w >= lo(p_s) - pad and F + w <= hi(p_e) + pad on each run of primes
-    p_s..p_e, whose states lie in [S_lo, S_hi]; so its margins are at least
-    min(R(p_s), R(p_e))(1 - eps) - (max(hi(p_e) - S_lo, S_hi - lo(p_s), 0)
+def _run_floors(rhs, sides, starts, stops, s_lo, s_hi):
+    """Floors of the margins R - (|F - state| + w), R = rhs monotone and F
+    within w of an increasing function, on ascending runs of step states:
+    run i has its x in [a, b] = [starts[i], stops[i]] and its states in
+    [S_lo, S_hi] = [s_lo[i], s_hi[i]].  Returns (floors, tops): each run's
+    margins are at least its floor and its |R| at most its top.
+
+    ``sides(ends, log ends)`` gives lo, hi, pad with F - w >= lo(a) - pad
+    and F + w <= hi(b) + pad on [a, b]; so the margins there are at least
+    min(R(a), R(b))(1 - eps) - (max(hi(b) - S_lo, S_hi - lo(a), 0)
     + pad)(1 + eps) - eps.  li and the pi-li R increase for x >= e^2
     (pi-li-3: d log R/d log x = 1 - 1/(2 sqrt(6.455 log x)) > 0), loglog x
     for x > 1.  eps = 1e-12 covers ten roundings a side: relative ones on
     R and the deviation, and ones within 2^-53 * 4 on loglog x + M and S
-    (< 4 below 2^53) or 2^-52 p_s/9 < eps R(p_s) on li -+ (li < x/9 and
-    R > 1e-3 x on [X0, 2^53]).
-    """
+    (< 4 below 2^53) or 2^-52 b/9 < eps R(a) on li -+ (li < x/9 and
+    R > 1e-3 x on [X0, 2^53], where the pi-li runs lie, and b <= 1.5 a).
 
-    def floor(xs, state):
-        if state.ndim == 1 or xs[0] < x0:
+    The runs are a chunk's runs of ``_FLOOR_RUN`` primes (``_chunk_floor``)
+    or the brackets between exact pi points (``_bracket_sweep``), whose
+    primes p in (a, b] have the states pi(p) - 1 >= pi(a) and pi(p) <= pi(b).
+    """
+    ends = np.concatenate((starts, stops), dtype=np.float64)
+    ys = np.log(ends)
+    lo, hi, pad = sides(ends, ys)
+    m = starts.size
+    dev = np.maximum(np.maximum(hi[m:] - s_lo, s_hi - lo[:m]), 0.0)
+    r = np.broadcast_to(rhs(ends, ys), ends.shape)
+    floors = (np.minimum(r[:m], r[m:]) * (1.0 - _FLOOR_EPS) - (dev + pad) * (1.0 + _FLOOR_EPS)
+              - _FLOOR_EPS)
+    return floors, np.maximum(r[:m], r[m:]) * (1.0 + _FLOOR_EPS) + _FLOOR_EPS
+
+
+def _chunk_floor(floor):
+    """A run floor as a ``core.sweep`` floor: the least floor and largest top
+    of a chunk's runs of ``_FLOOR_RUN`` primes; None for end chunks."""
+
+    def chunk(xs, state):
+        if state.ndim == 1:
             return None
         first = np.arange(0, xs.size, _FLOOR_RUN)
-        ends = xs[np.concatenate((first, np.minimum(first + _FLOOR_RUN, xs.size) - 1))]
-        ys = np.log(ends)
-        lo, hi, pad = sides(ends, ys)
-        m = first.size
-        dev = np.maximum(np.maximum(hi[m:] - np.minimum.reduceat(state.min(axis=0), first),
-                                    np.maximum.reduceat(state.max(axis=0), first) - lo[:m]), 0.0)
-        r = np.broadcast_to(rhs(ends, ys), ends.shape)
-        bound = np.minimum(r[:m], r[m:]) * (1.0 - _FLOOR_EPS) - (dev + pad) * (1.0 + _FLOOR_EPS)
-        return float(bound.min()) - _FLOOR_EPS, max(r[0], r[-1]) * (1.0 + _FLOOR_EPS) + _FLOOR_EPS
+        floors, tops = floor(xs[first], xs[np.minimum(first + _FLOOR_RUN, xs.size) - 1],
+                             np.minimum.reduceat(state.min(axis=0), first),
+                             np.maximum.reduceat(state.max(axis=0), first))
+        return float(floors.min()), float(tops.max())
 
-    return floor
+    return chunk
 
 
-def _floored(check_id, validity, valid, states, rhs, lhs, sides, x0=0.0, **kw):
-    """The check lhs <= rhs, with the step floor of its sides from x0 up."""
+def _floored(check_id, validity, valid, states, rhs, lhs, sides, **kw):
+    """The check lhs <= rhs, with the run floor of its sides."""
     return CheckDef(check_id, validity, valid, states, _compare(rhs, lhs),
-                    floor=_step_floor(rhs, sides, x0), **kw)
+                    floor=lambda *runs: _run_floors(rhs, sides, *runs), **kw)
 
 
 REGISTRY = {
@@ -809,21 +895,22 @@ REGISTRY = {
         ),
         _floored(
             "pi-li-1", "x >= 2", lambda a, b: a >= 2.0, PI_STATES,
-            lambda xs, u, *_: 0.4897 * xs / u, _li_dev, _li_sides, _LI_X0,
+            lambda xs, u, *_: 0.4897 * xs / u, _li_dev, _li_sides, ratio=lambda x: 1.4,
             note="on gaps RHS' - li' = -(0.5103 log x + 0.4897)/log^2 x < 0, so the "
                  "margin is monotone on each sign branch of li - pi and minima land "
                  "on gap endpoints",
         ),
         _floored(
             "pi-li-2", "x >= 2", lambda a, b: a >= 2.0, PI_STATES,
-            lambda xs, u, *_: 1.3597 * xs / u ** 2, _li_dev, _li_sides, _LI_X0,
+            lambda xs, u, *_: 1.3597 * xs / u ** 2, _li_dev, _li_sides,
+            ratio=lambda x: 1.0 + 1.0 / math.log(x),
             note="on gaps RHS' - li' = (1.3597(log x - 2) - log^2 x)/log^3 x < 0 "
                  "(negative discriminant), so minima land on gap endpoints",
         ),
         _floored(
             "pi-li-3", "x >= 2", lambda a, b: a >= 2.0, PI_STATES,
             lambda xs, u, *_: 0.1522 * xs * np.exp(-np.sqrt(u / 6.455)), _li_dev,
-            _li_sides, _LI_X0,
+            _li_sides, ratio=lambda x: 1.4,
             note="0.1522 u exp(-sqrt(u/6.455))(1 - 1/(2 sqrt(6.455 u))) peaks at "
                  "0.5113 < 1 (u = 25.82), so RHS' < li' everywhere and minima land "
                  "on gap endpoints",
@@ -864,6 +951,54 @@ def check_def(check_id: str) -> CheckDef:
     return REGISTRY[check_id]
 
 
+def _bracket_sweep(cd: CheckDef, x_lo: float, x_hi: float, eta: float):
+    """The sweep summary of a ``bracketed`` check, from exact pi at the
+    points of the tops floor(x_hi r^-j), j < log 2/log r, r = ratio(x_hi),
+    and floor(x_lo) if x_lo > X0, which lie at most about r apart.  The
+    head window, x_lo to the first point >= max(X0, x_lo), is sieved and
+    evaluated; one run-floor pass covers the brackets [v_i, v_i+1] of
+    points above it, their states in [pi(v_i), pi(v_i+1)].  A run of
+    brackets that clears merges as covered, the states a table sweep would
+    find passing above the worst point; any other run is sieved as a window
+    and evaluated from index pi(v_i).  So every report keeps its bytes.
+    """
+    r = cd.ratio(x_hi)
+    tops = [math.floor(x_hi * r ** -j) for j in range(math.ceil(_LOG2 / math.log(r)))]
+    if x_lo > _LI_X0:
+        tops.append(math.floor(x_lo))
+    points, pis = prime_pi_points(tops)
+
+    def pi(v):  # at a point
+        return int(pis[np.searchsorted(points, v)])
+
+    def window(a, b):  # the primes in (a, b], a and b points
+        return _segmented_primes(b, a + 1, pi(b) - pi(a))
+
+    at = slice(np.searchsorted(points, max(_LI_X0, x_lo)), np.searchsorted(points, x_hi, "right"))
+    v, pv = points[at], pis[at]
+    lo = math.floor(x_lo) if x_lo > _LI_X0 else 0
+    head = window(lo, int(v[0]) if v.size else math.floor(x_hi))
+    i_lo = pi(lo) + int(np.searchsorted(head, math.floor(x_lo), "right"))
+    if v.size > 1:  # first, so that li makes every octave in one pass
+        floors, caps = cd.floor(v[:-1], v[1:], pv[:-1], pv[1:])
+    first = (np.array([x_lo], dtype=float), np.array([i_lo]))
+    summary = sweep(itertools.chain([first], _prime_runs(head[i_lo - pi(lo):], i_lo)),
+                    cd.margins, eta)
+    i = 0
+    while i < v.size - 1:
+        clear = summary.clears(floors[i:], caps[i:], eta)
+        j = i + (int(np.argmax(clear != clear[0])) or clear.size)
+        if clear[0]:
+            summary = summary.merge(SweepSummary.covered(2 * int(pv[j] - pv[i])))
+        elif pv[j] > pv[i]:
+            runs = _prime_runs(window(int(v[i]), int(v[j])), int(pv[i]))
+            summary = summary.merge(sweep(runs, cd.margins, eta))
+        i = j
+    end = np.array([x_hi], dtype=float)
+    return summary.merge(SweepSummary.of(end, *cd.margins(end, np.array([pi(math.floor(x_hi))])),
+                                         eta))
+
+
 def verify_inequality(
     check_id: str,
     x_lo: float,
@@ -874,21 +1009,25 @@ def verify_inequality(
     """Sweep one registered inequality over [x_lo, x_hi].
 
     ``core.sweep`` evaluates the margins one chunk of states at a time, as
-    the check's ``States`` make them, or covers the chunk by its ``floor``.
-    Every margin at an x depends on that x and its state alone, li
-    included, so neither the chunking nor x_hi moves a bit.
+    the check's ``States`` make them, or covers the chunk by its floor; a
+    ``bracketed`` check covers brackets (``_bracket_sweep``).  Every margin
+    at an x depends on that x and its state alone, li included, so neither
+    the chunking, the brackets nor x_hi moves a bit.
 
     Raises UsageError for an unknown check id, and whatever
     ``CheckDef.check_range`` raises for the range.
     """
     cd = check_def(check_id)
     cd.check_range(x_lo, x_hi)
-    if cd.states.needs_table:
-        _require_table(table, x_hi, check_id)
-    extra = [x for x in cd.stationary if x_lo < x <= x_hi]
-    prefix = None if cd.states.prefix is None else cd.states.prefix(table)
-    summary = sweep(cd.states.build(x_lo, x_hi, table, extra, prefix), cd.margins, eta,
-                    cd.floor)
+    if cd.bracketed:
+        summary = _bracket_sweep(cd, x_lo, x_hi, eta)
+    else:
+        if cd.states.needs_table:
+            _require_table(table, x_hi, check_id)
+        extra = [x for x in cd.stationary if x_lo < x <= x_hi]
+        prefix = None if cd.states.prefix is None else cd.states.prefix(table)
+        summary = sweep(cd.states.build(x_lo, x_hi, table, extra, prefix), cd.margins, eta,
+                        cd.floor and _chunk_floor(cd.floor))
     notes = [n for n in (cd.states.note, cd.note) if n]
     if cd.crossover:
         (first, last), _ = cd.margins(np.array([x_lo, x_hi], dtype=float), None)

@@ -544,6 +544,14 @@ def test_text_format(capsys):
     assert "version: 0.1.0" in out
 
 
+def test_text_format_spells_scalars_as_json(capsys):
+    code, out = _run(capsys, "mfunc", "--kind", "liouville", "--x", "1000", "--format", "text")
+    assert code in (0, 1)
+    words = {w for line in out.splitlines() for w in line.split()}
+    assert not words & {"True", "False", "None"}
+    assert {"pass:", "true", "null"} <= words
+
+
 @pytest.mark.parametrize("argv", [
     "mfunc --kind liouville --x 2e8",
     "charsum --q 10000019",

@@ -1,5 +1,5 @@
 """li has one entry: in the package, ``_li_series`` is named only inside
-``_li`` (below 2^16) and ``_li_octave`` (at the anchors), so the sweeps
+``_li`` (below 2^16) and ``_li_octaves`` (at the anchors), so the sweeps
 and ``log_integral`` read the same li, through ``_li``."""
 
 import ast
@@ -23,7 +23,7 @@ def _series_uses(tree):
 def test_li_series_is_read_only_through_li():
     uses = [(path.name, owner) for path in MODULES
             for _, owner in _series_uses(ast.parse(path.read_text(), filename=str(path)))]
-    assert sorted(uses) == [("primes.py", "_li"), ("primes.py", "_li_octave")]
+    assert sorted(uses) == [("primes.py", "_li"), ("primes.py", "_li_octaves")]
 
 
 def test_rule_flags_a_stray_series_use():

@@ -14,10 +14,12 @@ from xpv.core import classify
 
 # the pinned argv of the point-check commands, in JSON, and a few more:
 # constants at a C0 whose ledger-ranges check is left out, a table off the
-# published grid, and one whose broken published cell fails both ratio checks
+# published grid, one whose broken published cell fails both ratio checks,
+# and a charsum PV run, whose results carry their checks too
 ARGV = sorted(a for a in PINNED if a.split()[0] in ("constants", "table", "mfunc")
               and "--format" not in a) + [
-    "constants --c0 700", "table --c 0.7", "table --delta-paper --c1 1e-20"]
+    "constants --c0 700", "table --c 0.7", "table --delta-paper --c1 1e-20",
+    "charsum --q 3,7,101 --pv-ratio"]
 
 
 def _check_entries(report):
@@ -72,6 +74,9 @@ def test_pv_check_fails_when_max_s_reaches_the_bound(capsys, monkeypatch):
     for module in (cli, mfunc):  # every binding of the name
         monkeypatch.setattr(module, "char_sum_profile", profile)
     assert run(["charsum", "--q", "7", "--pv-ratio"]) == 1
-    failed = json.loads(capsys.readouterr().out)["discrepancies"]
+    report = json.loads(capsys.readouterr().out)
+    failed = report["discrepancies"]
     assert [(d["kind"], d["check_id"], d["verdict"]) for d in failed] == [
         ("check-not-passed", "pv-ratio-below-one", "fail")]
+    entry = report["results"][0]["checks"]["pv-ratio-below-one"]
+    assert entry == {k: failed[0][k] for k in ("verdict", "margin", "scale")}

@@ -10,6 +10,7 @@ import pytest
 from xpv import cli, core, mfunc, primes
 from xpv.errors import (
     DomainError,
+    PrecisionError,
     PreconditionError,
     ResourceError,
     UsageError,
@@ -24,9 +25,11 @@ from xpv.primes import (
     _li_series,
     _li_terms,
     _pi_upper,
+    _segmented_primes,
     log_integral,
     mertens_sum,
     nu2,
+    prime_pi_points,
     recip_numerator,
     sieve_primes,
     tail_power_sum_bound,
@@ -167,8 +170,54 @@ def test_verify_runs_the_public_sieve_once(monkeypatch):
 
     monkeypatch.setattr(primes, "sieve_primes", counted)
     monkeypatch.setattr(cli, "sieve_primes", counted)
+    cli.run(["verify", "--check", "pnt-lower", "--from", "59", "--to", "1e6"])
+    assert calls == [(10 ** 6,)]
+    # a pi-li check reads exact pi at Lucy points and sieves windows only
     cli.run(["verify", "--check", "pi-li-1", "--from", "2", "--to", "1e6"])
     assert calls == [(10 ** 6,)]
+
+
+def _quotient_tops(x, r):
+    return [math.floor(x * r ** -j) for j in range(math.ceil(math.log(2.0) / math.log(r)))]
+
+
+@pytest.mark.parametrize("r", [1.4, 1.0 + 1.0 / math.log(1e7)])
+def test_prime_pi_points_match_the_sieve(r):
+    tops = _quotient_tops(1e7, r)
+    assert len(tops) == (3 if r == 1.4 else 12)
+    points, pis = prime_pi_points(tops)
+    want = sorted({0, *range(math.isqrt(10 ** 7) + 1), *(y // k for y in tops
+                                                          for k in range(1, math.isqrt(y) + 1))})
+    assert points.tolist() == want
+    table = sieve_primes(10 ** 7)
+    assert np.array_equal(pis, np.searchsorted(table.primes, points, side="right"))
+
+
+def test_prime_pi_points_at_powers_of_ten():
+    # OEIS A006880
+    known = [4, 25, 168, 1229, 9592, 78498, 664579, 5761455, 50847534, 455052511]
+    for k, want in enumerate(known, 1):
+        points, pis = prime_pi_points([10 ** k])
+        assert (points[-1], pis[-1]) == (10 ** k, want)
+
+
+@pytest.mark.parametrize("tops", [[10 ** 30], list(range(10 ** 12, 10 ** 12 + 6))])
+def test_prime_pi_points_refuses_oversized_tops_before_allocating(tops):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError):
+            prime_pi_points(tops)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 16
+
+
+def test_a_window_sieve_checks_its_count():
+    assert _segmented_primes(200, 101, 21).tolist() == [p for p in range(101, 201)
+                                                        if _is_prime_trial(p)]
+    with pytest.raises(PrecisionError):
+        _segmented_primes(200, 101, 20)
 
 
 def test_prime_pi_step_semantics(prime_table):
@@ -775,7 +824,7 @@ def test_verify_input_errors(prime_table):
     with pytest.raises(PreconditionError):
         verify_inequality("pnt-lower", 2, 100, prime_table)
     with pytest.raises(PreconditionError):
-        verify_inequality("pi-li-1", 2, 100, None)
+        verify_inequality("pnt-upper", 59, 100, None)
     with pytest.raises(PreconditionError):
         verify_inequality("log2p-plain", 2, 400000, prime_table)
 
@@ -847,8 +896,9 @@ def _step_ranges(check_id, rng):
 def test_step_states_match_the_interleaved_oracle(check_id, prime_table, monkeypatch):
     ranges = _step_ranges(check_id, np.random.default_rng(sum(map(ord, check_id))))
     cd = REGISTRY[check_id]
+    # the oracle evaluates every state of a table: no floor, and no brackets
     oracle = dataclasses.replace(
-        cd, states=dataclasses.replace(cd.states, build=_interleaved_step_states))
+        cd, states=dataclasses.replace(cd.states, build=_interleaved_step_states), floor=None)
     # an odd chunk cuts the oracle's states between a prime's two limits
     for chunk in (core._SWEEP_CHUNK, 101):
         monkeypatch.setattr(core, "_SWEEP_CHUNK", chunk)
